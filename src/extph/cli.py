@@ -11,14 +11,7 @@ flows from --seed; outputs are byte-reproducible.
 import argparse
 import sys
 
-from .diagrams import (
-    bottleneck,
-    diagrams,
-    format_diagram,
-    hyper_stability_trial,
-    read_diagram,
-    stability_trial,
-)
+from .diagrams import _diagram, bottleneck, diagrams, format_diagram, read_diagram, stability_trial
 from .digraph import load_digraph, parse_digraph
 from .errors import ConsistencyError, GradedValidationError, InputFormatError
 from .extended import extended_barcode, extended_module_oracle, interval_rank_table
@@ -81,6 +74,9 @@ def _validate_config(args) -> None:
     delta = getattr(args, "delta", None)
     if delta is not None and delta < 0:
         raise InputFormatError(0, "--delta must be nonnegative")
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 0:
+        raise InputFormatError(0, "--trials must be nonnegative")
 
 
 def _cmd_diagram(args, loader, builder) -> int:
@@ -144,17 +140,14 @@ def _detect_front_end(text: str) -> str:
 def _cmd_stability(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if _detect_front_end(text) == "digraph":
-        subject = parse_digraph(text)
-        trial = stability_trial
-    else:
-        subject = parse_hypergraph(text)
-        trial = hyper_stability_trial
+    parse = parse_digraph if _detect_front_end(text) == "digraph" else parse_hypergraph
+    subject = parse(text)
+    base = _diagram(subject, args.pmax, args.field) if args.trials else None
     lines = ["trial\td_E\td_B\tstatus"]
     failures = 0
     for t in range(args.trials):
         seed = args.seed * 1_000_003 + t
-        d_e, per_dim = trial(subject, args.delta, seed, p_max=args.pmax, q=args.field)
+        d_e, per_dim = stability_trial(subject, args.delta, seed, p_max=args.pmax, q=args.field, base=base)
         d_b = max(per_dim.values(), default=0.0)
         ok = all(v <= d_e + _TOLERANCE for v in per_dim.values())
         failures += 0 if ok else 1

@@ -10,13 +10,20 @@ pay their distance to the diagonal, (death - birth)/2), perfectly on the
 extended diagram, so the distance is infinite whenever the extended
 cardinalities differ.
 
-The matcher binary-searches the finite candidate set (pairwise distances
-and diagonal charges) with an augmenting-path feasibility test, so the
-returned value is exact on that set.  ``stability_trial`` and
-``hyper_stability_trial`` perturb the front-end inputs and report the
-achieved input distance next to the per-dimension bottleneck distances;
-the stability guarantee is d_B <= d_E (resp. the sup-norm of the value
-change).
+The matcher computes each type's pairwise distances and diagonal charges
+once with numpy and binary-searches the sorted candidate set (0, pairwise
+distances, diagonal charges), so the returned value is exact on that set.
+Its feasibility test needs no diagonal slots: by the Mendelsohn-Dulmage
+theorem a delta-matching exists iff real pairs within delta can cover
+every point of either side whose charge exceeds delta, and an extended
+point's charge is infinite.  Augmenting paths are found iteratively, so
+no diagram size can exhaust the recursion limit.
+
+``stability_trial`` perturbs the edge weights of a digraph or the values
+of a hypergraph and reports the achieved input distance next to the
+per-dimension bottleneck distances; the stability guarantee is
+d_B <= d_E, the sup-norm of the input change.  A caller running many
+trials passes the unperturbed diagram as ``base`` so it is built once.
 """
 
 import io
@@ -26,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .digraph import WeightedDigraph, build_pph_input
-from .errors import InputFormatError
+from .errors import ConsistencyError, InputFormatError
 from .extended import ORDINARY, RELATIVE, ExtendedBarcode, extended_barcode
 from .hypergraph import FilteredHypergraph, build_hyper_input
 
@@ -126,87 +133,118 @@ def diagrams(bc: ExtendedBarcode, ascending_values, descending_values) -> Extend
 # ---------------------------------------------------------------------------
 
 
-def _linf(p1: DiagramPoint, p2: DiagramPoint) -> float:
-    return max(abs(p1.birth - p2.birth), abs(p1.death - p2.death))
+def _coords(pts):
+    xy = np.array([(pt.birth, pt.death) for pt in pts], dtype=float).reshape(-1, 2)
+    if not np.isfinite(xy).all():
+        raise ValueError("diagram point with a non-finite coordinate")
+    return xy
 
 
-def _diag_charge(pt: DiagramPoint) -> float:
-    return abs(pt.death - pt.birth) / 2.0
+def _kind_arrays(kind, pts1, pts2):
+    """Pairwise l-infinity distances and each side's diagonal charge.
 
-
-def _max_matching(n_left, n_right, adjacency):
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-
-    def try_augment(u, seen):
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_r[v] == -1 or try_augment(match_r[v], seen):
-                    match_r[v] = u
-                    match_l[u] = v
-                    return True
-        return False
-
-    size = 0
-    for u in range(n_left):
-        if try_augment(u, [False] * n_right):
-            size += 1
-    return size, match_l
-
-
-def _feasible(pts1, pts2, delta, diagonal):
-    """Matching at tolerance delta, or None.
-
-    With ``diagonal`` each side is padded with interchangeable diagonal
-    slots: a real point may take a slot at its diagonal charge, and slots
-    pair with each other for free.  Without it a perfect real-real
-    matching is required.
+    Extended points may not pair with the diagonal, so their charge is
+    infinite: every one of them must be matched.
     """
-    n1, n2 = len(pts1), len(pts2)
-    if not diagonal and n1 != n2:
-        return None
-    n_left = n1 + (n2 if diagonal else 0)
-    n_right = n2 + (n1 if diagonal else 0)
-    adjacency = []
-    for i in range(n1):
-        row = [j for j in range(n2) if _linf(pts1[i], pts2[j]) <= delta]
-        if diagonal and _diag_charge(pts1[i]) <= delta:
-            row.extend(range(n2, n_right))
-        adjacency.append(row)
-    if diagonal:
-        slot_row = [j for j in range(n2) if _diag_charge(pts2[j]) <= delta]
-        slot_row.extend(range(n2, n_right))
-        for _ in range(n2):
-            adjacency.append(list(slot_row))
-    size, match_l = _max_matching(n_left, n_right, adjacency)
-    if size != n_left:
-        return None
-    return match_l
+    a, b = _coords(pts1), _coords(pts2)
+    dist = np.abs(a[:, :1] - b[:, 0])
+    np.maximum(dist, np.abs(a[:, 1:] - b[:, 1]), out=dist)
+    if kind == EXT:
+        return dist, np.full(len(a), np.inf), np.full(len(b), np.inf)
+    return dist, np.abs(a[:, 1] - a[:, 0]) / 2.0, np.abs(b[:, 1] - b[:, 0]) / 2.0
 
 
-def _kind_bottleneck(pts1, pts2, diagonal):
-    """Smallest feasible delta for one diagram type, plus the witness matching."""
-    if not diagonal and len(pts1) != len(pts2):
-        return math.inf, None
-    if not pts1 and not pts2:
-        return 0.0, []
-    candidates = {0.0}
-    candidates.update(_linf(p1, p2) for p1 in pts1 for p2 in pts2)
-    if diagonal:
-        candidates.update(_diag_charge(p) for p in pts1)
-        candidates.update(_diag_charge(p) for p in pts2)
-    ordered = sorted(candidates)
-    lo, hi = 0, len(ordered) - 1
-    best = _feasible(pts1, pts2, ordered[hi], diagonal)
+def _neighbours(dist, delta):
+    """Row i -> the columns within ``delta`` of it, found on first use."""
+    cache = {}
+
+    def adjacent(i):
+        nbrs = cache.get(i)
+        if nbrs is None:
+            nbrs = cache[i] = np.flatnonzero(dist[i] <= delta)
+        return nbrs
+
+    return adjacent
+
+
+def _augment(root, adjacent, required, mate, back):
+    """Search depth-first, with an explicit stack, for an alternating path from ``root``.
+
+    ``mate`` maps this side to the other (-1 when free), ``back`` the
+    other side to this one.  The path ends at a free vertex of the other
+    side, or at a vertex of this side that ``required`` does not list,
+    which it unmatches (the exchange step in the Mendelsohn-Dulmage
+    theorem).  Flipping the path covers ``root`` and leaves every
+    required vertex covered.  Returns whether a path was found.
+    """
+    seen = set()
+    xs, ys, its = [root], [], [iter(adjacent(root))]
+    while xs:
+        for y in its[-1]:
+            if y not in seen:
+                seen.add(y)
+                break
+        else:
+            xs.pop()
+            its.pop()
+            if ys:
+                ys.pop()
+            continue
+        ys.append(y)
+        x = back[y]
+        if x == -1 or not required[x]:
+            if x != -1:
+                mate[x] = -1
+            for x, y in zip(xs, ys):
+                mate[x] = y
+                back[y] = x
+            return True
+        xs.append(x)
+        its.append(iter(adjacent(x)))
+    return False
+
+
+def _match(dist, charge1, charge2, delta):
+    """A matching at tolerance ``delta`` as (mate1, mate2), or None.
+
+    Only real pairs within ``delta`` are matched; a point left unmatched
+    pays its diagonal charge.  By the Mendelsohn-Dulmage theorem such a
+    matching exists iff one covers every side-1 point whose charge
+    exceeds ``delta`` and one covers every such side-2 point.  The first
+    is grown greedily and by augmenting paths; exchanges from side 2 then
+    extend it to the second set without uncovering the first.
+    """
+    n1, n2 = dist.shape
+    mate1, mate2 = [-1] * n1, [-1] * n2
+    for mate, back, rows, charge in ((mate1, mate2, dist, charge1), (mate2, mate1, dist.T, charge2)):
+        required = (charge > delta).tolist()
+        adjacent = _neighbours(rows, delta)
+        roots = [i for i, need in enumerate(required) if need and mate[i] == -1]
+        for i in roots:
+            for j in adjacent(i):
+                if back[j] == -1:
+                    mate[i], back[j] = j, i
+                    break
+        for i in roots:
+            if mate[i] == -1 and not _augment(i, adjacent, required, mate, back):
+                return None
+    return mate1, mate2
+
+
+def _kind_bottleneck(dist, charge1, charge2):
+    """Smallest candidate delta at which ``_match`` succeeds; inf if none does."""
+    ordered = np.concatenate(([0.0], dist.ravel(), charge1, charge2))
+    ordered.sort()
+    lo, hi = 0, int(np.searchsorted(ordered, math.inf)) - 1
+    if _match(dist, charge1, charge2, ordered[hi]) is None:
+        return math.inf
     while lo < hi:
         mid = (lo + hi) // 2
-        matching = _feasible(pts1, pts2, ordered[mid], diagonal)
-        if matching is not None:
-            best, hi = matching, mid
-        else:
+        if _match(dist, charge1, charge2, ordered[mid]) is None:
             lo = mid + 1
-    return ordered[hi], best
+        else:
+            hi = mid
+    return float(ordered[hi])
 
 
 def bottleneck(d1: ExtendedDiagram, d2: ExtendedDiagram, dim=None) -> float:
@@ -215,15 +253,15 @@ def bottleneck(d1: ExtendedDiagram, d2: ExtendedDiagram, dim=None) -> float:
     Points are compared within one homology dimension; with ``dim`` None
     the maximum over all dimensions present is returned.  The result is
     math.inf exactly when the extended multisets of some dimension have
-    different cardinalities.
+    different cardinalities.  Raises ValueError on a non-finite coordinate.
     """
     if dim is None:
         all_dims = sorted(set(d1.dims()) | set(d2.dims()))
         return max((bottleneck(d1, d2, p) for p in all_dims), default=0.0)
     value = 0.0
-    for kind, diagonal in ((ORD, True), (REL, True), (EXT, False)):
-        v, _ = _kind_bottleneck(d1.points(kind, dim), d2.points(kind, dim), diagonal)
-        value = max(value, v)
+    for kind in (ORD, REL, EXT):
+        arrays = _kind_arrays(kind, d1.points(kind, dim), d2.points(kind, dim))
+        value = max(value, _kind_bottleneck(*arrays))
     return value
 
 
@@ -238,6 +276,7 @@ class MatchingCertificate:
         self.unmatched = unmatched  # kind -> list of (side, point)
 
     def verify(self, d1: ExtendedDiagram, d2: ExtendedDiagram, dim, tol: float = 1e-9) -> bool:
+        linf = lambda p1, p2: max(abs(p1.birth - p2.birth), abs(p1.death - p2.death))
         for kind in (ORD, REL, EXT):
             pts1 = sorted(d1.points(kind, dim))
             pts2 = sorted(d2.points(kind, dim))
@@ -245,11 +284,11 @@ class MatchingCertificate:
             got2 = sorted([p for _, p in self.matched[kind]] + [p for s, p in self.unmatched[kind] if s == 2])
             if got1 != pts1 or got2 != pts2:
                 return False
-            if any(_linf(p1, p2) > self.delta + tol for p1, p2 in self.matched[kind]):
+            if any(linf(p1, p2) > self.delta + tol for p1, p2 in self.matched[kind]):
                 return False
             if kind == EXT and self.unmatched[kind]:
                 return False
-            if kind != EXT and any(_diag_charge(p) > self.delta + tol for _, p in self.unmatched[kind]):
+            if kind != EXT and any(abs(p.death - p.birth) / 2.0 > self.delta + tol for _, p in self.unmatched[kind]):
                 return False
         return True
 
@@ -259,26 +298,16 @@ def bottleneck_certificate(d1: ExtendedDiagram, d2: ExtendedDiagram, dim):
     delta = bottleneck(d1, d2, dim)
     if math.isinf(delta):
         return delta, None
-    matched = {ORD: [], REL: [], EXT: []}
-    unmatched = {ORD: [], REL: [], EXT: []}
-    for kind, diagonal in ((ORD, True), (REL, True), (EXT, False)):
-        pts1 = list(d1.points(kind, dim))
-        pts2 = list(d2.points(kind, dim))
-        matching = _feasible(pts1, pts2, delta, diagonal)
-        if matching is None:
-            raise AssertionError("matching must exist at the computed distance")
-        n2 = len(pts2)
-        claimed = set()
-        for i, p1 in enumerate(pts1):
-            j = matching[i]
-            if j < n2:
-                matched[kind].append((p1, pts2[j]))
-                claimed.add(j)
-            else:
-                unmatched[kind].append((1, p1))
-        for j, p2 in enumerate(pts2):
-            if j not in claimed:
-                unmatched[kind].append((2, p2))
+    matched, unmatched = {}, {}
+    for kind in (ORD, REL, EXT):
+        pts1, pts2 = d1.points(kind, dim), d2.points(kind, dim)
+        found = _match(*_kind_arrays(kind, pts1, pts2), delta)
+        if found is None:
+            raise ConsistencyError("no matching exists at the computed distance")
+        mate1, mate2 = found
+        matched[kind] = [(p1, pts2[j]) for p1, j in zip(pts1, mate1) if j != -1]
+        unmatched[kind] = [(1, p) for p, j in zip(pts1, mate1) if j == -1]
+        unmatched[kind] += [(2, p) for p, i in zip(pts2, mate2) if i == -1]
     return delta, MatchingCertificate(delta, matched, unmatched)
 
 
@@ -287,46 +316,37 @@ def bottleneck_certificate(d1: ExtendedDiagram, d2: ExtendedDiagram, dim):
 # ---------------------------------------------------------------------------
 
 
-def _digraph_diagram(g: WeightedDigraph, p_max, q):
-    x, asc, desc = build_pph_input(g, p_max, q)
+def _diagram(subject, p_max, q):
+    """Extended diagram of a digraph or hypergraph, through its front end."""
+    build = build_pph_input if isinstance(subject, WeightedDigraph) else build_hyper_input
+    x, asc, desc = build(subject, p_max, q)
     return diagrams(extended_barcode(x, p_max), asc, desc)
 
 
-def _hypergraph_diagram(h: FilteredHypergraph, p_max, q):
-    x, asc, desc = build_hyper_input(h, p_max, q)
-    return diagrams(extended_barcode(x, p_max), asc, desc)
+def stability_trial(subject, delta: float, seed, p_max: int = 2, q: int = 2, base=None):
+    """Perturb each edge weight or hyperedge value uniformly in [-delta, delta] (seeded).
 
-
-def stability_trial(g: WeightedDigraph, delta: float, seed, p_max: int = 2, q: int = 2):
-    """Perturb each edge weight uniformly in [-delta, delta] (seeded).
-
-    Returns (achieved max weight change, {dim: bottleneck distance}); the
-    stability theorem promises every distance is at most the first value.
+    ``subject`` is a WeightedDigraph or a FilteredHypergraph; ``base``,
+    when given, is its unperturbed diagram, which callers running many
+    trials compute once.  Returns (achieved max input change,
+    {dim: bottleneck distance}); the stability theorem promises every
+    distance is at most the first value.
     """
     if delta < 0:
         raise ValueError("perturbation bound must be nonnegative")
+    values = subject.weights if isinstance(subject, WeightedDigraph) else subject.values
     rng = np.random.default_rng(seed)
-    items = sorted(g.weights.items())
+    items = sorted(values.items())
     shifts = rng.uniform(-delta, delta, size=len(items))
-    perturbed = WeightedDigraph(g.vertices, {e: w + s for (e, w), s in zip(items, shifts)})
+    perturbed = type(subject)(subject.vertices, {e: v + s for (e, v), s in zip(items, shifts)})
     d_e = float(max(np.abs(shifts), default=0.0))
-    diag1 = _digraph_diagram(g, p_max, q)
-    diag2 = _digraph_diagram(perturbed, p_max, q)
-    return d_e, {p: bottleneck(diag1, diag2, p) for p in range(p_max + 1)}
+    if base is None:
+        base = _diagram(subject, p_max, q)
+    moved = _diagram(perturbed, p_max, q)
+    return d_e, {p: bottleneck(base, moved, p) for p in range(p_max + 1)}
 
 
-def hyper_stability_trial(h: FilteredHypergraph, delta: float, seed, p_max: int = 2, q: int = 2):
-    """Perturb each hyperedge value uniformly in [-delta, delta] (seeded)."""
-    if delta < 0:
-        raise ValueError("perturbation bound must be nonnegative")
-    rng = np.random.default_rng(seed)
-    items = sorted(h.values.items())
-    shifts = rng.uniform(-delta, delta, size=len(items))
-    perturbed = FilteredHypergraph(h.vertices, {e: v + s for (e, v), s in zip(items, shifts)})
-    d_inf = float(max(np.abs(shifts), default=0.0))
-    diag1 = _hypergraph_diagram(h, p_max, q)
-    diag2 = _hypergraph_diagram(perturbed, p_max, q)
-    return d_inf, {p: bottleneck(diag1, diag2, p) for p in range(p_max + 1)}
+hyper_stability_trial = stability_trial
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +391,8 @@ def read_diagram(text: str) -> ExtendedDiagram:
             death = float(parts[3])
         except ValueError:
             raise InputFormatError(lineno, "bad numeric field") from None
+        if not (math.isfinite(birth) and math.isfinite(death)):
+            raise InputFormatError(lineno, "non-finite birth or death")
         kind = parts[1].strip()
         if kind not in buckets:
             raise InputFormatError(lineno, f"unknown point type {kind!r}")

@@ -16,6 +16,8 @@ File format (one edge per line, consumed by the CLI)::
 Vertex names are arbitrary non-empty tokens; self-loops are rejected.
 """
 
+import math
+
 from .errors import InputFormatError
 from .extended import ExtendedInput
 from .graded import GradedSubgroup, homology_dims, sup_complex
@@ -47,7 +49,10 @@ class WeightedDigraph:
                 raise ValueError(f"self-loop on {x!r}")
             if x not in vset or y not in vset:
                 raise ValueError(f"edge ({x!r}, {y!r}) has an endpoint outside the vertex set")
-            self.weights[(x, y)] = float(w)
+            w = float(w)
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({x!r}, {y!r}) has the non-finite weight {w!r}")
+            self.weights[(x, y)] = w
 
     @property
     def edges(self):
@@ -205,6 +210,8 @@ def parse_digraph(text: str) -> WeightedDigraph:
             wv = float(w)
         except ValueError:
             raise InputFormatError(lineno, f"bad weight {w!r}") from None
+        if not math.isfinite(wv):
+            raise InputFormatError(lineno, f"non-finite weight {w!r}")
         if (s, t) in weights:
             raise InputFormatError(lineno, f"duplicate edge {s!r} -> {t!r}")
         weights[(s, t)] = wv

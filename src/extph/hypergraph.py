@@ -14,6 +14,7 @@ File format (one hyperedge per line, consumed by the CLI)::
 Simplices are oriented by the sorted order of their vertices.
 """
 
+import math
 from itertools import combinations
 
 from .errors import InputFormatError
@@ -51,7 +52,10 @@ class FilteredHypergraph:
                 raise ValueError(f"hyperedge {key!r} uses vertices outside the vertex set")
             if key in self.values:
                 raise ValueError(f"duplicate hyperedge {key!r}")
-            self.values[key] = float(value)
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"hyperedge {key!r} has the non-finite value {value!r}")
+            self.values[key] = value
 
     @property
     def hyperedges(self):
@@ -161,6 +165,8 @@ def parse_hypergraph(text: str) -> FilteredHypergraph:
             value = float(parts[0].strip())
         except ValueError:
             raise InputFormatError(lineno, f"bad value {parts[0]!r}") from None
+        if not math.isfinite(value):
+            raise InputFormatError(lineno, f"non-finite value {parts[0]!r}")
         tokens = [t.strip() for t in parts[1].split(",")]
         if not tokens or any(not t for t in tokens):
             raise InputFormatError(lineno, "empty vertex name in hyperedge")

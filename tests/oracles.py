@@ -15,6 +15,9 @@ import math
 from collections import Counter
 
 from extph import (
+    EXT,
+    ORD,
+    REL,
     ExtendedInput,
     FilteredGradedSubgroup,
     GradedSubgroup,
@@ -297,10 +300,16 @@ def _minimax_assignment(cost):
     return best
 
 
+def _linf(p1, p2):
+    return max(abs(p1.birth - p2.birth), abs(p1.death - p2.death))
+
+
+def _diag_charge(pt):
+    return abs(pt.death - pt.birth) / 2.0
+
+
 def bottleneck_oracle(d1, d2, dim):
     """Exhaustive bottleneck distance for small diagrams."""
-    from extph.diagrams import EXT, ORD, REL, _diag_charge, _linf
-
     worst = 0.0
     for kind in (ORD, REL, EXT):
         pts1 = list(d1.points(kind, dim))

@@ -53,6 +53,22 @@ def test_pph_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_pph_rejects_a_nan_weight(tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    src.write_text("a\tb\t1\nb\tc\tnan\n")
+    code, out, err = run(["pph", str(src)], capsys)
+    assert code == 2 and out == ""
+    assert "line 2" in err and "non-finite" in err
+
+
+def test_hyper_rejects_an_inf_value(tmp_path, capsys):
+    src = tmp_path / "h.tsv"
+    src.write_text("1\ta\ninf\ta,b\n")
+    code, out, err = run(["hyper", str(src)], capsys)
+    assert code == 2 and out == ""
+    assert "line 2" in err and "non-finite" in err
+
+
 def test_pph_oracle_check_passes(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     src.write_text(TWO_STAGE)
@@ -98,6 +114,15 @@ def test_distance_reports_inf_on_extended_mismatch(tmp_path, capsys):
     code, out, _ = run(["distance", str(d1), str(d2)], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "max\tinf"
+
+
+def test_distance_rejects_a_nan_point(tmp_path, capsys):
+    d1, d2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    d1.write_text("dim\ttype\tbirth\tdeath\n0\tord\tnan\t1.0\n")
+    d2.write_text("dim\ttype\tbirth\tdeath\n0\tord\t0.5\t1.0\n")
+    code, out, err = run(["distance", str(d1), str(d2)], capsys)
+    assert code == 2 and out == ""
+    assert "non-finite" in err and len(err.splitlines()) == 1
 
 
 def test_distance_matches_the_exhaustive_oracle(tmp_path, capsys):
@@ -189,6 +214,14 @@ def test_negative_pmax_exits_2(tmp_path, capsys):
     src.write_text(TWO_STAGE)
     code, _, _ = run(["pph", str(src), "--pmax", "-1"], capsys)
     assert code == 2
+
+
+def test_negative_trials_exits_2(tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    src.write_text(TWO_STAGE)
+    code, out, err = run(["stability", str(src), "--trials", "-3"], capsys)
+    assert code == 2 and out == ""
+    assert "--trials" in err
 
 
 def test_console_module_entry_point(tmp_path):

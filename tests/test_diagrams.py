@@ -103,6 +103,17 @@ def test_lonely_ordinary_point_pays_its_diagonal_charge():
     assert bottleneck(d1, diagram()) == pytest.approx(1.0)
 
 
+def test_a_point_that_must_be_matched_takes_the_partner_of_one_that_need_not():
+    # at delta 4.5, (0, 10) and (0.5, 10.5) have charge 5 and must be matched,
+    # to each other, while (0, 9) pays its charge 4.5; a matcher that first
+    # pairs (0, 10) with (0, 9) has to exchange
+    d1 = diagram(ordinary=[(0, 0.0, 10.0)])
+    d2 = diagram(ordinary=[(0, 0.0, 9.0), (0, 0.5, 10.5)])
+    assert bottleneck(d1, d2) == 4.5
+    delta, cert = bottleneck_certificate(d1, d2, 0)
+    assert cert.matched[ORD] == [(DiagramPoint(0, 0.0, 10.0), DiagramPoint(0, 0.5, 10.5))]
+
+
 def test_relative_points_use_the_same_linf_metric():
     d1 = diagram(relative=[(0, 5.0, 1.0)])
     d2 = diagram(relative=[(0, 4.0, 1.5)])
@@ -117,8 +128,8 @@ def test_points_in_different_dimensions_never_match():
 
 def test_matcher_agrees_with_exhaustive_oracle():
     rng = np.random.default_rng(131)
-    for _ in range(60):
-        d1, d2 = random_diagram(rng), random_diagram(rng)
+    for max_points in [6] * 60 + [12] * 30:
+        d1, d2 = random_diagram(rng, max_points), random_diagram(rng, max_points)
         for dim in (0, 1):
             got = bottleneck(d1, d2, dim)
             want = bottleneck_oracle(d1, d2, dim)
@@ -126,6 +137,45 @@ def test_matcher_agrees_with_exhaustive_oracle():
                 assert math.isinf(got)
             else:
                 assert got == pytest.approx(want, abs=1e-9)
+
+
+def near_diagonal(rng, n):
+    births = rng.random(n) * 10.0
+    return [DiagramPoint(0, float(b), float(b + p)) for b, p in zip(births, rng.random(n) * 0.2)]
+
+
+@pytest.mark.parametrize("kind", [ORD, EXT])
+def test_1600_near_diagonal_points_match_without_recursion(kind):
+    rng = np.random.default_rng(167)
+    pts1, pts2 = near_diagonal(rng, 1600), near_diagonal(rng, 1600)
+    wrap = (lambda pts: ExtendedDiagram(pts)) if kind == ORD else (lambda pts: ExtendedDiagram(extended=pts))
+    d1, d2 = wrap(pts1), wrap(pts2)
+    delta, cert = bottleneck_certificate(d1, d2, 0)
+    assert 0.0 < delta < math.inf
+    assert cert.verify(d1, d2, 0)
+
+
+def test_shifted_separated_grid_is_exactly_the_shift():
+    # points 10 apart with persistence 5: each point's shifted copy is the
+    # only partner closer than its diagonal charge 2.5
+    pts = [(0, 10.0 * i, 10.0 * i + 5.0) for i in range(200)]
+    shifted = [(dim, b + 0.25, d + 0.25) for dim, b, d in pts]
+    flip = lambda rows: [(dim, d, b) for dim, b, d in rows]
+    d1 = diagram(ordinary=pts, relative=flip(pts), extended=pts)
+    d2 = diagram(ordinary=shifted, relative=flip(shifted), extended=shifted)
+    assert bottleneck(d1, d2) == 0.25
+    delta, cert = bottleneck_certificate(d1, d2, 0)
+    assert delta == 0.25 and cert.verify(d1, d2, 0)
+    assert all(not cert.unmatched[kind] for kind in (ORD, REL, EXT))
+
+
+def test_bottleneck_rejects_non_finite_coordinates():
+    finite = diagram(ordinary=[(0, 1.0, 2.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bottleneck(diagram(ordinary=[(0, bad, 2.0)]), finite)
+        with pytest.raises(ValueError):
+            bottleneck(finite, diagram(extended=[(0, 1.0, bad)]), 0)
 
 
 def test_symmetry_and_triangle_inequality():
@@ -199,6 +249,16 @@ def test_single_hyperedge_shift_moves_the_point_exactly():
     assert per_dim[0] == pytest.approx(d_inf, abs=1e-12)
 
 
+def test_one_trial_function_serves_both_front_ends_and_takes_a_base_diagram():
+    from extph.diagrams import _diagram
+
+    assert hyper_stability_trial is stability_trial
+    rng = np.random.default_rng(173)
+    for subject in (random_digraph(rng, max_vertices=5), random_hypergraph(rng, max_vertices=5)):
+        base = _diagram(subject, 2, 2)
+        assert stability_trial(subject, 0.2, seed=4, base=base) == stability_trial(subject, 0.2, seed=4)
+
+
 def test_trials_are_reproducible():
     rng = np.random.default_rng(151)
     g = random_digraph(rng, max_vertices=5)
@@ -247,3 +307,11 @@ def test_read_diagram_rejects_bad_rows():
         read_diagram("dim\ttype\tbirth\tdeath\n0\tord\tx\t1\n")
     with pytest.raises(InputFormatError):
         read_diagram("0\tweird\t1\t2\n")
+
+
+@pytest.mark.parametrize("row", ["0\tord\tnan\t1.0", "0\text\t1.0\tinf", "1\trel\t-inf\t0.5"])
+def test_read_diagram_rejects_non_finite_numbers(row):
+    from extph import InputFormatError
+
+    with pytest.raises(InputFormatError, match="non-finite"):
+        read_diagram(row + "\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,8 @@ def test_parse_digraph_round_trip():
         ("a\tb", "expected"),
         ("a\ta\t1", "self-loop"),
         ("a\tb\tten", "bad weight"),
+        ("a\tb\tnan", "non-finite"),
+        ("a\tb\t-inf", "non-finite"),
         ("a\tb\t1\na\tb\t2", "duplicate"),
     ],
 )
@@ -226,6 +230,12 @@ def test_parse_digraph_rejects_malformed_lines(line, fragment):
     with pytest.raises(InputFormatError) as err:
         parse_digraph(line)
     assert fragment in str(err.value)
+
+
+def test_constructor_rejects_non_finite_weights():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            WeightedDigraph(["a", "b"], {("a", "b"): bad})
 
 
 def test_parse_errors_carry_line_numbers():

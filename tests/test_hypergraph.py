@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,8 @@ def test_parse_hypergraph_round_trip():
     [
         ("1.5 a,b", "expected"),
         ("x\ta,b", "bad value"),
+        ("inf\ta,b", "non-finite"),
+        ("nan\ta", "non-finite"),
         ("1\ta,,b", "empty vertex"),
         ("1\ta,a", "repeats"),
         ("1\ta,b\n2\tb,a", "duplicate"),
@@ -246,3 +250,9 @@ def test_parse_hypergraph_rejects_malformed_lines(line, fragment):
     with pytest.raises(InputFormatError) as err:
         parse_hypergraph(line)
     assert fragment in str(err.value)
+
+
+def test_constructor_rejects_non_finite_values():
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            FilteredHypergraph(["a"], {("a",): bad})
