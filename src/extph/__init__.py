@@ -53,6 +53,7 @@ from .extended import (
     ExtendedInterval,
     build_extended_filtration,
     cone_graded,
+    cone_matrices,
     extended_barcode,
     extended_module_oracle,
     interval_rank_table,

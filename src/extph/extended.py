@@ -10,10 +10,14 @@ Relative terms are computed by coning: the cone of E ⊆ D inside the cone
 of the ambient identity has supremum complex equal to the cone of the
 supremum complexes (the constructions commute), and the homology of the
 cone of an inclusion is the homology of the quotient.  Concretely one
-builds a single M+N stage filtration on the cone whose generators are
-base copies (0, d) of the ascending basis followed by cone copies (e, 0)
-of the descending basis, runs the ordinary pairing algorithm on it, and
-sorts the resulting pairs into three interval types:
+reduces a single M+N stage filtration on the cone.  Its dimension-p basis
+is the base block, the ascending basis of dimension p, followed by the
+cone block, the descending basis of dimension p-1.  Its boundary matrices
+are assembled from the two plain boundary matrices: a base column is the
+ascending boundary column, and the cone column of a descending generator
+u is a 1 at u's ascending row plus u's negated descending boundary,
+shifted below the base rows.  The ordinary pairing algorithm runs on
+these matrices, and each pair is typed by the blocks it joins:
 
 * base row / base column  -> ordinary interval on the ascending stages,
 * cone row / cone column  -> relative interval on the descending stages,
@@ -21,9 +25,12 @@ sorts the resulting pairs into three interval types:
 
 A base column never pivots on a cone row, and because the module ends at
 zero no generator survives unpaired; either situation raises
-ConsistencyError.  ``extended_module_oracle`` recomputes every composite
-rank of the module directly from supremum complexes and quotients, with
-no cones and no pivots, and is the ground truth for the barcode.
+ConsistencyError.  ``build_extended_filtration`` builds the same cone as a
+labelled filtration through ``cone_graded``; it is the reference the block
+assembly is tested against.  ``extended_module_oracle`` recomputes every
+composite rank of the module directly from supremum complexes and
+quotients, with no cones and no pivots, and is the ground truth for the
+barcode.
 """
 
 from typing import Any, NamedTuple
@@ -46,9 +53,8 @@ from .graded import (
     GradedSubgroup,
     ValidationReport,
     sup_complex,
-    validate_compatible,
 )
-from .persistence import build_matrices, compute_pairings
+from .persistence import BoundaryMatrices, build_matrices, compute_pairings
 
 __all__ = [
     "BASE",
@@ -63,6 +69,7 @@ __all__ = [
     "mapping_cone",
     "cone_graded",
     "build_extended_filtration",
+    "cone_matrices",
     "extended_barcode",
     "extended_module_oracle",
     "interval_rank_table",
@@ -88,42 +95,35 @@ class ConeGenerator(NamedTuple):
     dim: int
 
 
-class ExtendedInput:
-    """Ascending and descending filtrations over one shared generator universe.
+def _sorted_by(graded: GradedSubgroup, heights, num_stages: int) -> FilteredGradedSubgroup:
+    basis = {p: sorted(graded.basis[p], key=lambda label: heights[label]) for p in graded.dims()}
+    stages = {p: [heights[label] for label in labels] for p, labels in basis.items()}
+    return FilteredGradedSubgroup(graded.with_basis(basis), stages, num_stages)
 
-    Both filtrations must list the same basis generators per dimension
-    (each in its own compatible order), the same extension generators and
-    the same boundaries; the correspondence between the two bases is
-    identity on labels.  Heights of the ascending side live in [1, M],
-    heights of the descending side in [1, N]; both tops automatically span
-    the full basis, as the definition of extended persistence requires.
+
+class ExtendedInput:
+    """Ascending and descending filtrations of one graded subgroup.
+
+    ``graded`` is the one generator store: universe, boundaries and column
+    cache.  ``ascending`` and ``descending`` are views of it that differ
+    only in basis order, the store's basis sorted stably by each side's
+    heights, which makes each a compatible order.  Ascending heights live
+    in [1, M], descending ones in [1, N]; both tops are the full basis, as
+    the definition of extended persistence requires.
     """
 
-    def __init__(self, ascending: FilteredGradedSubgroup, descending: FilteredGradedSubgroup, check=True):
-        self.ascending = ascending
-        self.descending = descending
-        self.M = ascending.num_stages
-        self.N = descending.num_stages
-        self._asc_pos = {
-            p: {label: i for i, label in enumerate(ascending.graded.basis[p])}
-            for p in ascending.graded.dims()
-        }
-        self._desc_pos = {
-            p: {label: i for i, label in enumerate(descending.graded.basis[p])}
-            for p in descending.graded.dims()
-        }
+    def __init__(
+        self, graded, ascending_heights, descending_heights, num_ascending, num_descending, check=True
+    ):
+        self.graded = graded
+        self.ascending = _sorted_by(graded, ascending_heights, num_ascending)
+        self.descending = _sorted_by(graded, descending_heights, num_descending)
+        self.M = self.ascending.num_stages
+        self.N = self.descending.num_stages
         if check:
             report = self.validate()
             if not report.ok:
                 raise GradedValidationError(str(report))
-
-    @property
-    def field(self):
-        return self.ascending.field
-
-    @property
-    def q(self) -> int:
-        return self.ascending.q
 
     def asc_height(self, label) -> int:
         return self.ascending.height_of(label)
@@ -131,32 +131,11 @@ class ExtendedInput:
     def desc_height(self, label) -> int:
         return self.descending.height_of(label)
 
-    def asc_position(self, p: int, label) -> int:
-        return self._asc_pos[p][label]
-
-    def desc_position(self, p: int, label) -> int:
-        return self._desc_pos[p][label]
-
     def validate(self) -> ValidationReport:
-        problems = []
-        problems += [f"ascending: {m}" for m in validate_compatible(self.ascending).problems]
-        problems += [f"descending: {m}" for m in validate_compatible(self.descending).problems]
-        a, d = self.ascending.graded, self.descending.graded
-        if a.field != d.field:
-            problems.append("the two filtrations use different fields")
-            return ValidationReport(problems)
-        top = max(a.max_dim, d.max_dim)
-        for p in range(top + 1):
-            if frozenset(a.basis.get(p, ())) != frozenset(d.basis.get(p, ())):
-                problems.append(f"dimension {p}: ascending and descending basis sets differ")
-                continue
-            if frozenset(a.extension.get(p, ())) != frozenset(d.extension.get(p, ())):
-                problems.append(f"dimension {p}: extension generator sets differ")
-                continue
-            for label in a.universe.get(p, ()):
-                if a.boundary_dict(label) != d.boundary_dict(label):
-                    problems.append(f"boundaries of {label!r} disagree between the two filtrations")
-                    break
+        """Closure and d∘d = 0 of the store, once; each side's heights in range."""
+        problems = list(self.graded.validate().problems)
+        problems += [f"ascending: {m}" for m in self.ascending.height_problems()]
+        problems += [f"descending: {m}" for m in self.descending.height_problems()]
         return ValidationReport(problems)
 
     @classmethod
@@ -178,24 +157,8 @@ class ExtendedInput:
         side sorts it stably by its own heights to obtain a compatible
         order.
         """
-        dims = sorted(set(basis) | set(extension or {}))
-        asc_basis, asc_hts, desc_basis, desc_hts = {}, {}, {}, {}
-        for p in dims:
-            labels = list(basis.get(p, ()))
-            a_sorted = sorted(labels, key=lambda l: ascending_heights[l])
-            d_sorted = sorted(labels, key=lambda l: descending_heights[l])
-            asc_basis[p] = a_sorted
-            asc_hts[p] = [ascending_heights[l] for l in a_sorted]
-            desc_basis[p] = d_sorted
-            desc_hts[p] = [descending_heights[l] for l in d_sorted]
-        ext = {p: list((extension or {}).get(p, ())) for p in dims}
-        a_g = GradedSubgroup(asc_basis, ext, boundary, q=q)
-        d_g = GradedSubgroup(desc_basis, ext, boundary, q=q)
-        return cls(
-            FilteredGradedSubgroup(a_g, asc_hts, num_ascending),
-            FilteredGradedSubgroup(d_g, desc_hts, num_descending),
-            check=check,
-        )
+        graded = GradedSubgroup(basis, extension, boundary, q=q)
+        return cls(graded, ascending_heights, descending_heights, num_ascending, num_descending, check)
 
 
 class ExtendedInterval(NamedTuple):
@@ -339,14 +302,15 @@ def mapping_cone(small: ChainComplexSlice, big: ChainComplexSlice) -> ChainCompl
     return cone
 
 
-def cone_graded(small: GradedSubgroup, big: GradedSubgroup) -> GradedSubgroup:
+def cone_graded(small: GradedSubgroup, big: GradedSubgroup, max_dim=None) -> GradedSubgroup:
     """Cone of the inclusion small ⊆ big, as a graded subgroup of the ambient cone.
 
     Both subgroups must share the ambient listing (same universe, same
     boundaries) and small's basis must be a subset of big's per dimension.
     Cone dimension p lists the base copies of the full dimension-p universe
     followed by the cone copies of the dimension-(p-1) universe, so row
-    layouts line up with ``mapping_cone``.
+    layouts line up with ``mapping_cone``.  Cone dimensions above
+    ``max_dim``, when given, are left out.
     """
     if small.field != big.field:
         raise GradedValidationError("graded subgroups live over different fields")
@@ -362,7 +326,7 @@ def cone_graded(small: GradedSubgroup, big: GradedSubgroup) -> GradedSubgroup:
                 raise GradedValidationError(f"boundaries of {label!r} disagree between the subgroups")
 
     basis, extension, universe, boundary = {}, {}, {}, {}
-    for p in range(top + 2):
+    for p in range(top + 2 if max_dim is None else max_dim + 1):
         base_univ = [ConeGenerator(BASE, u, p) for u in big.universe.get(p, ())]
         cone_univ = [ConeGenerator(CONE, u, p) for u in big.universe.get(p - 1, ())]
         universe[p] = base_univ + cone_univ
@@ -385,49 +349,51 @@ def cone_graded(small: GradedSubgroup, big: GradedSubgroup) -> GradedSubgroup:
 
 
 def build_extended_filtration(x: ExtendedInput, p_max: int) -> FilteredGradedSubgroup:
-    """The M + N stage filtration on the cone that computes extended persistence.
+    """The M + N stage filtration on the labelled cone, the reference for ``cone_matrices``.
 
-    Cone dimension p carries the base copies of the ascending basis (at
-    their ascending heights) followed by the cone copies of the descending
-    dimension-(p-1) basis (at M + descending height); extension generators
-    are the base then cone copies of the shared extension set.  Generators
-    above dimension p_max + 1 are not materialized.
+    It is ``cone_graded`` of the descending subgroup inside the ascending
+    one, up to cone dimension p_max + 1: base copies of the ascending basis
+    at their ascending heights, then cone copies of the descending basis
+    at M + their descending heights.
     """
     asc, desc = x.ascending, x.descending
-    ag, dg = asc.graded, desc.graded
-    q = ag.q
-    M = x.M
-    basis, extension, heights, boundary = {}, {}, {}, {}
-    for p in range(p_max + 2):
-        base_basis = ag.basis.get(p, [])
-        cone_basis = dg.basis.get(p - 1, [])
-        basis[p] = [ConeGenerator(BASE, u, p) for u in base_basis]
-        basis[p] += [ConeGenerator(CONE, u, p) for u in cone_basis]
-        heights[p] = [asc.height_of(u) for u in base_basis]
-        heights[p] += [M + desc.height_of(u) for u in cone_basis]
-        extension[p] = [ConeGenerator(BASE, u, p) for u in ag.extension.get(p, ())]
-        extension[p] += [ConeGenerator(CONE, u, p) for u in ag.extension.get(p - 1, ())]
-        if p >= 1:
-            for u in base_basis:
-                boundary[ConeGenerator(BASE, u, p)] = {
-                    ConeGenerator(BASE, f, p - 1): c for f, c in ag.boundary_dict(u).items()
-                }
-            for u in ag.extension.get(p, ()):
-                boundary[ConeGenerator(BASE, u, p)] = {
-                    ConeGenerator(BASE, f, p - 1): c for f, c in ag.boundary_dict(u).items()
-                }
-        for u in cone_basis:
-            faces: dict = {ConeGenerator(BASE, u, p - 1): 1}
-            for f, c in ag.boundary_dict(u).items():
-                faces[ConeGenerator(CONE, f, p - 1)] = (-c) % q
-            boundary[ConeGenerator(CONE, u, p)] = faces
-        for u in ag.extension.get(p - 1, ()):
-            faces = {ConeGenerator(BASE, u, p - 1): 1}
-            for f, c in ag.boundary_dict(u).items():
-                faces[ConeGenerator(CONE, f, p - 1)] = (-c) % q
-            boundary[ConeGenerator(CONE, u, p)] = faces
-    cone_g = GradedSubgroup(basis, extension, boundary, q=ag.field)
-    return FilteredGradedSubgroup(cone_g, heights, M + x.N)
+    cone = cone_graded(desc.graded, asc.graded, max_dim=p_max + 1)
+    heights = {
+        p: asc.heights.get(p, []) + [x.M + h for h in desc.heights.get(p - 1, [])] for p in cone.dims()
+    }
+    return FilteredGradedSubgroup(cone, heights, x.M + x.N)
+
+
+def cone_matrices(x: ExtendedInput, p_max: int) -> BoundaryMatrices:
+    """Boundary matrices of the cone filtration, assembled from the two plain ones.
+
+    Cone dimension p has a_p base rows (the ascending basis), then d_p cone
+    rows (the descending basis of dimension p-1), then the extension rows
+    of the base block and those of the cone block.  A base column is the
+    ascending boundary column; the cone column of a dimension-p descending
+    generator u is a 1 at u's ascending row plus u's negated descending
+    boundary column, shifted below the base rows.  The basis pivots do not
+    depend on the order of the extension rows, so this gives the pairing of
+    ``build_matrices(build_extended_filtration(x, p_max), p_max)``.
+    """
+    asc, desc = x.ascending, x.descending
+    field = asc.field
+    up = build_matrices(asc, p_max)
+    down = build_matrices(desc, p_max - 1)
+    d = (0,) + down.basis_counts
+    mats = []
+    for p in range(p_max + 1):
+        a_p, d_p, base = up.basis_counts[p], d[p], up.mats[p]
+        ext_a = base.num_rows - a_p
+        cols = [SparseColumn([(r if r < a_p else r + d_p, c) for r, c in col.entries]) for col in base.columns]
+        asc_row = {label: i for i, label in enumerate(asc.graded.basis.get(p, ()))}
+        cone_labels = desc.graded.basis.get(p, ())
+        cone = down.mats[p - 1] if p else SparseMatrix(0, [SparseColumn()] * len(cone_labels), field)
+        for label, col in zip(cone_labels, cone.columns):
+            entries = [(a_p + r if r < d_p else r + a_p + ext_a, field.neg(c)) for r, c in col.entries]
+            cols.append(SparseColumn([(asc_row[label], 1)] + entries))
+        mats.append(SparseMatrix(base.num_rows + cone.num_rows, cols, field))
+    return BoundaryMatrices(tuple(mats), tuple(a_p + d_p for a_p, d_p in zip(up.basis_counts, d)))
 
 
 def extended_barcode(
@@ -452,43 +418,47 @@ def extended_barcode(
     """
     if case_iii_reading not in ("corresponding", "positional"):
         raise ValueError(f"unknown case_iii_reading {case_iii_reading!r}")
-    cone_f = build_extended_filtration(x, p_max)
-    pairings = compute_pairings(build_matrices(cone_f, p_max), clearing=clearing)
-    asc_basis = {p: x.ascending.graded.basis.get(p, []) for p in range(p_max + 2)}
-    desc_basis = {p: x.descending.graded.basis.get(p, []) for p in range(p_max + 2)}
+    pairings = compute_pairings(cone_matrices(x, p_max), clearing=clearing)
+    asc, desc = x.ascending.graded.basis, x.descending.graded.basis
+    ah, dh = x.ascending.heights, x.descending.heights
+
+    def generator(p, i):
+        a_p = len(asc.get(p, ()))
+        return f"base {asc[p][i]!r}" if i < a_p else f"cone {desc[p - 1][i - a_p]!r}"
+
     intervals = []
     for pairing in pairings:
         p = pairing.dim
-        row_gens = cone_f.graded.basis.get(p, [])
-        col_gens = cone_f.graded.basis.get(p + 1, [])
+        a_p, a_up = len(asc.get(p, ())), len(asc.get(p + 1, ()))
         if pairing.unpaired_cycles:
             i = min(pairing.unpaired_cycles)
             raise ConsistencyError(
-                f"dimension {p}: generator {row_gens[i]!r} opens an interval that never closes;"
+                f"dimension {p}: generator {generator(p, i)} opens an interval that never closes;"
                 " the ascending and descending tops do not span the same space"
             )
+        if case_iii_reading == "positional":
+            desc_pos = {label: k for k, label in enumerate(desc.get(p, ()))}
+            asc_pos = {label: i for i, label in enumerate(asc.get(p, ()))}
         for i, j in sorted(pairing.pairs):
-            rg, cg = row_gens[i], col_gens[j]
-            if rg.part == BASE and cg.part == BASE:
-                b, d = x.asc_height(rg.gen), x.asc_height(cg.gen)
+            if j < a_up:
+                if i >= a_p:
+                    raise ConsistencyError(
+                        f"dimension {p}: generator {generator(p, i)} was paired with the base"
+                        f" column {generator(p + 1, j)}"
+                    )
+                b, d = ah[p][i], ah[p + 1][j]
                 if b < d:
                     intervals.append(ExtendedInterval(p, ORDINARY, b, d))
-            elif rg.part == CONE and cg.part == CONE:
-                b, d = x.desc_height(rg.gen), x.desc_height(cg.gen)
+            elif i >= a_p:
+                b, d = dh[p - 1][i - a_p], dh[p][j - a_up]
                 if b < d:
                     intervals.append(ExtendedInterval(p, RELATIVE, b, d))
-            elif rg.part == BASE and cg.part == CONE:
-                if case_iii_reading == "corresponding":
-                    b = x.asc_height(rg.gen)
-                    d = x.desc_height(cg.gen)
-                else:
-                    b = x.asc_height(asc_basis[p][x.desc_position(p, rg.gen)])
-                    d = x.desc_height(desc_basis[p][x.asc_position(p, cg.gen)])
-                intervals.append(ExtendedInterval(p, EXTENDED, b, d))
+            elif case_iii_reading == "corresponding":
+                intervals.append(ExtendedInterval(p, EXTENDED, ah[p][i], dh[p][j - a_up]))
             else:
-                raise ConsistencyError(
-                    f"dimension {p}: a cone generator {rg!r} was paired with a base column {cg!r}"
-                )
+                b = ah[p][desc_pos[asc[p][i]]]
+                d = dh[p][asc_pos[desc[p][j - a_up]]]
+                intervals.append(ExtendedInterval(p, EXTENDED, b, d))
     return ExtendedBarcode(intervals, x.M, x.N)
 
 

@@ -109,9 +109,8 @@ class GradedSubgroup:
         else:
             self.universe = {p: list(universe.get(p, ())) for p in range(n)}
             for p in range(n):
-                if sorted(map(repr, self.universe[p])) != sorted(
-                    map(repr, self.basis[p] + self.extension[p])
-                ):
+                listed = self.basis[p] + self.extension[p]
+                if len(self.universe[p]) != len(listed) or set(self.universe[p]) != set(listed):
                     raise ValueError(f"dimension {p}: universe is not a permutation of basis+extension")
         self._row = {p: {label: i for i, label in enumerate(self.universe[p])} for p in range(n)}
         self._basis_set = {p: frozenset(self.basis[p]) for p in range(n)}
@@ -123,8 +122,32 @@ class GradedSubgroup:
                 if label in self._dim_of:
                     raise ValueError(f"generator label {label!r} listed in two dimensions")
                 self._dim_of[label] = p
-        self._raw = {label: dict(faces) for label, faces in (boundary or {}).items()}
+        q = self.field.q
+        self._faces = {
+            label: {face: r for face, c in faces.items() if (r := c % q)}
+            for label, faces in (boundary or {}).items()
+        }
         self._cols: dict = {}
+
+    def with_basis(self, basis) -> "GradedSubgroup":
+        """The subgroup spanned by ``basis``, sharing this one's universe and boundary store.
+
+        ``basis[p]`` lists some of this subgroup's dimension-p basis
+        generators in any order; the rest of the universe becomes
+        extension, in universe order.  Columns computed by either object
+        are cached for both.
+        """
+        out = object.__new__(GradedSubgroup)
+        out.__dict__.update(self.__dict__)
+        out.basis = {p: list(basis.get(p, ())) for p in self.dims()}
+        out._basis_set = {p: frozenset(out.basis[p]) for p in self.dims()}
+        for p in self.dims():
+            if len(out._basis_set[p]) != len(out.basis[p]) or not out._basis_set[p] <= self._basis_set[p]:
+                raise ValueError(f"dimension {p}: the new basis must list distinct basis generators")
+        out.extension = {
+            p: [l for l in self.universe[p] if l not in out._basis_set[p]] for p in self.dims()
+        }
+        return out
 
     # -- introspection -----------------------------------------------------
 
@@ -147,22 +170,24 @@ class GradedSubgroup:
     def row_of(self, p: int, label) -> int:
         return self._row[p][label]
 
+    def is_listed(self, p: int, label) -> bool:
+        return label in self._row.get(p, ())
+
     def dim_of(self, label) -> int:
         return self._dim_of[label]
 
     def boundary_dict(self, label) -> dict:
-        """Normalized boundary of a listed generator as {face: coeff mod q}."""
-        q = self.field.q
-        return {face: c % q for face, c in self._raw.get(label, {}).items() if c % q}
+        """Boundary of a generator as {face: nonzero coeff mod q}; shared, do not mutate."""
+        return self._faces.get(label, {})
 
     def column(self, label) -> SparseColumn:
         """Boundary of a listed generator as a column over the universe one dimension down."""
         col = self._cols.get(label)
         if col is None:
             p = self._dim_of[label]
-            faces = self._raw.get(label, {})
+            faces = self._faces.get(label, {})
             if p == 0:
-                if any(c % self.field.q for c in faces.values()):
+                if faces:
                     raise GradedValidationError(
                         f"dimension-0 generator {label!r} was given a nonzero boundary"
                     )
@@ -189,49 +214,44 @@ class GradedSubgroup:
         The universe (and hence the row order of every column) is kept
         intact; dropped basis generators become extension generators.
         """
-        out_basis = {}
+        wanted = {p: frozenset(keep.get(p, ())) for p in self.dims()}
         for p in self.dims():
-            wanted = frozenset(keep.get(p, ()))
-            unknown = wanted - self._basis_set[p]
+            unknown = wanted[p] - self._basis_set[p]
             if unknown:
                 raise ValueError(f"dimension {p}: {sorted(map(repr, unknown))} are not basis generators")
-            out_basis[p] = [l for l in self.basis[p] if l in wanted]
-        out_ext = {
-            p: [l for l in self.universe[p] if l not in frozenset(out_basis[p])] for p in self.dims()
-        }
-        return GradedSubgroup(out_basis, out_ext, self._raw, q=self.field, universe=self.universe)
+        return self.with_basis({p: [l for l in self.basis[p] if l in wanted[p]] for p in self.dims()})
 
     def validate(self) -> ValidationReport:
         """Check closure (all referenced faces listed) and d∘d = 0."""
         problems = []
-        for label in self._raw:
+        for label in self._faces:
             if label not in self._dim_of:
                 problems.append(f"boundary given for unlisted generator {label!r}")
-        q = self.field.q
+        faces_of, empty = self._faces, {}
         for p in self.dims():
-            row_prev = self._row.get(p - 1, {})
+            row_prev = self._row.get(p - 1, empty)
             for label in self.universe[p]:
-                faces = self._raw.get(label, {})
-                if p == 0:
-                    if any(c % q for c in faces.values()):
-                        problems.append(f"dimension-0 generator {label!r} has a nonzero boundary")
-                    continue
-                for face in faces:
-                    if face not in row_prev:
-                        problems.append(
-                            f"boundary of {label!r} references unlisted generator {face!r}"
-                        )
-                        break
-        if not problems:
-            for p in range(2, self.max_dim + 1):
-                for label in self.universe[p]:
-                    acc: dict = {}
-                    for face, c in self._raw.get(label, {}).items():
-                        for face2, c2 in self._raw.get(face, {}).items():
-                            acc[face2] = (acc.get(face2, 0) + c * c2) % q
-                    if any(acc.values()):
-                        problems.append(f"boundary of boundary of {label!r} is nonzero")
-                        break
+                faces = faces_of.get(label, empty)
+                if p == 0 and faces:
+                    problems.append(f"dimension-0 generator {label!r} has a nonzero boundary")
+                elif not faces.keys() <= row_prev.keys():
+                    face = next(f for f in faces if f not in row_prev)
+                    problems.append(f"boundary of {label!r} references unlisted generator {face!r}")
+        if problems:
+            return ValidationReport(problems)
+        q = self.field.q
+        for p in range(2, self.max_dim + 1):
+            for label in self.universe[p]:
+                acc: dict = {}
+                for face, c in faces_of.get(label, empty).items():
+                    for face2, c2 in faces_of.get(face, empty).items():
+                        if face2 in acc:
+                            acc[face2] += c * c2
+                        else:
+                            acc[face2] = c * c2
+                if any(v % q for v in acc.values()):
+                    problems.append(f"boundary of boundary of {label!r} is nonzero")
+                    break
         return ValidationReport(problems)
 
 
@@ -272,6 +292,27 @@ class FilteredGradedSubgroup:
         """Number of dimension-p basis generators present at a stage."""
         return bisect_right(self.heights.get(p, []), stage)
 
+    def height_problems(self) -> list:
+        """Heights outside [1, num_stages] or decreasing along a basis order."""
+        problems = []
+        for p in self.graded.dims():
+            labels = self.graded.basis[p]
+            prev = None
+            for idx, h in enumerate(self.heights[p]):
+                if not 1 <= h <= self.num_stages:
+                    problems.append(
+                        f"dimension {p}: height {h} of generator {labels[idx]!r} (index {idx})"
+                        f" outside [1, {self.num_stages}]"
+                    )
+                    break
+                if prev is not None and h < prev:
+                    problems.append(
+                        f"dimension {p}: heights decrease at generator {labels[idx]!r} (index {idx})"
+                    )
+                    break
+                prev = h
+        return problems
+
     def restricted_to_stage(self, stage: int) -> GradedSubgroup:
         keep = {p: self.graded.basis[p][: self.stage_prefix(p, stage)] for p in self.graded.dims()}
         return self.graded.restricted(keep)
@@ -279,24 +320,7 @@ class FilteredGradedSubgroup:
 
 def validate_compatible(f: FilteredGradedSubgroup) -> ValidationReport:
     """Full structural check: closure, d∘d = 0, heights in range and monotone."""
-    problems = list(f.graded.validate().problems)
-    for p in f.graded.dims():
-        labels = f.graded.basis[p]
-        prev = None
-        for idx, h in enumerate(f.heights[p]):
-            if not 1 <= h <= f.num_stages:
-                problems.append(
-                    f"dimension {p}: height {h} of generator {labels[idx]!r} (index {idx})"
-                    f" outside [1, {f.num_stages}]"
-                )
-                break
-            if prev is not None and h < prev:
-                problems.append(
-                    f"dimension {p}: heights decrease at generator {labels[idx]!r} (index {idx})"
-                )
-                break
-            prev = h
-    return ValidationReport(problems)
+    return ValidationReport(f.graded.validate().problems + f.height_problems())
 
 
 class ChainComplexSlice:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GradedValidationError
 from .field import SparseColumn, SparseMatrix, dense_kernel, dense_matrix, dense_rank, reduce
 from .graded import FilteredGradedSubgroup, sup_complex
 
@@ -96,25 +97,24 @@ class BoundaryMatrices:
 
 def build_matrices(f: FilteredGradedSubgroup, p_max: int) -> BoundaryMatrices:
     g = f.graded
-    field = g.field
     mats = []
     basis_counts = [g.n_basis(p) for p in range(p_max + 2)]
     for p in range(p_max + 1):
-        m_p = basis_counts[p]
-        basis_pos = {label: i for i, label in enumerate(g.basis.get(p, ()))}
-        eps_row: dict = {}
+        row = {label: i for i, label in enumerate(g.basis.get(p, ()))}
         cols = []
         for label in g.basis.get(p + 1, ()):
-            col = g.column(label)
             entries = []
-            for r, c in col.entries:
-                face = g.universe[p][r]
-                i = basis_pos.get(face)
+            for face, c in g.boundary_dict(label).items():
+                i = row.get(face)
                 if i is None:
-                    i = eps_row.setdefault(face, m_p + len(eps_row))
+                    if not g.is_listed(p, face):
+                        raise GradedValidationError(
+                            f"boundary of {label!r} references unlisted generator {face!r}"
+                        )
+                    i = row[face] = len(row)  # next extension row
                 entries.append((i, c))
             cols.append(SparseColumn(sorted(entries)))
-        mats.append(SparseMatrix(m_p + len(eps_row), cols, field))
+        mats.append(SparseMatrix(len(row), cols, g.field))
     return BoundaryMatrices(tuple(mats), tuple(basis_counts))
 
 

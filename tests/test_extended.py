@@ -8,13 +8,15 @@ from extph import (
     ConsistencyError,
     ExtendedInput,
     ExtendedInterval,
-    FilteredGradedSubgroup,
     GradedSubgroup,
+    GradedValidationError,
+    Pairing,
     barcode,
     build_extended_filtration,
     build_matrices,
     compute_pairings,
     cone_graded,
+    cone_matrices,
     extended_barcode,
     extended_module_oracle,
     homology_dims,
@@ -103,8 +105,6 @@ def test_cone_rejects_non_contained_pairs():
     g = edge_graded()
     big = sup_complex(g, 1)
     small = sup_complex(g.restricted({0: ["v"], 1: []}), 1)
-    from extph import GradedValidationError
-
     with pytest.raises(GradedValidationError):
         mapping_cone(big, small)
 
@@ -275,24 +275,97 @@ def test_relative_intervals_use_descending_stages():
     assert found  # the sample must actually exercise relative intervals
 
 
-def test_mismatched_tops_raise_consistency_error():
-    a_g = GradedSubgroup(basis={0: ["u", "v"]}, q=2)
-    d_g = GradedSubgroup(basis={0: ["u"]}, extension={0: ["v"]}, q=2)
-    x = ExtendedInput(
-        FilteredGradedSubgroup(a_g, {0: [1, 1]}, 1),
-        FilteredGradedSubgroup(d_g, {0: [1]}, 1),
+def test_both_filtrations_share_one_generator_store():
+    x = random_extended_input(np.random.default_rng(107), 3)
+    a, d = x.ascending.graded, x.descending.graded
+    assert a.universe is d.universe is x.graded.universe
+    for p in x.graded.dims():
+        assert sorted(a.basis[p]) == sorted(d.basis[p]) == sorted(x.graded.basis[p])
+        assert a.extension[p] == d.extension[p] == x.graded.extension[p]
+        for label in x.graded.universe[p]:
+            assert a.column(label) is d.column(label)  # one column cache
+
+
+# ---------------------------------------------------------------------------
+# validation, once per input
+# ---------------------------------------------------------------------------
+
+
+def _edge_input(boundary, descending_heights=None):
+    return ExtendedInput.from_heights(
+        {0: ["u", "v"], 1: ["uv", "vu"], 2: ["T"]},
+        {},
+        boundary,
+        {"u": 1, "v": 1, "uv": 1, "vu": 2, "T": 2},
+        descending_heights or {"u": 1, "v": 1, "uv": 2, "vu": 1, "T": 2},
+        2,
+        2,
+        q=3,
+    )
+
+
+GOOD_EDGES = {"uv": {"v": 1, "u": -1}, "vu": {"u": 1, "v": -1}, "T": {"uv": 1, "vu": 1}}
+
+
+@pytest.mark.parametrize(
+    "boundary, descending_heights, message",
+    [
+        (dict(GOOD_EDGES, T={"uv": 1, "vu": -1}), None, "boundary of boundary"),
+        (dict(GOOD_EDGES, uv={"v": 1, "w": -1}), None, "unlisted generator 'w'"),
+        (GOOD_EDGES, {"u": 1, "v": 3, "uv": 2, "vu": 1, "T": 2}, "descending: dimension 0: height 3"),
+        (dict(GOOD_EDGES, u={"v": 1}), None, "dimension-0 generator 'u'"),
+    ],
+    ids=["d_squared", "unlisted_face", "descending_height", "dimension_0_boundary"],
+)
+def test_from_heights_reports_each_problem_once(boundary, descending_heights, message):
+    assert _edge_input(GOOD_EDGES).validate().ok
+    with pytest.raises(GradedValidationError) as err:
+        _edge_input(boundary, descending_heights)
+    assert str(err.value).count(message) == 1 and "; " not in str(err.value)
+
+
+def test_unchecked_input_with_an_unlisted_face_fails_cleanly():
+    x = ExtendedInput.from_heights(
+        {0: ["u"], 1: ["e"]}, {}, {"e": {"u": 1, "w": -1}}, {"u": 1, "e": 1}, {"u": 1, "e": 1}, 1, 1,
         check=False,
     )
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(GradedValidationError, match="unlisted generator 'w'"):
         extended_barcode(x, 1)
 
 
-def test_validation_catches_mismatched_tops():
-    a_g = GradedSubgroup(basis={0: ["u", "v"]}, q=2)
-    d_g = GradedSubgroup(basis={0: ["u"]}, extension={0: ["v"]}, q=2)
-    x = ExtendedInput(
-        FilteredGradedSubgroup(a_g, {0: [1, 1]}, 1),
-        FilteredGradedSubgroup(d_g, {0: [1]}, 1),
-        check=False,
-    )
-    assert not x.validate().ok
+# ---------------------------------------------------------------------------
+# the production cone against the labelled reference
+# ---------------------------------------------------------------------------
+
+
+def test_block_assembled_cone_matches_the_labelled_reference():
+    rng = np.random.default_rng(109)
+    inputs = [edge_uv_input(2), edge_uv_input(3)]
+    inputs += [random_extended_input(rng, q, p_max=3, max_per_dim=5) for q in (2, 3) for _ in range(20)]
+    for x in inputs:
+        for p_max in (1, 2, 3):
+            got = cone_matrices(x, p_max)
+            want = build_matrices(build_extended_filtration(x, p_max), p_max)
+            assert got.basis_counts == want.basis_counts
+            for m, g, w in zip(got.basis_counts, got.mats, want.mats):
+                assert g.num_rows == w.num_rows  # hence as many extension rows
+                assert [[e for e in col.entries if e[0] < m] for col in g.columns] == [
+                    [e for e in col.entries if e[0] < m] for col in w.columns
+                ]
+            for clearing in (True, False):
+                assert compute_pairings(got, clearing) == compute_pairings(want, clearing)
+
+
+@pytest.mark.parametrize(
+    "pairing, message",
+    [
+        (Pairing(0, frozenset(), frozenset({0})), "never closes"),
+        (Pairing(1, frozenset({(2, 0)}), frozenset()), "paired with the base column"),
+    ],
+)
+def test_impossible_pairings_raise_consistency_error(monkeypatch, pairing, message):
+    import extph.extended
+
+    monkeypatch.setattr(extph.extended, "compute_pairings", lambda bm, clearing: [pairing])
+    with pytest.raises(ConsistencyError, match=message):
+        extended_barcode(_edge_input(GOOD_EDGES), 1)

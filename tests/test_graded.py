@@ -71,6 +71,19 @@ def test_generator_id_labels_work_like_any_other():
     assert homology_dims(sup_complex(g, 1), 1) == [2, 0]
 
 
+def test_universe_must_list_the_same_labels_not_just_the_same_reprs():
+    class Label:
+        def __repr__(self):
+            return "L"
+
+    a, b, c = Label(), Label(), Label()
+    with pytest.raises(ValueError, match="permutation"):
+        GradedSubgroup({0: [a]}, {0: [b]}, universe={0: [a, c]})
+    with pytest.raises(ValueError, match="permutation"):
+        GradedSubgroup({0: [a]}, {0: [b]}, universe={0: [a, b, b]})
+    assert GradedSubgroup({0: [a]}, {0: [b]}, universe={0: [b, a]}).row_of(0, a) == 1
+
+
 def test_validate_names_the_offending_height_index():
     g = GradedSubgroup(basis={0: ["a", "b", "c"]}, q=2)
     f = FilteredGradedSubgroup(g, {0: [1, 3, 2]}, 3)
