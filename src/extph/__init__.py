@@ -60,11 +60,9 @@ from .extended import (
     mapping_cone,
 )
 from .field import (
-    PivotMap,
     PrimeField,
     SparseColumn,
     SparseMatrix,
-    low,
     rank,
     reduce,
     solve_in_span,

@@ -147,8 +147,10 @@ def _kind_arrays(kind, pts1, pts2):
     infinite: every one of them must be matched.
     """
     a, b = _coords(pts1), _coords(pts2)
-    dist = np.abs(a[:, :1] - b[:, 0])
-    np.maximum(dist, np.abs(a[:, 1:] - b[:, 1]), out=dist)
+    dist, other = np.empty((len(a), len(b))), np.empty((len(a), len(b)))
+    np.abs(np.subtract(a[:, :1], b[:, 0], out=dist), out=dist)
+    np.abs(np.subtract(a[:, 1:], b[:, 1], out=other), out=other)
+    np.maximum(dist, other, out=dist)
     if kind == EXT:
         return dist, np.full(len(a), np.inf), np.full(len(b), np.inf)
     return dist, np.abs(a[:, 1] - a[:, 0]) / 2.0, np.abs(b[:, 1] - b[:, 0]) / 2.0
@@ -232,12 +234,35 @@ def _match(dist, charge1, charge2, delta):
 
 
 def _kind_bottleneck(dist, charge1, charge2):
-    """Smallest candidate delta at which ``_match`` succeeds; inf if none does."""
-    ordered = np.concatenate(([0.0], dist.ravel(), charge1, charge2))
+    """Smallest candidate delta at which ``_match`` succeeds; inf if none does.
+
+    Candidates are 0, the distances and the charges, but only those
+    between two bounds are sorted.  Each point costs at least the smaller
+    of its nearest partner and its charge, so no delta below the largest
+    such cost succeeds.  Diagonal kinds succeed at their largest charge,
+    where every point may go to the diagonal.  Extended points must all be
+    matched, which needs equal counts, and matching them in the order they
+    are listed succeeds at its largest distance.
+    """
+    ceiling = max(charge1.max(initial=0.0), charge2.max(initial=0.0))
+    if ceiling == math.inf:
+        if dist.shape[0] != dist.shape[1]:
+            return math.inf
+        ceiling = dist.diagonal().max(initial=0.0)
+    floor = max(
+        np.minimum(dist.min(axis=1, initial=math.inf), charge1).max(initial=0.0),
+        np.minimum(dist.min(axis=0, initial=math.inf), charge2).max(initial=0.0),
+    )
+    charges = np.concatenate((charge1, charge2))
+    ordered = np.concatenate(
+        (
+            [floor],
+            dist[(dist >= floor) & (dist <= ceiling)],
+            charges[(charges >= floor) & (charges <= ceiling)],
+        )
+    )
     ordered.sort()
-    lo, hi = 0, int(np.searchsorted(ordered, math.inf)) - 1
-    if _match(dist, charge1, charge2, ordered[hi]) is None:
-        return math.inf
+    lo, hi = 0, len(ordered) - 1  # ordered[hi] == ceiling succeeds
     while lo < hi:
         mid = (lo + hi) // 2
         if _match(dist, charge1, charge2, ordered[mid]) is None:

@@ -28,9 +28,10 @@ zero no generator survives unpaired; either situation raises
 ConsistencyError.  ``build_extended_filtration`` builds the same cone as a
 labelled filtration through ``cone_graded``; it is the reference the block
 assembly is tested against.  ``extended_module_oracle`` recomputes every
-composite rank of the module directly from supremum complexes and
-quotients, with no cones and no pivots, and is the ground truth for the
-barcode.
+composite rank of the module from the stage subgroups by dense elimination
+mod q, with no cones and no pivots: the denominators are nested, so one
+elimination per source stage gives all of its ranks.  It is the ground
+truth for the barcode.
 """
 
 from typing import Any, NamedTuple
@@ -44,15 +45,14 @@ from .field import (
     SparseMatrix,
     dense_kernel,
     dense_matrix,
-    dense_rank,
     dense_solve_many,
+    prefix_ranks,
 )
 from .graded import (
     ChainComplexSlice,
     FilteredGradedSubgroup,
     GradedSubgroup,
     ValidationReport,
-    sup_complex,
 )
 from .persistence import BoundaryMatrices, build_matrices, compute_pairings
 
@@ -468,12 +468,27 @@ def extended_barcode(
 
 
 def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
-    """Rank of every composite map of the extended module, without cones.
+    """Rank of every composite map of the extended module, without cones or pivots.
 
     Keys are (p, u, v) with 1 <= u <= v <= M + N; positions <= M are the
     ascending homology groups, positions M + j the relative ones.  The
     diagonal entries are the dimensions of the module's terms, and the
     final diagonal entry is always 0.
+
+    The rank of position u -> v is dim(Z_u + B_v) - dim(B_v), all spaces
+    written in universe coordinates.  The denominators are nested in v:
+    B_v is d(D^v_{p+1}) for v <= M and d(D_{p+1}) + T^j_p for v = M + j,
+    where T^j is the supremum complex of the descending stage j; since
+    d(E^j_{p+1}) lies in d(D_{p+1}), that is d(D_{p+1}) plus the unit
+    vectors of E^j_p.  So one chain of columns, the boundaries of the
+    dimension-(p+1) basis in ascending order and then the dimension-p
+    units in descending order, has every B_v as a prefix, and one
+    elimination of [Z_u | chain] gives the whole row u of the table.
+    A source may leave out anything its denominators all contain.  For
+    u <= M that is d(D^u_{p+1}), so Z_u is the cycles of D^u_p.  For
+    u = M + j it is E^j_p: a chain of D_p whose boundary lies in
+    T^j_{p-1} = E^j_{p-1} + d(E^j_p) is one whose boundary lies in
+    E^j_{p-1}, plus a chain of E^j_p.
     """
     asc, desc = x.ascending, x.descending
     g = asc.graded
@@ -481,76 +496,38 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
     M, N = x.M, x.N
     L = M + N
     table: dict = {}
-    if L == 0:
-        return table
-    if M == 0:
-        # no ascending stages: the basis is necessarily empty and so is the module
-        return {
-            (p, u, v): 0 for p in range(p_max + 1) for u in range(1, L + 1) for v in range(u, L + 1)
-        }
-    s_slices = {u: sup_complex(asc, p_max, stage=u) for u in range(1, M + 1)}
-    t_slices = {}
-    for j in range(1, N + 1):
-        keep = {
-            p: [l for l in g.basis.get(p, ()) if desc.height_of(l) <= j] for p in g.dims()
-        }
-        t_slices[j] = sup_complex(g.restricted(keep), p_max)
-    top = s_slices[M]
+
+    def units(p, labels):
+        out = np.zeros((g.universe_size(p), len(labels)), dtype=np.int64)
+        for k, label in enumerate(labels):
+            out[g.row_of(p, label), k] = 1
+        return out
+
+    def images(p, labels):
+        return dense_matrix([g.column(l) for l in labels], g.universe_size(p - 1), q)
 
     for p in range(p_max + 1):
-        rows = g.universe_size(p)
-        rows_prev = g.universe_size(p - 1) if p >= 1 else 0
-        cycles = {}
-        for u in range(1, M + 1):
-            sl = s_slices[u]
-            vecs = sl.vector_matrix(p)
-            if p == 0:
-                cycles[u] = vecs
-            else:
-                ker = dense_kernel(sl.boundary_matrix(p).to_dense(), q)
-                cycles[u] = (vecs @ ker) % q
-        bound = {}
-        bound_rank = {}
-        for u in range(1, M + 1):
-            labels = g.basis.get(p + 1, [])[: asc.stage_prefix(p + 1, u)]
-            bound[u] = dense_matrix([g.column(l) for l in labels], rows, q)
-            bound_rank[u] = dense_rank(bound[u], q)
+        a_p, ups = g.basis.get(p, []), g.basis.get(p + 1, [])
+        d_p, d_prev = desc.graded.basis.get(p, []), desc.graded.basis.get(p - 1, [])
+        chain = np.hstack([images(p + 1, ups), units(p, d_p)])
+        ends = [asc.stage_prefix(p + 1, v) for v in range(1, M + 1)]
+        ends += [len(ups) + desc.stage_prefix(p, j) for j in range(1, N + 1)]
+        chain_rank = prefix_ranks(chain, ends, q)
 
-        # relative positions: denominators d(S^M_{p+1}) + T^j_p and the
-        # relative cycle spaces {chains of S^M_p with boundary inside T^j_{p-1}}
-        rel_denom, rel_denom_rank, rel_cycles = {}, {}, {}
-        if N:
-            top_vecs = top.vector_matrix(p)
-            if p >= 1:
-                top_img = dense_matrix(
-                    [
-                        g.column(label) if label is not None else SparseColumn()
-                        for label in top.provenance.get(p, ())
-                    ],
-                    rows_prev,
-                    q,
-                )
-            for j in range(1, N + 1):
-                t_p = t_slices[j].vector_matrix(p)
-                rel_denom[j] = np.hstack([bound[M], t_p])
-                rel_denom_rank[j] = dense_rank(rel_denom[j], q)
-                if p == 0:
-                    rel_cycles[j] = top_vecs
-                else:
-                    t_prev = t_slices[j].vector_matrix(p - 1)
-                    stacked = np.hstack([top_img, (-t_prev) % q])
-                    ker = dense_kernel(stacked, q)
-                    alpha = ker[: top.dim(p), :]
-                    rel_cycles[j] = (top_vecs @ alpha) % q
+        # sources as kernels over the units of a_p: chains of D^u_p with zero
+        # boundary, then chains of D_p with no boundary outside E^j_{p-1}
+        unit_a, img_a = units(p, a_p), images(p, a_p)
+        kernels = [dense_kernel(img_a[:, : asc.stage_prefix(p, u)], q) for u in range(1, M + 1)]
+        for j in range(1, N + 1):
+            inside = [g.row_of(p - 1, l) for l in d_prev[: desc.stage_prefix(p - 1, j)]]
+            kernels.append(dense_kernel(np.delete(img_a, inside, axis=0), q))
 
-        for u in range(1, L + 1):
-            source = cycles[u] if u <= M else rel_cycles[u - M]
-            for v in range(u, L + 1):
-                if v <= M:
-                    denom, denom_rank = bound[v], bound_rank[v]
-                else:
-                    denom, denom_rank = rel_denom[v - M], rel_denom_rank[v - M]
-                table[(p, u, v)] = dense_rank(np.hstack([source, denom]), q) - denom_rank
+        for u, ker in enumerate(kernels, start=1):
+            source = unit_a[:, : ker.shape[0]] @ ker
+            n = source.shape[1]
+            ranks = prefix_ranks(np.hstack([source, chain]), [n + e for e in ends[u - 1 :]], q)
+            for v, r, b in zip(range(u, L + 1), ranks, chain_rank[u - 1 :]):
+                table[(p, u, v)] = r - b
     return table
 
 

@@ -8,10 +8,10 @@ reduced matrix do not depend on the order in which admissible additions
 are performed, which is what makes pairings read off the pivots well
 defined.
 
-The dense helpers at the end (rank / kernel / solve on numpy int arrays
-mod q) back the homology rank oracles.  They share no code with the
-sparse reduction, so the two routes can be played against each other in
-tests.
+The dense helpers at the end (rank, prefix ranks, kernel and solve on
+numpy int arrays mod q) back the homology rank oracles.  They share no
+code with the sparse reduction, so the two routes can be played against
+each other in tests.
 """
 
 from bisect import bisect_left
@@ -22,14 +22,13 @@ __all__ = [
     "PrimeField",
     "SparseColumn",
     "SparseMatrix",
-    "PivotMap",
     "as_field",
-    "low",
     "reduce",
     "rank",
     "solve_in_span",
     "dense_matrix",
     "dense_rank",
+    "prefix_ranks",
     "dense_kernel",
     "dense_solve",
     "dense_solve_many",
@@ -188,11 +187,6 @@ class SparseColumn:
         return f"SparseColumn({list(self.entries)})"
 
 
-def low(column: SparseColumn):
-    """Largest row index carrying a nonzero coefficient; None if the column is zero."""
-    return column.low
-
-
 class SparseMatrix:
     """Column-major sparse matrix over F_q."""
 
@@ -230,41 +224,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.num_rows}x{self.num_cols} over F_{self.field.q})"
 
 
-class PivotMap:
-    """The (row, column) pivot positions of a reduced matrix.
-
-    Rows are pairwise distinct and so are columns: a reduced matrix has
-    (r, j) in the map exactly when column j is nonzero with low r.
-    """
-
-    __slots__ = ("pairs", "by_row", "by_col")
-
-    def __init__(self, pairs=()):
-        self.pairs = frozenset(pairs)
-        self.by_row = {r: c for r, c in self.pairs}
-        self.by_col = {c: r for r, c in self.pairs}
-        if len(self.by_row) != len(self.pairs) or len(self.by_col) != len(self.pairs):
-            raise ValueError("pivot rows and pivot columns must all be distinct")
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(sorted(self.pairs))
-
-    def __contains__(self, pair):
-        return pair in self.pairs
-
-    def __eq__(self, other):
-        return isinstance(other, PivotMap) and other.pairs == self.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __repr__(self):
-        return f"PivotMap({sorted(self.pairs)})"
-
-
 def reduce(matrix: SparseMatrix, skip_columns=(), record: bool = False):
     """Left-to-right column reduction.
 
@@ -275,7 +234,9 @@ def reduce(matrix: SparseMatrix, skip_columns=(), record: bool = False):
     work; callers may only pass columns already known to reduce to zero
     (the clearing optimization).
 
-    Returns (reduced, pivots).  The additions performed are not kept by
+    Returns (reduced, pivots), where pivots is a dict {row: column}: each
+    nonzero reduced column under the row of its low, so rows and columns
+    are pairwise distinct.  The additions performed are not kept by
     default; with ``record`` on, an upper unitriangular transition matrix
     with reduced = matrix @ transition is returned as a third element
     (skipped columns excepted, theirs being forced to zero).
@@ -305,10 +266,9 @@ def reduce(matrix: SparseMatrix, skip_columns=(), record: bool = False):
                 trans[j] = trans[j].plus_scaled(trans[i], factor, field)
         working[j] = col
     reduced = SparseMatrix(matrix.num_rows, working, field)
-    pivots = PivotMap((r, c) for r, c in owner.items())
     if record:
-        return reduced, pivots, SparseMatrix(len(working), trans, field)
-    return reduced, pivots
+        return reduced, owner, SparseMatrix(len(working), trans, field)
+    return reduced, owner
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -374,6 +334,16 @@ def dense_rank(a, q: int) -> int:
     if a.size == 0:
         return 0
     return len(_row_echelon(a, q)[1])
+
+
+def prefix_ranks(a, ends, q: int) -> list[int]:
+    """Rank of each column prefix a[:, :e] for e in ``ends``, from one elimination.
+
+    Row echelon form visits the columns left to right, so the rank of a
+    prefix is the number of pivot columns before its end.
+    """
+    pivots = _row_echelon(a, q)[1]
+    return [bisect_left(pivots, e) for e in ends]
 
 
 def dense_kernel(a, q: int) -> np.ndarray:

@@ -331,17 +331,14 @@ class ChainComplexSlice:
     boundary matrix dim p -> dim p-1 written in the slice's own bases.
     """
 
-    __slots__ = ("field", "max_dim", "ambient_rows", "vectors", "boundaries", "provenance")
+    __slots__ = ("field", "max_dim", "ambient_rows", "vectors", "boundaries")
 
-    def __init__(self, field, max_dim, ambient_rows, vectors, boundaries, provenance=None):
+    def __init__(self, field, max_dim, ambient_rows, vectors, boundaries):
         self.field = as_field(field)
         self.max_dim = int(max_dim)
         self.ambient_rows = dict(ambient_rows)
         self.vectors = {p: list(v) for p, v in vectors.items()}
         self.boundaries = dict(boundaries)
-        # for supremum slices: the basis label behind each unit vector,
-        # None for vectors that are exact boundaries (whose image vanishes)
-        self.provenance = provenance
 
     @property
     def q(self) -> int:
@@ -438,7 +435,7 @@ def inf_complex(g, p_max: int) -> ChainComplexSlice:
         unit_rows = [graded.row_of(p, l) for l in labels]
         vecs = []
         for k in range(ker.shape[1]):
-            pairs = [(unit_rows[i], int(ker[i, k])) for i in range(len(labels))]
+            pairs = [(unit_rows[i], int(ker[i, k])) for i in np.flatnonzero(ker[:, k])]
             vecs.append(SparseColumn.from_pairs(pairs, field))
         vectors[p] = vecs
         coeffs[p] = ker
@@ -460,8 +457,9 @@ def inf_complex(g, p_max: int) -> ChainComplexSlice:
                     "boundary of an infimum chain escapes the infimum complex;"
                     " input boundary data is inconsistent"
                 )
+            # x is reduced mod q, so its nonzeros are the sorted column entries
             cols = [
-                SparseColumn.from_pairs(((i, int(x[i, j])) for i in range(k_prev)), field)
+                SparseColumn((int(i), int(x[i, j])) for i in np.flatnonzero(x[:, j]))
                 for j in range(len(vectors[p]))
             ]
         boundaries[p] = SparseMatrix(k_prev, cols, field)
@@ -489,14 +487,14 @@ def _assemble_slice(graded, p_max, vectors, provenance) -> ChainComplexSlice:
                     "boundary image escapes the supremum complex;"
                     " input boundary data is inconsistent"
                 )
+            # x is reduced mod q, so its nonzeros are the sorted column entries
             cols = [
-                SparseColumn.from_pairs(((i, int(x[i, j])) for i in range(k_prev)), field)
+                SparseColumn((int(i), int(x[i, j])) for i in np.flatnonzero(x[:, j]))
                 for j in range(len(vectors[p]))
             ]
         boundaries[p] = SparseMatrix(k_prev, cols, field)
     ambient = {p: graded.universe_size(p) for p in range(p_max + 2)}
-    prov = {p: tuple(provenance[p]) for p in provenance}
-    return ChainComplexSlice(field, p_max + 1, ambient, vectors, boundaries, provenance=prov)
+    return ChainComplexSlice(field, p_max + 1, ambient, vectors, boundaries)
 
 
 def homology_dims(c: ChainComplexSlice, p_max: int) -> list[int]:

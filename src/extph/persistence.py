@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GradedValidationError
-from .field import SparseColumn, SparseMatrix, dense_kernel, dense_matrix, dense_rank, reduce
+from .field import SparseColumn, SparseMatrix, dense_kernel, dense_matrix, prefix_ranks, reduce
 from .graded import FilteredGradedSubgroup, sup_complex
 
 __all__ = [
@@ -136,14 +136,14 @@ def compute_pairings(bm: BoundaryMatrices, clearing: bool = True) -> list[Pairin
             red, pivots = reduce(mats[p], skip_columns=skip)
             reduced[p] = red
             m_p = bm.basis_counts[p]
-            pairs_at[p] = {(r, c) for r, c in pivots.pairs if r < m_p}
+            pairs_at[p] = {(r, c) for r, c in pivots.items() if r < m_p}
             skip = {r for r, _ in pairs_at[p]}
     else:
         for p in range(p_top + 1):
             red, pivots = reduce(mats[p])
             reduced[p] = red
             m_p = bm.basis_counts[p]
-            pairs_at[p] = {(r, c) for r, c in pivots.pairs if r < m_p}
+            pairs_at[p] = {(r, c) for r, c in pivots.items() if r < m_p}
     for p, prs in pairs_at.items():
         paired_rows[p] = {r for r, _ in prs}
 
@@ -179,7 +179,11 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     Computed from the supremum complex at each stage: the image of the map
     induced by inclusion has dimension dim(Z_i + B_j) - dim(B_j), where
     Z_i is the stage-i cycle space and B_j the stage-j boundary space,
-    both written in ambient coordinates.
+    both written in ambient coordinates.  The boundary spaces are nested
+    in j: B_j is spanned by the first stage_prefix(p+1, j) boundary
+    columns, so one elimination of [Z_i | all boundary columns] gives the
+    whole row i of the table, and one of the boundary columns alone every
+    dim(B_j).
     """
     g = f.graded
     q = g.q
@@ -190,25 +194,18 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     slices = {i: sup_complex(f, p_max, stage=i) for i in range(1, N + 1)}
     for p in range(p_max + 1):
         rows = g.universe_size(p)
-        cycles = {}
+        bound = dense_matrix([g.column(l) for l in g.basis.get(p + 1, [])], rows, q)
+        ends = [f.stage_prefix(p + 1, j) for j in range(1, N + 1)]
+        bound_rank = prefix_ranks(bound, ends, q)
         for i in range(1, N + 1):
             sl = slices[i]
-            vecs = sl.vector_matrix(p)
-            if p == 0:
-                cycles[i] = vecs
-            else:
-                ker = dense_kernel(sl.boundary_matrix(p).to_dense(), q)
-                cycles[i] = (vecs @ ker) % q
-        bound = {}
-        bound_rank = {}
-        for j in range(1, N + 1):
-            labels = g.basis.get(p + 1, [])[: f.stage_prefix(p + 1, j)]
-            bound[j] = dense_matrix([g.column(l) for l in labels], rows, q)
-            bound_rank[j] = dense_rank(bound[j], q)
-        for i in range(1, N + 1):
-            for j in range(i, N + 1):
-                stacked = np.hstack([cycles[i], bound[j]])
-                table[(p, i, j)] = dense_rank(stacked, q) - bound_rank[j]
+            cycles = sl.vector_matrix(p)
+            if p >= 1:
+                cycles = (cycles @ dense_kernel(sl.boundary_matrix(p).to_dense(), q)) % q
+            n = cycles.shape[1]
+            ranks = prefix_ranks(np.hstack([cycles, bound]), [n + e for e in ends[i - 1 :]], q)
+            for j, r, b in zip(range(i, N + 1), ranks, bound_rank[i - 1 :]):
+                table[(p, i, j)] = r - b
     return table
 
 

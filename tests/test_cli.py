@@ -76,6 +76,26 @@ def test_pph_oracle_check_passes(tmp_path, capsys):
     assert code == 0
 
 
+def test_pph_oracle_check_catches_a_dropped_interval(tmp_path, capsys, monkeypatch):
+    import extph.cli
+    from extph import ExtendedBarcode, extended_barcode
+
+    def drop_one(x, p_max, **kwargs):
+        bc = extended_barcode(x, p_max, **kwargs)
+        assert len(bc) > 0
+        return ExtendedBarcode(bc.intervals[1:], bc.num_ascending, bc.num_descending)
+
+    monkeypatch.setattr(extph.cli, "extended_barcode", drop_one)
+    src = tmp_path / "cycle.tsv"
+    src.write_text(CYCLE)
+    out = tmp_path / "diagram.tsv"
+    code, stdout, err = run(["pph", str(src), "--oracle-check", "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("oracle mismatch at (dim, stage, stage) windows [(")
+    assert not out.exists()
+
+
 def test_hyper_round_trip(tmp_path, capsys):
     src = tmp_path / "h.tsv"
     src.write_text(HYPER)

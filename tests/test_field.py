@@ -8,8 +8,9 @@ from extph.field import (
     SparseMatrix,
     dense_kernel,
     dense_matrix,
+    dense_rank,
     dense_solve,
-    low,
+    prefix_ranks,
     rank,
     reduce,
     solve_in_span,
@@ -53,13 +54,13 @@ def test_field_ops_reduce_mod_q():
 
 
 def test_low_of_zero_column_is_absent():
-    assert low(SparseColumn()) is None
+    assert SparseColumn().low is None
 
 
 def test_low_examples():
     f2, f3 = PrimeField(2), PrimeField(3)
-    assert low(SparseColumn.from_pairs([(0, 1), (3, 1)], f2)) == 3
-    assert low(SparseColumn.from_pairs([(2, 2)], f3)) == 2
+    assert SparseColumn.from_pairs([(0, 1), (3, 1)], f2).low == 3
+    assert SparseColumn.from_pairs([(2, 2)], f3).low == 2
 
 
 def test_from_pairs_merges_and_drops_zeros():
@@ -103,7 +104,7 @@ def test_reduce_identity_pattern_is_fixed():
     m = SparseMatrix(3, [SparseColumn(((j, 1),)) for j in range(3)], f)
     red, pivots = reduce(m)
     assert red == m
-    assert pivots.pairs == frozenset({(0, 0), (1, 1), (2, 2)})
+    assert pivots == {0: 0, 1: 1, 2: 2}
 
 
 def test_reduce_equal_columns_over_f2():
@@ -112,7 +113,7 @@ def test_reduce_equal_columns_over_f2():
     m = SparseMatrix(2, [col, col], f)
     red, pivots = reduce(m)
     assert red.column(1).is_zero
-    assert pivots.pairs == frozenset({(1, 0)})
+    assert pivots == {1: 0}
     assert rank(m) == 1 == gf_rank(columns_to_rows(m.columns, 2), 2)
 
 
@@ -175,7 +176,7 @@ def test_skip_columns_zeroes_without_reducing():
     m = SparseMatrix(2, [col, col], f)
     red, pivots = reduce(m, skip_columns={1})
     assert red.column(1).is_zero
-    assert pivots.pairs == frozenset({(1, 0)})
+    assert pivots == {1: 0}
 
 
 def test_recorded_transition_replays_the_reduction():
@@ -285,3 +286,23 @@ def test_dense_matrix_matches_entries():
     cols = [SparseColumn(((1, 2),)), SparseColumn(((0, 1), (2, 2)))]
     a = dense_matrix(cols, 3, 3)
     assert a.tolist() == [[0, 1], [2, 0], [0, 2]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_prefix_ranks_match_the_rank_of_each_prefix(q):
+    rng = np.random.default_rng(47 + q)
+    for _ in range(40):
+        n_rows, n_cols = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        a = rng.integers(0, q, (n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.5)
+        a[int(rng.integers(0, n_rows))] = 0  # a zero row
+        a[:, int(rng.integers(0, n_cols))] = 0  # a zero column
+        ends = list(range(n_cols + 1))
+        assert prefix_ranks(a, ends, q) == [dense_rank(a[:, :e], q) for e in ends]
+        assert prefix_ranks(a, ends, q) == [gf_rank([list(r) for r in a[:, :e]], q) for e in ends]
+
+
+def test_prefix_ranks_of_empty_and_zero_matrices():
+    assert prefix_ranks(np.zeros((0, 4), dtype=np.int64), [0, 2, 4], 3) == [0, 0, 0]
+    assert prefix_ranks(np.zeros((3, 0), dtype=np.int64), [0], 3) == [0]
+    assert prefix_ranks(np.zeros((3, 4), dtype=np.int64), [0, 4], 2) == [0, 0]
+    assert prefix_ranks(np.eye(3, dtype=np.int64), [3, 0, 2], 5) == [3, 0, 2]

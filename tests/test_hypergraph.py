@@ -222,6 +222,33 @@ def test_random_hypergraph_barcodes_match_the_oracle():
         assert interval_rank_table(bc, 2) == extended_module_oracle(x, 2)
 
 
+def test_module_oracle_table_by_hand():
+    # Two components on the value grid 1 < 2 < 3 (M = N = 3, positions 1..6):
+    # * a triangle filled in stages: vertices at 1, edges at 2, the face at 3.
+    #   H_0: one class lives from 1 until the relative block ends (positions
+    #   1..5), two more die when the edges enter (position 1 only); H_1: the
+    #   hollow triangle at position 2.  The descending sides T^1 (the face and
+    #   its boundary) and T^2 (plus the edges) are acyclic, so the relative
+    #   terms H_*(X, T^1) and H_*(X, T^2) are those of X itself.
+    # * an edge xy at 1 whose end points come at 3: before that its supremum
+    #   complex {xy, y - x} is acyclic, then one H_0 class (position 3) that
+    #   dies as soon as T^1 = {x, y} is divided out; H_1(X, T^1) and
+    #   H_1(X, T^2) hold the edge relative to its end points (positions 4..5).
+    text = "1\ta\n1\tb\n1\tc\n2\ta,b\n2\tb,c\n2\ta,c\n3\ta,b,c\n3\tx\n3\ty\n1\tx,y\n"
+    x, _, _ = build_hyper_input(parse_hypergraph(text), 3, q=3)
+    assert (x.M, x.N) == (3, 3)
+    alive = {0: [range(1, 6), range(1, 2), range(1, 2), range(3, 4)], 1: [range(2, 3), range(4, 6)]}
+    want = {
+        (p, u, v): sum(u in r and v in r for r in alive.get(p, ()))
+        for p in range(4)
+        for u in range(1, 7)
+        for v in range(u, 7)
+    }
+    assert want[(0, 1, 1)] == 3 and want[(0, 3, 3)] == 2 and want[(1, 4, 5)] == 1
+    assert extended_module_oracle(x, 3) == want
+    assert interval_rank_table(extended_barcode(x, 3), 3) == want
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
