@@ -36,6 +36,8 @@ from .digraph import (
     load_digraph,
     parse_digraph,
     path_homology,
+    pph_input,
+    pph_store,
     regular_boundary,
     sublevel,
     superlevel,
@@ -85,6 +87,8 @@ from .hypergraph import (
     FilteredHypergraph,
     build_hyper_input,
     embedded_homology,
+    hyper_input,
+    hyper_store,
     load_hypergraph,
     parse_hypergraph,
     simplicial_boundary,

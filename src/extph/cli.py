@@ -4,11 +4,13 @@ Commands: ``pph`` (digraph file -> extended diagram), ``hyper``
 (hypergraph file -> extended diagram), ``distance`` (two diagram files ->
 per-dimension bottleneck distances), ``stability`` (seeded perturbation
 trials against the stability bound).  Exit codes: 0 success, 1
-internal-consistency or oracle failure, 2 input error.  All randomness
-flows from --seed; outputs are byte-reproducible.
+internal-consistency or oracle failure, 2 input error, 3 any other
+(unexpected) error.  All randomness flows from --seed; outputs are
+byte-reproducible.
 """
 
 import argparse
+import math
 import sys
 
 from .diagrams import _diagram, bottleneck, diagrams, format_diagram, read_diagram, stability_trial
@@ -72,8 +74,8 @@ def _validate_config(args) -> None:
     if args.pmax < 0:
         raise InputFormatError(0, "--pmax must be nonnegative")
     delta = getattr(args, "delta", None)
-    if delta is not None and delta < 0:
-        raise InputFormatError(0, "--delta must be nonnegative")
+    if delta is not None and not (delta >= 0 and math.isfinite(2 * delta)):
+        raise InputFormatError(0, "--delta must be nonnegative, with 2 * delta finite")
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 0:
         raise InputFormatError(0, "--trials must be nonnegative")
@@ -177,6 +179,10 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"internal consistency failure: {exc}\n")
         return 1
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -22,8 +22,11 @@ no diagram size can exhaust the recursion limit.
 ``stability_trial`` perturbs the edge weights of a digraph or the values
 of a hypergraph and reports the achieved input distance next to the
 per-dimension bottleneck distances; the stability guarantee is
-d_B <= d_E, the sup-norm of the input change.  A caller running many
-trials passes the unperturbed diagram as ``base`` so it is built once.
+d_B <= d_E, the sup-norm of the input change.  A perturbation never
+changes the edges or hyperedges, so one generator store serves every
+trial of a run: each trial only restages it with the perturbed weights or
+values.  A caller running many trials passes the unperturbed diagram and
+its store as ``base`` so both are built once.
 """
 
 import io
@@ -32,10 +35,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import WeightedDigraph, build_pph_input
+from .digraph import WeightedDigraph, build_pph_input, pph_input
 from .errors import ConsistencyError, InputFormatError
 from .extended import ORDINARY, RELATIVE, ExtendedBarcode, extended_barcode
-from .hypergraph import FilteredHypergraph, build_hyper_input
+from .graded import GradedSubgroup
+from .hypergraph import build_hyper_input, hyper_input
 
 __all__ = [
     "ORD",
@@ -341,24 +345,43 @@ def bottleneck_certificate(d1: ExtendedDiagram, d2: ExtendedDiagram, dim):
 # ---------------------------------------------------------------------------
 
 
-def _diagram(subject, p_max, q):
-    """Extended diagram of a digraph or hypergraph, through its front end."""
+class StabilityBase(NamedTuple):
+    """What every trial of a stability run shares: the unperturbed diagram and the store."""
+
+    diagram: ExtendedDiagram
+    store: GradedSubgroup
+
+
+def _diagram(subject, p_max, q) -> StabilityBase:
+    """Diagram of a digraph or hypergraph through its front end, with the store it was built on."""
     build = build_pph_input if isinstance(subject, WeightedDigraph) else build_hyper_input
     x, asc, desc = build(subject, p_max, q)
+    return StabilityBase(diagrams(extended_barcode(x, p_max), asc, desc), x.graded)
+
+
+def _restaged(subject, store, p_max) -> ExtendedDiagram:
+    """Diagram of ``subject``'s weights or values on a store built from the same edges."""
+    restage = pph_input if isinstance(subject, WeightedDigraph) else hyper_input
+    x, asc, desc = restage(subject, store)
     return diagrams(extended_barcode(x, p_max), asc, desc)
 
 
 def stability_trial(subject, delta: float, seed, p_max: int = 2, q: int = 2, base=None):
     """Perturb each edge weight or hyperedge value uniformly in [-delta, delta] (seeded).
 
-    ``subject`` is a WeightedDigraph or a FilteredHypergraph; ``base``,
-    when given, is its unperturbed diagram, which callers running many
-    trials compute once.  Returns (achieved max input change,
-    {dim: bottleneck distance}); the stability theorem promises every
-    distance is at most the first value.
+    ``subject`` is a WeightedDigraph or a FilteredHypergraph.  The
+    perturbation leaves the edges or hyperedges alone, so the trial only
+    computes new stage grids and heights (still checked) on the
+    unperturbed generator store, whose closure and d∘d check ran when it
+    was built.  ``base``, when given, is ``_diagram(subject, p_max, q)``:
+    the unperturbed diagram and its store, which a caller running many
+    trials builds once.  Returns (achieved max input change, {dim:
+    bottleneck distance}); the stability theorem promises every distance
+    is at most the first value.  ``2 * delta`` must be finite so the
+    shifts can be drawn.
     """
-    if delta < 0:
-        raise ValueError("perturbation bound must be nonnegative")
+    if not (delta >= 0 and math.isfinite(2 * delta)):
+        raise ValueError(f"perturbation bound {delta!r} must be nonnegative with 2 * delta finite")
     values = subject.weights if isinstance(subject, WeightedDigraph) else subject.values
     rng = np.random.default_rng(seed)
     items = sorted(values.items())
@@ -367,8 +390,8 @@ def stability_trial(subject, delta: float, seed, p_max: int = 2, q: int = 2, bas
     d_e = float(max(np.abs(shifts), default=0.0))
     if base is None:
         base = _diagram(subject, p_max, q)
-    moved = _diagram(perturbed, p_max, q)
-    return d_e, {p: bottleneck(base, moved, p) for p in range(p_max + 1)}
+    moved = _restaged(perturbed, base.store, p_max)
+    return d_e, {p: bottleneck(base.diagram, moved, p) for p in range(p_max + 1)}
 
 
 hyper_stability_trial = stability_trial

@@ -29,6 +29,8 @@ __all__ = [
     "sublevel",
     "superlevel",
     "path_homology",
+    "pph_store",
+    "pph_input",
     "build_pph_input",
     "parse_digraph",
     "load_digraph",
@@ -139,33 +141,43 @@ def path_homology(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> list[int]:
     subgroup inside the regular path complex; an edgeless graph has
     H_0 = number of vertices and nothing above.
     """
+    return homology_dims(sup_complex(pph_store(g, p_max, q), p_max), p_max)
+
+
+def pph_store(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
+    """The generator store of a digraph's input: what its weights do not change.
+
+    Allowed paths up to length p_max + 1 are the basis, the regular
+    non-allowed faces they need are the extension, and their regular
+    boundaries are reduced mod q.
+    """
     paths, eps, boundary = _path_universe(g, p_max + 1)
-    graded = GradedSubgroup(paths, eps, boundary, q=q)
-    return homology_dims(sup_complex(graded, p_max), p_max)
+    return GradedSubgroup(paths, eps, boundary, q=q)
 
 
-def build_pph_input(g: WeightedDigraph, p_max: int = 2, q: int = 2):
-    """Ascending/descending allowed-path filtrations of a weighted digraph.
+def pph_input(g: WeightedDigraph, store: GradedSubgroup):
+    """Ascending/descending filtrations of g's weights on a store of its allowed paths.
 
-    Returns (ExtendedInput, ascending values a_1 < ... < a_M,
-    descending values b_1 > ... > b_N); the stage grids are the distinct
-    edge weights.  A path enters the sublevel filtration at its largest
-    edge weight and the superlevel one at its smallest; vertices sit at
-    stage 1 on both axes.  A graph with no edges has no critical values
-    and yields an empty input.
+    ``store`` is ``pph_store`` of g or of any digraph with g's vertices and
+    edges; only the stage grids and heights are computed here.  Returns
+    (ExtendedInput, ascending values a_1 < ... < a_M, descending values
+    b_1 > ... > b_N); the stage grids are the distinct edge weights.  A
+    path enters the sublevel filtration at its largest edge weight and
+    the superlevel one at its smallest; vertices sit at stage 1 on both
+    axes.  A graph with no edges has no critical values and yields an
+    empty input.
     """
     values = sorted({w for w in g.weights.values()})
     if not values:
-        empty = ExtendedInput.from_heights({}, {}, {}, {}, {}, 0, 0, q=q)
+        empty = ExtendedInput.from_heights({}, {}, {}, {}, {}, 0, 0, q=store.q)
         return empty, [], []
     asc_stage = {v: i + 1 for i, v in enumerate(values)}
     desc_values = values[::-1]
     desc_stage = {v: i + 1 for i, v in enumerate(desc_values)}
 
-    paths, eps, boundary = _path_universe(g, p_max + 1)
     asc_h, desc_h = {}, {}
-    for p, level in paths.items():
-        for path in level:
+    for p in store.dims():
+        for path in store.basis[p]:
             if p == 0:
                 asc_h[path] = 1
                 desc_h[path] = 1
@@ -173,18 +185,13 @@ def build_pph_input(g: WeightedDigraph, p_max: int = 2, q: int = 2):
                 ws = [g.weights[(path[k - 1], path[k])] for k in range(1, len(path))]
                 asc_h[path] = asc_stage[max(ws)]
                 desc_h[path] = desc_stage[min(ws)]
-
-    x = ExtendedInput.from_heights(
-        paths,
-        eps,
-        boundary,
-        asc_h,
-        desc_h,
-        len(values),
-        len(desc_values),
-        q=q,
-    )
+    x = ExtendedInput(store, asc_h, desc_h, len(values), len(desc_values))
     return x, values, desc_values
+
+
+def build_pph_input(g: WeightedDigraph, p_max: int = 2, q: int = 2):
+    """The digraph's input: ``pph_input`` on its own ``pph_store``."""
+    return pph_input(g, pph_store(g, p_max, q))
 
 
 def parse_digraph(text: str) -> WeightedDigraph:

@@ -11,7 +11,9 @@ defined.
 The dense helpers at the end (rank, prefix ranks, kernel and solve on
 numpy int arrays mod q) back the homology rank oracles.  They share no
 code with the sparse reduction, so the two routes can be played against
-each other in tests.
+each other in tests.  They compute in int64, which is why the modulus is
+bounded by ``MAX_MODULUS``: every product of two residues is below 2**32,
+and sums of up to 2**31 such products stay below 2**63.
 """
 
 from bisect import bisect_left
@@ -19,6 +21,7 @@ from bisect import bisect_left
 import numpy as np
 
 __all__ = [
+    "MAX_MODULUS",
     "PrimeField",
     "SparseColumn",
     "SparseMatrix",
@@ -36,6 +39,9 @@ __all__ = [
 ]
 
 
+MAX_MODULUS = 2**16 - 1  # the largest prime it admits is 65521
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -50,12 +56,16 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic in the integers mod a prime q."""
+    """Arithmetic in the integers mod a prime q <= MAX_MODULUS."""
 
     __slots__ = ("q",)
 
     def __init__(self, q: int = 2):
-        if not isinstance(q, int) or isinstance(q, bool) or not _is_prime(q):
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise ValueError(f"field modulus must be a prime integer, got {q!r}")
+        if q > MAX_MODULUS:
+            raise ValueError(f"field modulus {q} exceeds the largest supported modulus {MAX_MODULUS}")
+        if not _is_prime(q):
             raise ValueError(f"field modulus must be a prime integer, got {q!r}")
         self.q = q
 

@@ -128,6 +128,7 @@ class GradedSubgroup:
             for label, faces in (boundary or {}).items()
         }
         self._cols: dict = {}
+        self._problems = None  # the memoised report of validate()
 
     def with_basis(self, basis) -> "GradedSubgroup":
         """The subgroup spanned by ``basis``, sharing this one's universe and boundary store.
@@ -222,7 +223,18 @@ class GradedSubgroup:
         return self.with_basis({p: [l for l in self.basis[p] if l in wanted[p]] for p in self.dims()})
 
     def validate(self) -> ValidationReport:
-        """Check closure (all referenced faces listed) and d∘d = 0."""
+        """Check closure (all referenced faces listed) and d∘d = 0.
+
+        Neither depends on the basis, and the universe and boundaries never
+        change after construction, so the check runs once per store: its
+        problems are kept and reported again on later calls, also by the
+        ``with_basis`` views made after the first one.
+        """
+        if self._problems is None:
+            self._problems = tuple(self._closure_problems())
+        return ValidationReport(self._problems)
+
+    def _closure_problems(self) -> list:
         problems = []
         for label in self._faces:
             if label not in self._dim_of:
@@ -238,7 +250,7 @@ class GradedSubgroup:
                     face = next(f for f in faces if f not in row_prev)
                     problems.append(f"boundary of {label!r} references unlisted generator {face!r}")
         if problems:
-            return ValidationReport(problems)
+            return problems
         q = self.field.q
         for p in range(2, self.max_dim + 1):
             for label in self.universe[p]:
@@ -252,7 +264,7 @@ class GradedSubgroup:
                 if any(v % q for v in acc.values()):
                     problems.append(f"boundary of boundary of {label!r} is nonzero")
                     break
-        return ValidationReport(problems)
+        return problems
 
 
 class FilteredGradedSubgroup:

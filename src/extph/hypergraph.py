@@ -26,6 +26,8 @@ __all__ = [
     "simplicial_closure",
     "simplicial_boundary",
     "embedded_homology",
+    "hyper_store",
+    "hyper_input",
     "build_hyper_input",
     "parse_hypergraph",
     "load_hypergraph",
@@ -106,48 +108,49 @@ def _hyperedge_universe(hyperedges, p_max: int):
     for p in range(1, p_max + 2):
         for simplex in basis[p] + sorted(eps[p]):
             boundary[simplex] = simplicial_boundary(simplex)
-    return edges, basis, {p: sorted(eps[p]) for p in eps}, boundary
+    return basis, {p: sorted(eps[p]) for p in eps}, boundary
 
 
 def embedded_homology(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> list[int]:
     """Embedded homology dimensions of the hypergraph (values ignored)."""
-    _, basis, eps, boundary = _hyperedge_universe(h.hyperedges, p_max)
-    graded = GradedSubgroup(basis, eps, boundary, q=q)
-    return homology_dims(sup_complex(graded, p_max), p_max)
+    return homology_dims(sup_complex(hyper_store(h, p_max, q), p_max), p_max)
 
 
-def build_hyper_input(h: FilteredHypergraph, p_max: int = 2, q: int = 2):
-    """Ascending/descending hyperedge filtrations of a valued hypergraph.
+def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
+    """The generator store of a hypergraph's input: what its values do not change.
 
-    Returns (ExtendedInput, ascending values, descending values); the
-    stage grids are the distinct hyperedge values.  Hyperedges of
-    dimension above p_max + 1 are ignored (they cannot affect homology up
-    to p_max).  Extension generators are the proper faces of hyperedges
-    that are not hyperedges themselves, a face-closed set, so boundaries
-    never leave the listing.
+    Hyperedges of dimension at most p_max + 1 are the basis (higher ones
+    cannot affect homology up to p_max).  The extension generators are the
+    proper faces of hyperedges that are not hyperedges themselves, a
+    face-closed set, so boundaries never leave the listing.
     """
-    edges, basis, eps, boundary = _hyperedge_universe(h.hyperedges, p_max)
+    basis, eps, boundary = _hyperedge_universe(h.hyperedges, p_max)
+    return GradedSubgroup(basis, eps, boundary, q=q)
+
+
+def hyper_input(h: FilteredHypergraph, store: GradedSubgroup):
+    """Ascending/descending hyperedge filtrations of h's values on a store of its hyperedges.
+
+    ``store`` is ``hyper_store`` of h or of any hypergraph with h's
+    vertices and hyperedges; only the stage grids and heights are computed
+    here.  Returns (ExtendedInput, ascending values, descending values);
+    the stage grids are the distinct values of the hyperedges in the store.
+    """
+    edges = [e for p in store.dims() for e in store.basis[p]]
     values = sorted({h.values[e] for e in edges})
-    if not values:
-        empty = ExtendedInput.from_heights({}, {}, {}, {}, {}, 0, 0, q=q)
-        return empty, [], []
     asc_stage = {v: i + 1 for i, v in enumerate(values)}
     desc_values = values[::-1]
     desc_stage = {v: i + 1 for i, v in enumerate(desc_values)}
 
     asc_h = {e: asc_stage[h.values[e]] for e in edges}
     desc_h = {e: desc_stage[h.values[e]] for e in edges}
-    x = ExtendedInput.from_heights(
-        basis,
-        eps,
-        boundary,
-        asc_h,
-        desc_h,
-        len(values),
-        len(desc_values),
-        q=q,
-    )
+    x = ExtendedInput(store, asc_h, desc_h, len(values), len(desc_values))
     return x, values, desc_values
+
+
+def build_hyper_input(h: FilteredHypergraph, p_max: int = 2, q: int = 2):
+    """The hypergraph's input: ``hyper_input`` on its own ``hyper_store``."""
+    return hyper_input(h, hyper_store(h, p_max, q))
 
 
 def parse_hypergraph(text: str) -> FilteredHypergraph:

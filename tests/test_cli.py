@@ -244,6 +244,61 @@ def test_negative_trials_exits_2(tmp_path, capsys):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "1e308", "-0.1"])
+def test_a_delta_that_cannot_be_drawn_from_exits_2(tmp_path, capsys, delta):
+    src = tmp_path / "g.tsv"
+    src.write_text(TWO_STAGE)
+    code, out, err = run(["stability", str(src), "--trials", "1", "--delta", delta], capsys)
+    assert code == 2 and out == ""
+    assert "--delta" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("q", ["65536", "65537", "4294967311"])
+def test_a_field_above_the_supported_bound_exits_2(tmp_path, capsys, q):
+    from extph.field import MAX_MODULUS
+
+    assert MAX_MODULUS == 65535  # so 65536 is the first rejected modulus
+    src = tmp_path / "g.tsv"
+    src.write_text(TWO_STAGE)
+    code, out, err = run(["pph", str(src), "--oracle-check", "--field", q], capsys)
+    assert code == 2 and out == ""
+    assert "65535" in err and len(err.splitlines()) == 1
+
+
+def test_the_largest_supported_prime_passes_the_oracle_check(tmp_path, capsys):
+    # nine vertices of out-degree 2 and seven weights, the shape on which a
+    # modulus near 2**32 made int64 products wrap and the oracle disagree
+    lines = [f"v{i}\tv{(i + s) % 9}\t{(3 * i + s) % 7}" for i in range(9) for s in (1, 3)]
+    src = tmp_path / "g.tsv"
+    src.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["pph", str(src), "--oracle-check", "--field", "65521"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("dim\ttype\tbirth\tdeath\n") and len(out.splitlines()) > 1
+
+
+def test_an_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    import extph.cli
+
+    def broken(args):
+        raise RuntimeError("boom\nat two lines")
+
+    monkeypatch.setattr(extph.cli, "_cmd_pph", broken)
+    src = tmp_path / "g.tsv"
+    src.write_text(TWO_STAGE)
+    code, out, err = run(["pph", str(src)], capsys)
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom at two lines\n"
+
+
+def test_argparse_exits_pass_through_the_internal_error_handler(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pph"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+
+
 def test_console_module_entry_point(tmp_path):
     src = tmp_path / "g.tsv"
     src.write_text(CYCLE)

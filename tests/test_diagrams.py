@@ -278,6 +278,105 @@ def test_stability_bound_holds_on_a_small_sample():
         assert all(v <= d_inf + 1e-9 for v in per_dim.values())
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 1e308, -0.5])
+def test_stability_trial_rejects_a_bound_it_cannot_draw_from(delta):
+    g = WeightedDigraph(["a", "b"], {("a", "b"): 1.0})
+    with pytest.raises(ValueError, match="perturbation bound"):
+        stability_trial(g, delta, seed=1)
+
+
+def test_the_largest_drawable_bound_still_gives_a_finite_trial():
+    g = WeightedDigraph(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 2.0})
+    d_e, per_dim = stability_trial(g, 8e307, seed=1)
+    assert math.isfinite(d_e) and all(v <= d_e for v in per_dim.values())
+
+
+# ---------------------------------------------------------------------------
+# one generator store per stability run
+# ---------------------------------------------------------------------------
+
+
+def _values(subject):
+    return subject.weights if isinstance(subject, WeightedDigraph) else subject.values
+
+
+def _relevelled(subject, rng):
+    """Three perturbations of subject's weights or values: random, merged levels, split levels."""
+    values = _values(subject)
+    keys = sorted(values)
+    shifted = {k: values[k] + float(rng.uniform(-0.4, 0.4)) for k in keys}
+    merged = {k: float(min(values[k], 1.5)) for k in keys}  # the low levels fall together
+    split = {k: values[k] + i * 1e-3 for i, k in enumerate(keys)}  # every tie broken
+    return [type(subject)(subject.vertices, v) for v in (shifted, merged, split)]
+
+
+def test_a_trial_on_the_shared_store_matches_a_diagram_built_from_scratch():
+    from extph.diagrams import _diagram, _restaged
+
+    rng = np.random.default_rng(181)
+    grids_changed = 0
+    for q in (2, 3):
+        for p_max in (1, 2, 3):
+            for _ in range(4):
+                for subject in (random_digraph(rng, max_vertices=5), random_hypergraph(rng, max_vertices=5)):
+                    base = _diagram(subject, p_max, q)
+                    for moved in _relevelled(subject, rng):
+                        got = _restaged(moved, base.store, p_max)
+                        want = _diagram(moved, p_max, q).diagram
+                        assert got == want and format_diagram(got) == format_diagram(want)
+                        grids_changed += len(set(_values(subject).values())) != len(set(_values(moved).values()))
+    assert grids_changed > 50  # merged and split levels change M and N
+
+
+def test_one_stability_run_validates_its_store_once(monkeypatch, tmp_path):
+    from extph.cli import main
+    from extph.graded import GradedSubgroup
+
+    checked = []
+    original = GradedSubgroup._closure_problems
+
+    def counted(self):
+        checked.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GradedSubgroup, "_closure_problems", counted)
+    for name, text in (("g.tsv", "a\tb\t1\nb\tc\t2\nc\ta\t3\n"), ("h.tsv", "1\ta,b\n2\tb,c\n3\ta,b,c\n")):
+        checked.clear()
+        src = tmp_path / name
+        src.write_text(text)
+        assert main(["stability", str(src), "--trials", "5", "--out", str(tmp_path / "out")]) == 0
+        assert len(checked) == 1
+    checked.clear()
+    stability_trial(WeightedDigraph(["a", "b"], {("a", "b"): 1.0}), 0.2, seed=3)
+    assert len(checked) == 1
+
+
+def test_a_new_store_is_checked_and_each_trial_checks_its_heights():
+    from extph.digraph import pph_input, pph_store
+    from extph.errors import GradedValidationError
+    from extph.extended import ExtendedInput
+    from extph.graded import FilteredGradedSubgroup, GradedSubgroup, validate_compatible
+
+    g = WeightedDigraph(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 2.0, ("a", "c"): 3.0})
+    store = pph_store(g, 1, 2)
+    x, _, _ = pph_input(g, store)
+    assert store.validate().ok and x.graded is store
+
+    bad = GradedSubgroup({0: ["a", "b"], 1: ["e"], 2: ["T"]}, {}, {"e": {"a": 1, "b": 1}, "T": {"e": 1}})
+    ones = dict.fromkeys(["a", "b", "e", "T"], 1)
+    for _ in range(2):  # the kept report still rejects the store
+        with pytest.raises(GradedValidationError, match="boundary of boundary"):
+            ExtendedInput(bad, ones, ones, 1, 1)
+
+    heights = {l: x.asc_height(l) for p in store.dims() for l in store.basis[p]}
+    for wrong in (0, x.M + 1):
+        with pytest.raises(GradedValidationError, match="outside"):
+            ExtendedInput(store, {**heights, ("a", "b"): wrong}, heights, x.M, x.N)
+    decreasing = {p: list(range(len(store.basis[p]), 0, -1)) for p in store.dims()}
+    report = validate_compatible(FilteredGradedSubgroup(store, decreasing, 3))
+    assert not report.ok and "decrease" in str(report)
+
+
 # ---------------------------------------------------------------------------
 # diagram files
 # ---------------------------------------------------------------------------

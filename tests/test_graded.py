@@ -124,6 +124,18 @@ def test_validate_reports_broken_d_squared():
     assert "boundary of boundary" in report.problems[0]
 
 
+def test_validate_checks_a_store_once_and_keeps_its_report(monkeypatch):
+    g = GradedSubgroup(basis={0: ["a"], 1: ["e"]}, boundary={"e": {"a": 1, "ghost": 1}}, q=2)
+    calls = []
+    original = GradedSubgroup._closure_problems
+    monkeypatch.setattr(GradedSubgroup, "_closure_problems", lambda self: calls.append(1) or original(self))
+    first = g.validate()
+    first.problems.append("edited by the caller")
+    for view in (g, g.with_basis({0: ["a"]})):
+        assert view.validate().problems == first.problems[:1] and "ghost" in first.problems[0]
+    assert len(calls) == 1
+
+
 def test_dimension_zero_generators_must_have_zero_boundary():
     g = GradedSubgroup(basis={0: ["a", "b"]}, boundary={"a": {"b": 1}}, q=2)
     assert not g.validate().ok
