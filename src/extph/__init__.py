@@ -24,10 +24,8 @@ from .diagrams import (
     bottleneck_certificate,
     diagrams,
     format_diagram,
-    hyper_stability_trial,
     read_diagram,
     stability_trial,
-    write_diagram,
 )
 from .digraph import (
     WeightedDigraph,
@@ -59,16 +57,8 @@ from .extended import (
     extended_barcode,
     extended_module_oracle,
     interval_rank_table,
-    mapping_cone,
 )
-from .field import (
-    PrimeField,
-    SparseColumn,
-    SparseMatrix,
-    rank,
-    reduce,
-    solve_in_span,
-)
+from .field import PrimeField, SparseColumn, SparseMatrix, reduce
 from .graded import (
     BASIS,
     EXTENSION,
@@ -78,8 +68,6 @@ from .graded import (
     GradedSubgroup,
     ValidationReport,
     homology_dims,
-    inf_complex,
-    relative_homology_dims,
     sup_complex,
     validate_compatible,
 )

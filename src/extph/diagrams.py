@@ -29,7 +29,6 @@ values.  A caller running many trials passes the unperturbed diagram and
 its store as ``base`` so both are built once.
 """
 
-import io
 import math
 from typing import NamedTuple
 
@@ -52,9 +51,7 @@ __all__ = [
     "bottleneck",
     "bottleneck_certificate",
     "stability_trial",
-    "hyper_stability_trial",
     "format_diagram",
-    "write_diagram",
     "read_diagram",
 ]
 
@@ -394,9 +391,6 @@ def stability_trial(subject, delta: float, seed, p_max: int = 2, q: int = 2, bas
     return d_e, {p: bottleneck(base.diagram, moved, p) for p in range(p_max + 1)}
 
 
-hyper_stability_trial = stability_trial
-
-
 # ---------------------------------------------------------------------------
 # diagram files
 # ---------------------------------------------------------------------------
@@ -413,15 +407,6 @@ def format_diagram(diagram: ExtendedDiagram) -> str:
     lines = [_HEADER]
     lines.extend(f"{dim}\t{kind}\t{birth!r}\t{death!r}" for dim, kind, birth, death in rows)
     return "\n".join(lines) + "\n"
-
-
-def write_diagram(diagram: ExtendedDiagram, destination) -> None:
-    text = format_diagram(diagram)
-    if isinstance(destination, io.TextIOBase) or hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def read_diagram(text: str) -> ExtendedDiagram:

