@@ -41,9 +41,17 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, GradedValidationError
-from .field import SparseColumn, SparseMatrix, dense_kernel, dense_matrix, prefix_ranks
-from .graded import FilteredGradedSubgroup, GradedSubgroup, ValidationReport
-from .persistence import BoundaryMatrices, build_matrices, compute_pairings
+from .field import SparseColumn, SparseMatrix, dense_kernel
+from .graded import (
+    FilteredGradedSubgroup,
+    GradedSubgroup,
+    ValidationReport,
+    image_matrix,
+    stage_cycles,
+    unit_matrix,
+    window_ranks,
+)
+from .persistence import BoundaryMatrices, betti_table_from_barcode, build_matrices, compute_pairings
 
 __all__ = [
     "BASE",
@@ -83,10 +91,16 @@ class ConeGenerator(NamedTuple):
     dim: int
 
 
-def _sorted_by(graded: GradedSubgroup, heights, num_stages: int) -> FilteredGradedSubgroup:
-    basis = {p: sorted(graded.basis[p], key=lambda label: heights[label]) for p in graded.dims()}
+def _sorted_by(graded: GradedSubgroup, heights, num_stages: int, side: str) -> FilteredGradedSubgroup:
+    try:
+        basis = {p: sorted(graded.basis[p], key=lambda label: heights[label]) for p in graded.dims()}
+    except KeyError as missing:
+        raise GradedValidationError(f"{side}: generator {missing.args[0]!r} has no height") from None
     stages = {p: [heights[label] for label in labels] for p, labels in basis.items()}
-    return FilteredGradedSubgroup(graded.with_basis(basis), stages, num_stages)
+    try:
+        return FilteredGradedSubgroup(graded.with_basis(basis), stages, num_stages)
+    except GradedValidationError as bad:
+        raise GradedValidationError(f"{side}: {bad}") from None
 
 
 class ExtendedInput:
@@ -104,20 +118,14 @@ class ExtendedInput:
         self, graded, ascending_heights, descending_heights, num_ascending, num_descending, check=True
     ):
         self.graded = graded
-        self.ascending = _sorted_by(graded, ascending_heights, num_ascending)
-        self.descending = _sorted_by(graded, descending_heights, num_descending)
+        self.ascending = _sorted_by(graded, ascending_heights, num_ascending, "ascending")
+        self.descending = _sorted_by(graded, descending_heights, num_descending, "descending")
         self.M = self.ascending.num_stages
         self.N = self.descending.num_stages
         if check:
             report = self.validate()
             if not report.ok:
                 raise GradedValidationError(str(report))
-
-    def asc_height(self, label) -> int:
-        return self.ascending.height_of(label)
-
-    def desc_height(self, label) -> int:
-        return self.descending.height_of(label)
 
     def validate(self) -> ValidationReport:
         """Closure and d∘d = 0 of the store, once; each side's heights in range."""
@@ -148,11 +156,10 @@ class ExtendedInput:
         labels = [label for dim_labels in basis.values() for label in dim_labels]
         for side, heights in (("ascending", ascending_heights), ("descending", descending_heights)):
             for label in labels:
-                if label not in heights:
-                    raise GradedValidationError(f"{side}: generator {label!r} has no height")
-                if not isinstance(heights[label], Integral):
+                h = heights.get(label, 0)  # the constructor reports a missing height
+                if not isinstance(h, Integral):
                     raise GradedValidationError(
-                        f"{side}: height {heights[label]!r} of generator {label!r} is not an integer"
+                        f"{side}: height {h!r} of generator {label!r} is not an integer"
                     )
         graded = GradedSubgroup(basis, extension, boundary, q=q)
         return cls(graded, ascending_heights, descending_heights, num_ascending, num_descending, check)
@@ -410,8 +417,10 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
     d(E^j_{p+1}) lies in d(D_{p+1}), that is d(D_{p+1}) plus the unit
     vectors of E^j_p.  So one chain of columns, the boundaries of the
     dimension-(p+1) basis in ascending order and then the dimension-p
-    units in descending order, has every B_v as a prefix, and one
-    elimination of [Z_u | chain] gives the whole row u of the table.
+    units in descending order, has every B_v as a prefix, and
+    ``window_ranks`` gives the whole row u of the table from one
+    elimination of [Z_u | chain].  For u <= v <= M the sources and prefixes
+    are those of ``persistent_betti_oracle`` on the ascending filtration.
     A source may leave out anything its denominators all contain.  For
     u <= M that is d(D^u_{p+1}), so Z_u is the cycles of D^u_p.  For
     u = M + j it is E^j_p: a chain of D_p whose boundary lies in
@@ -419,56 +428,27 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
     E^j_{p-1}, plus a chain of E^j_p.
     """
     asc, desc = x.ascending, x.descending
-    g = asc.graded
-    q = g.q
+    g, q = asc.graded, asc.q
     M, N = x.M, x.N
-    L = M + N
     table: dict = {}
-
-    def units(p, labels):
-        out = np.zeros((g.universe_size(p), len(labels)), dtype=np.int64)
-        for k, label in enumerate(labels):
-            out[g.row_of(p, label), k] = 1
-        return out
-
-    def images(p, labels):
-        return dense_matrix([g.column(l) for l in labels], g.universe_size(p - 1), q)
-
     for p in range(p_max + 1):
         a_p, ups = g.basis.get(p, []), g.basis.get(p + 1, [])
         d_p, d_prev = desc.graded.basis.get(p, []), desc.graded.basis.get(p - 1, [])
-        chain = np.hstack([images(p + 1, ups), units(p, d_p)])
+        chain = np.hstack([image_matrix(g, p + 1, ups), unit_matrix(g, p, d_p)])
         ends = [asc.stage_prefix(p + 1, v) for v in range(1, M + 1)]
         ends += [len(ups) + desc.stage_prefix(p, j) for j in range(1, N + 1)]
-        chain_rank = prefix_ranks(chain, ends, q)
-
-        # sources as kernels over the units of a_p: chains of D^u_p with zero
-        # boundary, then chains of D_p with no boundary outside E^j_{p-1}
-        unit_a, img_a = units(p, a_p), images(p, a_p)
-        kernels = [dense_kernel(img_a[:, : asc.stage_prefix(p, u)], q) for u in range(1, M + 1)]
+        # the cycles of D^u_p, then the chains of D_p with no boundary outside E^j_{p-1}
+        units, images = unit_matrix(g, p, a_p), image_matrix(g, p, a_p)
+        sources = stage_cycles(units, images, [asc.stage_prefix(p, u) for u in range(1, M + 1)], q)
         for j in range(1, N + 1):
             inside = [g.row_of(p - 1, l) for l in d_prev[: desc.stage_prefix(p - 1, j)]]
-            kernels.append(dense_kernel(np.delete(img_a, inside, axis=0), q))
-
-        for u, ker in enumerate(kernels, start=1):
-            source = unit_a[:, : ker.shape[0]] @ ker
-            n = source.shape[1]
-            ranks = prefix_ranks(np.hstack([source, chain]), [n + e for e in ends[u - 1 :]], q)
-            for v, r, b in zip(range(u, L + 1), ranks, chain_rank[u - 1 :]):
-                table[(p, u, v)] = r - b
+            sources.append(units @ dense_kernel(np.delete(images, inside, axis=0), q))
+        for u, row in enumerate(window_ranks(sources, chain, ends, q), start=1):
+            for v, r in enumerate(row, start=u):
+                table[(p, u, v)] = r
     return table
 
 
 def interval_rank_table(bc: ExtendedBarcode, p_max: int) -> dict:
     """Window interval counts, in the same shape as the module oracle table."""
-    L = bc.num_ascending + bc.num_descending
-    table = {
-        (p, u, v): 0 for p in range(p_max + 1) for u in range(1, L + 1) for v in range(u, L + 1)
-    }
-    for dim, gb, gd in bc.global_intervals():
-        if dim > p_max:
-            continue
-        for u in range(gb, L + 1):
-            for v in range(u, min(gd - 1, L) + 1):
-                table[(dim, u, v)] += 1
-    return table
+    return betti_table_from_barcode(bc.global_intervals(), p_max, bc.num_ascending + bc.num_descending)

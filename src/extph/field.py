@@ -8,10 +8,11 @@ reduced matrix do not depend on the order in which admissible additions
 are performed, which is what makes pairings read off the pivots well
 defined.
 
-The dense helpers at the end (rank, prefix ranks, kernel and solve on
-numpy int arrays mod q) back the homology rank oracles.  They share no
-code with the sparse reduction, so the two routes can be played against
-each other in tests.  They compute in int64, which is why the modulus is
+The dense helpers at the end back the homology rank oracles.  They all
+run one row echelon form on numpy int arrays mod q, and every rank is
+read from its pivot list, ``pivot_columns``.  They share no code with
+the sparse reduction, so the two routes can be played against each
+other in tests.  They compute in int64, which is why the modulus is
 bounded by ``MAX_MODULUS``: every product of two residues is below 2**32,
 and sums of up to 2**31 such products stay below 2**63.
 """
@@ -32,7 +33,7 @@ __all__ = [
     "prefix_ranks",
     "dense_kernel",
     "dense_solve_many",
-    "IncrementalSpan",
+    "pivot_columns",
 ]
 
 
@@ -163,12 +164,6 @@ class SparseColumn:
                 out.append((rb, v))
         return SparseColumn(out)
 
-    def to_dense(self, num_rows: int) -> np.ndarray:
-        v = np.zeros(num_rows, dtype=np.int64)
-        for r, c in self.entries:
-            v[r] = c
-        return v
-
     def __eq__(self, other):
         return isinstance(other, SparseColumn) and other.entries == self.entries
 
@@ -200,9 +195,6 @@ class SparseMatrix:
 
     def column(self, j: int) -> SparseColumn:
         return self.columns[j]
-
-    def to_dense(self) -> np.ndarray:
-        return dense_matrix(self.columns, self.num_rows, self.field.q)
 
     def __eq__(self, other):
         return (
@@ -291,20 +283,23 @@ def _row_echelon(a: np.ndarray, q: int):
     return a, pivots
 
 
+def pivot_columns(a, q: int) -> list[int]:
+    """The columns of ``a`` outside the span of the columns before them, in order.
+
+    These are the pivot columns of the row echelon form, which visits the
+    columns left to right.  Every dense rank on the oracle side is read
+    from this list.
+    """
+    return _row_echelon(a, q)[1]
+
+
 def dense_rank(a, q: int) -> int:
-    a = np.asarray(a, dtype=np.int64)
-    if a.size == 0:
-        return 0
-    return len(_row_echelon(a, q)[1])
+    return len(pivot_columns(a, q))
 
 
 def prefix_ranks(a, ends, q: int) -> list[int]:
-    """Rank of each column prefix a[:, :e] for e in ``ends``, from one elimination.
-
-    Row echelon form visits the columns left to right, so the rank of a
-    prefix is the number of pivot columns before its end.
-    """
-    pivots = _row_echelon(a, q)[1]
+    """Rank of each column prefix a[:, :e] for e in ``ends``, from one elimination."""
+    pivots = pivot_columns(a, q)
     return [bisect_left(pivots, e) for e in ends]
 
 
@@ -343,45 +338,3 @@ def dense_solve_many(a, b, q: int):
     for i, pc in enumerate(pivots):
         x[pc, :] = r[i, n:]
     return x
-
-
-class IncrementalSpan:
-    """Growing span of dense mod-q vectors with cheap membership tests.
-
-    Stored rows have pairwise distinct leading positions and are kept in
-    leading-position order, so a single forward sweep reduces any vector.
-    """
-
-    __slots__ = ("length", "q", "_rows")
-
-    def __init__(self, length: int, q: int):
-        self.length = length
-        self.q = q
-        self._rows: list[tuple[int, np.ndarray]] = []
-
-    def _residue(self, vec) -> np.ndarray:
-        v = np.array(vec, dtype=np.int64) % self.q
-        for p, row in self._rows:
-            c = int(v[p])
-            if c:
-                v = (v - c * row) % self.q
-        return v
-
-    def contains(self, vec) -> bool:
-        return not self._residue(vec).any()
-
-    def add(self, vec) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        v = self._residue(vec)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        v = (v * pow(int(v[p]), self.q - 2, self.q)) % self.q
-        keys = [row[0] for row in self._rows]
-        self._rows.insert(bisect_left(keys, p), (p, v))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)

@@ -1,4 +1,4 @@
-"""Graded subgroups of a chain complex, and the rank-based homology oracle.
+"""Graded subgroups of a chain complex, and the rank arithmetic of the oracles.
 
 A graded subgroup here is a choice, per dimension p, of a sub-list of an
 explicitly listed generator universe: the *basis* generators span the
@@ -8,9 +8,14 @@ boundary map).  All boundary data is given over the listed universe, so
 d∘d = 0 is checkable and the supremum complex S_p = D_p + d(D_{p+1}), the
 smallest subcomplex containing D_*, can be computed.  Its homology is the
 homology of the subgroup, which ``homology_dims`` counts by rank
-arithmetic.  Every rank computed in this module goes through the dense
-elimination helpers, never through the sparse pivot reduction that the
-pairing algorithms use, so the two code paths stay independent.
+arithmetic on the dense ``ChainComplexSlice`` that ``sup_complex`` builds.
+
+The module oracles count window ranks dim(Z_u + B_v) - dim(B_v) of a
+persistence module with ``stage_cycles`` and ``window_ranks``.  This side
+is numpy int64 matrices mod q throughout: it reads the generator store
+only through ``GradedSubgroup.column`` and takes every rank from
+``pivot_columns``, never from the sparse pivot reduction of the pairing
+algorithms, so the two code paths stay independent.
 """
 
 from bisect import bisect_right
@@ -20,13 +25,14 @@ import numpy as np
 
 from .errors import GradedValidationError
 from .field import (
-    IncrementalSpan,
     SparseColumn,
-    SparseMatrix,
     as_field,
+    dense_kernel,
     dense_matrix,
     dense_rank,
     dense_solve_many,
+    pivot_columns,
+    prefix_ranks,
 )
 
 __all__ = [
@@ -40,6 +46,10 @@ __all__ = [
     "validate_compatible",
     "sup_complex",
     "homology_dims",
+    "unit_matrix",
+    "image_matrix",
+    "stage_cycles",
+    "window_ranks",
 ]
 
 BASIS = "basis"
@@ -261,7 +271,7 @@ class GradedSubgroup:
 class FilteredGradedSubgroup:
     """A graded subgroup with a stage height per basis generator.
 
-    Heights live in [1, num_stages] and must be non-decreasing along each
+    Heights are integers in [1, num_stages], non-decreasing along each
     dimension's basis order: that order is then a compatible basis for the
     stage filtration, and stage i is spanned by a prefix of it.
     """
@@ -277,7 +287,9 @@ class FilteredGradedSubgroup:
                 raise ValueError(
                     f"dimension {p}: {len(self.heights[p])} heights for {len(labels)} basis generators"
                 )
-            for label, h in zip(labels, self.heights[p]):
+            for label, h, given in zip(labels, self.heights[p], heights.get(p, ())):
+                if h != given:
+                    raise GradedValidationError(f"height {given!r} of generator {label!r} is not an integer")
                 self._height_of[label] = h
 
     @property
@@ -316,48 +328,48 @@ class FilteredGradedSubgroup:
                 prev = h
         return problems
 
-    def restricted_to_stage(self, stage: int) -> GradedSubgroup:
-        keep = {p: self.graded.basis[p][: self.stage_prefix(p, stage)] for p in self.graded.dims()}
-        return self.graded.restricted(keep)
-
 
 def validate_compatible(f: FilteredGradedSubgroup) -> ValidationReport:
     """Full structural check: closure, d∘d = 0, heights in range and monotone."""
     return ValidationReport(f.graded.validate().problems + f.height_problems())
 
 
-class ChainComplexSlice:
-    """A finite chunk of a chain complex.
+class ChainComplexSlice(NamedTuple):
+    """A finite chunk of a chain complex, as dense int64 matrices mod q.
 
-    ``vectors[p]`` are the chosen basis chains written in the ambient
-    universe coordinates of their source subgroup; ``boundaries[p]`` is the
-    boundary matrix dim p -> dim p-1 written in the slice's own bases.
+    ``vectors[p]`` is an (ambient rows × k_p) matrix whose columns are the
+    chosen basis chains, written in the universe coordinates of their
+    source subgroup; ``boundaries[p]`` is the (k_{p-1} × k_p) boundary
+    matrix dim p -> dim p-1 written in the slice's own bases.
     """
 
-    __slots__ = ("field", "max_dim", "ambient_rows", "vectors", "boundaries")
-
-    def __init__(self, field, max_dim, ambient_rows, vectors, boundaries):
-        self.field = as_field(field)
-        self.max_dim = int(max_dim)
-        self.ambient_rows = dict(ambient_rows)
-        self.vectors = {p: list(v) for p, v in vectors.items()}
-        self.boundaries = dict(boundaries)
+    q: int
+    vectors: dict
+    boundaries: dict
 
     @property
-    def q(self) -> int:
-        return self.field.q
+    def max_dim(self) -> int:
+        return max(self.vectors, default=-1)
 
     def dim(self, p: int) -> int:
-        return len(self.vectors.get(p, ()))
+        return self.vectors[p].shape[1] if p in self.vectors else 0
 
-    def vector_matrix(self, p: int) -> np.ndarray:
-        return dense_matrix(self.vectors.get(p, []), self.ambient_rows.get(p, 0), self.q)
-
-    def boundary_matrix(self, p: int) -> SparseMatrix:
+    def boundary_matrix(self, p: int) -> np.ndarray:
         mat = self.boundaries.get(p)
-        if mat is None:
-            mat = SparseMatrix(self.dim(p - 1), [SparseColumn()] * self.dim(p), self.field)
-        return mat
+        return np.zeros((self.dim(p - 1), self.dim(p)), dtype=np.int64) if mat is None else mat
+
+
+def unit_matrix(graded: GradedSubgroup, p: int, labels) -> np.ndarray:
+    """The dimension-p generators ``labels`` as unit columns over their universe."""
+    out = np.zeros((graded.universe_size(p), len(labels)), dtype=np.int64)
+    for k, label in enumerate(labels):
+        out[graded.row_of(p, label), k] = 1
+    return out
+
+
+def image_matrix(graded: GradedSubgroup, p: int, labels) -> np.ndarray:
+    """Boundaries of the dimension-p ``labels`` as columns over the dimension-(p-1) universe."""
+    return dense_matrix([graded.column(l) for l in labels], graded.universe_size(p - 1), graded.q)
 
 
 def sup_complex(graded: GradedSubgroup, p_max: int) -> ChainComplexSlice:
@@ -365,65 +377,67 @@ def sup_complex(graded: GradedSubgroup, p_max: int) -> ChainComplexSlice:
 
     Dimensions are built up to p_max + 1; boundaries of dimension p_max + 2
     generators are ignored, which leaves every homology group up to p_max
-    intact.
+    intact.  S_p is spanned by the pivot columns of [units of D_p |
+    boundaries of D_{p+1}]: all of the units, then the boundaries outside
+    the span of what precedes them.
     """
-    field = graded.field
-    vectors, provenance = {}, {}
+    q = graded.q
+    images = {p: image_matrix(graded, p, graded.basis.get(p, [])) for p in range(1, p_max + 2)}
+    vectors, boundaries = {}, {}
     for p in range(p_max + 2):
-        rows = graded.universe_size(p)
-        span = IncrementalSpan(rows, field.q)
-        vecs, prov = [], []
-        for label in graded.basis.get(p, []):
-            col = SparseColumn(((graded.row_of(p, label), 1),))
-            span.add(col.to_dense(rows))
-            vecs.append(col)
-            prov.append(label)
+        both = unit_matrix(graded, p, graded.basis.get(p, []))
         if p <= p_max:
-            for label in graded.basis.get(p + 1, []):
-                col = graded.column(label)
-                if not col.is_zero and span.add(col.to_dense(rows)):
-                    vecs.append(col)
-                    prov.append(None)  # an exact boundary: its own boundary is zero
-        vectors[p] = vecs
-        provenance[p] = prov
-
-    boundaries = {}
+            both = np.hstack([both, images[p + 1]])
+        vectors[p] = both[:, pivot_columns(both, q)]
     for p in range(1, p_max + 2):
-        cols = []
-        if vectors[p]:
-            rows_prev = graded.universe_size(p - 1)
-            prev_dense = dense_matrix(vectors[p - 1], rows_prev, field.q)
-            images = [
-                graded.column(label) if label is not None else SparseColumn()
-                for label in provenance[p]
-            ]
-            x = dense_solve_many(prev_dense, dense_matrix(images, rows_prev, field.q), field.q)
-            if x is None:
-                raise GradedValidationError(
-                    "boundary image escapes the supremum complex;"
-                    " input boundary data is inconsistent"
-                )
-            # x is reduced mod q, so its nonzeros are the sorted column entries
-            cols = [
-                SparseColumn((int(i), int(x[i, j])) for i in np.flatnonzero(x[:, j]))
-                for j in range(len(vectors[p]))
-            ]
-        boundaries[p] = SparseMatrix(len(vectors[p - 1]), cols, field)
-    ambient = {p: graded.universe_size(p) for p in range(p_max + 2)}
-    return ChainComplexSlice(field, p_max + 1, ambient, vectors, boundaries)
+        # the kept boundaries follow the units and are exact: their own boundary is zero
+        img = np.zeros((vectors[p - 1].shape[0], vectors[p].shape[1]), dtype=np.int64)
+        img[:, : images[p].shape[1]] = images[p]
+        boundaries[p] = dense_solve_many(vectors[p - 1], img, q)
+        if boundaries[p] is None:
+            raise GradedValidationError(
+                "boundary image escapes the supremum complex; input boundary data is inconsistent"
+            )
+    return ChainComplexSlice(q, vectors, boundaries)
 
 
 def homology_dims(c: ChainComplexSlice, p_max: int) -> list[int]:
     """dim H_p = dim C_p - rank d_p - rank d_{p+1} for p = 0..p_max."""
     q = c.q
     for p in range(1, c.max_dim):
-        a = c.boundary_matrix(p).to_dense()
-        b = c.boundary_matrix(p + 1).to_dense()
-        if a.size and b.size and ((a @ b) % q).any():
+        if ((c.boundary_matrix(p) @ c.boundary_matrix(p + 1)) % q).any():
             raise GradedValidationError(f"slice boundaries do not compose to zero at dimension {p + 1}")
+    ranks = [0] + [dense_rank(c.boundary_matrix(p), q) for p in range(1, p_max + 2)]
+    return [c.dim(p) - ranks[p] - ranks[p + 1] for p in range(p_max + 1)]
+
+
+# ---------------------------------------------------------------------------
+# window ranks of a persistence module (the module oracles)
+# ---------------------------------------------------------------------------
+
+
+def stage_cycles(units, images, prefixes, q: int) -> list:
+    """The kernel of images[:, :k], written over units[:, :k], for each k in ``prefixes``.
+
+    Over a compatible basis a prefix spans a stage, so these are its cycle spaces.
+    """
     out = []
-    for p in range(p_max + 1):
-        r_down = dense_rank(c.boundary_matrix(p).to_dense(), q) if p >= 1 else 0
-        r_up = dense_rank(c.boundary_matrix(p + 1).to_dense(), q)
-        out.append(c.dim(p) - r_down - r_up)
+    for k in prefixes:
+        ker = dense_kernel(images[:, :k], q)
+        out.append(units[:, : ker.shape[0]] @ ker)
     return out
+
+
+def window_ranks(sources, chain, ends, q: int):
+    """Yield, for each source S_k, dim(S_k + C[:, :e]) - dim(C[:, :e]) for e in ends[k:].
+
+    The denominators are the column prefixes of one chain C, so one
+    elimination of [S_k | C] gives the whole row k, and one of C alone
+    every dim(C[:, :e]).  ``sources[k]`` is the numerator of the window
+    starting at position k + 1, and ``ends`` lists the prefix length of
+    each position's denominator.
+    """
+    base = prefix_ranks(chain, ends, q)
+    for k, source in enumerate(sources):
+        ranks = prefix_ranks(np.hstack([source, chain]), [source.shape[1] + e for e in ends[k:]], q)
+        yield [r - b for r, b in zip(ranks, base[k:])]

@@ -19,11 +19,9 @@ involved, and is the ground truth the pairing route is tested against.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GradedValidationError
-from .field import SparseColumn, SparseMatrix, dense_kernel, dense_matrix, prefix_ranks, reduce
-from .graded import FilteredGradedSubgroup
+from .field import SparseColumn, SparseMatrix, reduce
+from .graded import FilteredGradedSubgroup, image_matrix, stage_cycles, unit_matrix, window_ranks
 
 __all__ = [
     "Pairing",
@@ -121,39 +119,26 @@ def build_matrices(f: FilteredGradedSubgroup, p_max: int) -> BoundaryMatrices:
 def compute_pairings(bm: BoundaryMatrices, clearing: bool = True) -> list[Pairing]:
     """Reduce every boundary matrix and collect pairs and surviving cycles.
 
-    With clearing on, matrices are processed in decreasing dimension and a
+    Matrices are processed in decreasing dimension.  With clearing on, a
     column whose generator was already paired one dimension up is zeroed
     without reduction; the output is identical either way.
     """
     mats = bm.mats
-    p_top = len(mats) - 1
     reduced: dict[int, SparseMatrix] = {}
-    paired_rows: dict[int, set] = {}
     pairs_at: dict[int, set] = {}
-    if clearing:
-        skip: set = set()
-        for p in range(p_top, -1, -1):
-            red, pivots = reduce(mats[p], skip_columns=skip)
-            reduced[p] = red
-            m_p = bm.basis_counts[p]
-            pairs_at[p] = {(r, c) for r, c in pivots.items() if r < m_p}
+    skip: set = set()
+    for p in range(len(mats) - 1, -1, -1):
+        reduced[p], pivots = reduce(mats[p], skip_columns=skip)
+        pairs_at[p] = {(r, c) for r, c in pivots.items() if r < bm.basis_counts[p]}
+        if clearing:
             skip = {r for r, _ in pairs_at[p]}
-    else:
-        for p in range(p_top + 1):
-            red, pivots = reduce(mats[p])
-            reduced[p] = red
-            m_p = bm.basis_counts[p]
-            pairs_at[p] = {(r, c) for r, c in pivots.items() if r < m_p}
-    for p, prs in pairs_at.items():
-        paired_rows[p] = {r for r, _ in prs}
-
     out = []
-    for p in range(p_top + 1):
+    for p in range(len(mats)):
         if p == 0:
             zero_cols = set(range(bm.basis_counts[0]))
         else:
             zero_cols = {j for j, col in enumerate(reduced[p - 1].columns) if col.is_zero}
-        cycles = zero_cols - paired_rows.get(p, set())
+        cycles = zero_cols - {r for r, _ in pairs_at[p]}
         out.append(Pairing(p, frozenset(pairs_at[p]), frozenset(cycles)))
     return out
 
@@ -178,43 +163,33 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
 
     The image of the map induced by inclusion has dimension
     dim(Z_i + B_j) - dim(B_j), where Z_i is the stage-i cycle space and B_j
-    the stage-j boundary space, both written in universe coordinates.  The
-    boundary spaces are nested in j: B_j is spanned by the first
-    stage_prefix(p+1, j) boundary columns, so one elimination of
-    [Z_i | all boundary columns] gives the whole row i of the table, and
-    one of the boundary columns alone every dim(B_j).  The stage-i cycles
+    the stage-j boundary space, both written in universe coordinates.
+    B_j is spanned by the first stage_prefix(p+1, j) boundary columns, so
+    the table is ``window_ranks`` over those columns.  The stage-i cycles
     of the supremum complex are the cycles of D^i_p plus d(D^i_{p+1}), and
     every B_j with j >= i contains the latter, so Z_i may be taken as the
-    cycles of D^i_p: the kernel of the first stage_prefix(p, i)
-    dimension-p boundary columns, written over their units.
+    cycles of D^i_p, which ``stage_cycles`` builds.
     """
-    g = f.graded
-    q = g.q
-    N = f.num_stages
+    g, q = f.graded, f.q
+    stages = range(1, f.num_stages + 1)
     table: dict = {}
-    if N == 0:
-        return table
     for p in range(p_max + 1):
         labels = g.basis.get(p, [])
-        units = np.zeros((g.universe_size(p), len(labels)), dtype=np.int64)
-        for k, label in enumerate(labels):
-            units[g.row_of(p, label), k] = 1
-        images = dense_matrix([g.column(l) for l in labels], g.universe_size(p - 1), q)
-        bound = dense_matrix([g.column(l) for l in g.basis.get(p + 1, [])], g.universe_size(p), q)
-        ends = [f.stage_prefix(p + 1, j) for j in range(1, N + 1)]
-        bound_rank = prefix_ranks(bound, ends, q)
-        for i in range(1, N + 1):
-            ker = dense_kernel(images[:, : f.stage_prefix(p, i)], q)
-            cycles = units[:, : ker.shape[0]] @ ker
-            n = cycles.shape[1]
-            ranks = prefix_ranks(np.hstack([cycles, bound]), [n + e for e in ends[i - 1 :]], q)
-            for j, r, b in zip(range(i, N + 1), ranks, bound_rank[i - 1 :]):
-                table[(p, i, j)] = r - b
+        units, images = unit_matrix(g, p, labels), image_matrix(g, p, labels)
+        cycles = stage_cycles(units, images, [f.stage_prefix(p, i) for i in stages], q)
+        bound = image_matrix(g, p + 1, g.basis.get(p + 1, []))
+        ends = [f.stage_prefix(p + 1, j) for j in stages]
+        for i, row in enumerate(window_ranks(cycles, bound, ends, q), start=1):
+            for j, r in enumerate(row, start=i):
+                table[(p, i, j)] = r
     return table
 
 
-def betti_table_from_barcode(bc: Barcode, p_max: int, num_stages: int) -> dict:
-    """Interval counts over stage windows, in the same shape as the oracle table."""
+def betti_table_from_barcode(bc, p_max: int, num_stages: int) -> dict:
+    """Interval counts over stage windows, in the same shape as the oracle table.
+
+    ``bc`` is a ``Barcode`` or any iterable of (dim, birth, death) triples.
+    """
     table = {
         (p, i, j): 0
         for p in range(p_max + 1)
@@ -227,6 +202,5 @@ def betti_table_from_barcode(bc: Barcode, p_max: int, num_stages: int) -> dict:
         top = num_stages if d == math.inf else min(int(d) - 1, num_stages)
         for i in range(b, num_stages + 1):
             for j in range(i, top + 1):
-                if j >= i:
-                    table[(p, i, j)] += 1
+                table[(p, i, j)] += 1
     return table

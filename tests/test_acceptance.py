@@ -130,8 +130,8 @@ def test_criterion_4_cone_correctness():
             _report(4, False, f"cone homology differs from relative homology on instance {k}")
         lhs = sup_complex(cone_graded(small_g, big_g), 2)
         for p in range(3):
-            r_l = [list(r) for r in lhs.vector_matrix(p).T]
-            r_r = [list(r) for r in cone.vector_matrix(p).T]
+            r_l = [list(r) for r in lhs.vectors[p].T]
+            r_r = [list(r) for r in cone.vectors[p].T]
             k_l, k_r = gf_rank(r_l, q), gf_rank(r_r, q)
             if not (k_l == k_r == gf_rank(r_l + r_r, q)):
                 _report(4, False, f"sup/cone span mismatch at dimension {p} on instance {k}")

@@ -376,7 +376,7 @@ def test_a_new_store_is_checked_and_each_trial_checks_its_heights():
         with pytest.raises(GradedValidationError, match="boundary of boundary"):
             ExtendedInput(bad, ones, ones, 1, 1)
 
-    heights = {l: x.asc_height(l) for p in store.dims() for l in store.basis[p]}
+    heights = {l: x.ascending.height_of(l) for p in store.dims() for l in store.basis[p]}
     for wrong in (0, x.M + 1):
         with pytest.raises(GradedValidationError, match="outside"):
             ExtendedInput(store, {**heights, ("a", "b"): wrong}, heights, x.M, x.N)

@@ -118,10 +118,10 @@ def test_height_is_the_stage_of_the_extreme_edge_weight():
         for p in range(1, 4):
             for path in allowed_paths(g, 3)[p]:
                 ws = [g.weights[(path[k - 1], path[k])] for k in range(1, len(path))]
-                assert x.asc_height(path) == asc.index(max(ws)) + 1
-                assert x.desc_height(path) == desc.index(min(ws)) + 1
+                assert x.ascending.height_of(path) == asc.index(max(ws)) + 1
+                assert x.descending.height_of(path) == desc.index(min(ws)) + 1
         for v in g.vertices:
-            assert x.asc_height((v,)) == 1 and x.desc_height((v,)) == 1
+            assert x.ascending.height_of((v,)) == 1 and x.descending.height_of((v,)) == 1
 
 
 def test_h0_counts_weak_components():
@@ -188,9 +188,9 @@ def test_two_weight_filtration_structure():
     g = WeightedDigraph(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 2.0})
     x, asc, desc = build_pph_input(g, 2)
     assert asc == [1.0, 2.0] and desc == [2.0, 1.0]
-    assert x.asc_height(("a", "b")) == 1 and x.asc_height(("b", "c")) == 2
-    assert x.desc_height(("a", "b")) == 2 and x.desc_height(("b", "c")) == 1
-    assert x.asc_height(("a", "b", "c")) == 2 and x.desc_height(("a", "b", "c")) == 2
+    assert x.ascending.height_of(("a", "b")) == 1 and x.ascending.height_of(("b", "c")) == 2
+    assert x.descending.height_of(("a", "b")) == 2 and x.descending.height_of(("b", "c")) == 1
+    assert x.ascending.height_of(("a", "b", "c")) == 2 and x.descending.height_of(("a", "b", "c")) == 2
 
 
 def test_random_digraph_barcodes_match_the_oracle():

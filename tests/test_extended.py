@@ -21,6 +21,7 @@ from extph import (
     extended_module_oracle,
     homology_dims,
     interval_rank_table,
+    persistent_betti_oracle,
     sup_complex,
     validate_compatible,
 )
@@ -50,7 +51,7 @@ def edge_graded(q=2):
 
 
 def span_rows(slice_, p):
-    return [list(r) for r in slice_.vector_matrix(p).T]
+    return [list(r) for r in slice_.vectors[p].T]
 
 
 def spans_equal(s1, s2, p, q):
@@ -231,6 +232,14 @@ def test_interval_counts_match_module_oracle_on_random_inputs():
             assert interval_rank_table(bc, 2) == extended_module_oracle(x, 2)
 
 
+def test_ascending_block_of_the_module_oracle_is_the_persistent_betti_table():
+    rng = np.random.default_rng(97)
+    for k in range(210):
+        x = random_extended_input(rng, (2, 3, 5)[k % 3])
+        ascending = {key: r for key, r in extended_module_oracle(x, 2).items() if key[2] <= x.M}
+        assert ascending == persistent_betti_oracle(x.ascending, 2)
+
+
 def test_positional_reading_fails_somewhere():
     # deterministic witness: the two dim-0 orders of edge_uv differ
     x = edge_uv_input()
@@ -336,6 +345,24 @@ def test_from_heights_rejects_a_missing_or_non_integer_height(ascending, descend
     assert edge_uv_input().validate().ok
     with pytest.raises(GradedValidationError) as err:
         edge_uv_input(ascending=ascending, descending=descending)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "ascending, descending, message",
+    [
+        ({"u": 1, "v": 2}, None, "ascending: generator 'uv' has no height"),
+        ({"u": 1.5, "v": 2, "uv": 2}, None, "ascending: height 1.5 of generator 'u' is not an integer"),
+        (None, {"v": 1, "u": 2}, "descending: generator 'uv' has no height"),
+    ],
+    ids=["missing", "non_integer", "missing_descending"],
+)
+def test_constructor_rejects_a_missing_or_non_integer_height(ascending, descending, message):
+    # the front ends call the constructor directly, without from_heights' checks
+    ascending = ascending or {"u": 1, "v": 2, "uv": 2}
+    descending = descending or {"v": 1, "u": 2, "uv": 2}
+    with pytest.raises(GradedValidationError) as err:
+        ExtendedInput(edge_graded(), ascending, descending, 2, 2)
     assert str(err.value) == message
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from extph.field import (
-    IncrementalSpan,
     PrimeField,
     SparseColumn,
     SparseMatrix,
@@ -10,6 +9,7 @@ from extph.field import (
     dense_matrix,
     dense_rank,
     dense_solve_many,
+    pivot_columns,
     prefix_ranks,
     reduce,
 )
@@ -74,8 +74,8 @@ def test_plus_scaled_matches_dense():
         a = SparseColumn.from_pairs([(int(r), int(c)) for r, c in rng.integers(0, 8, (4, 2))], f)
         b = SparseColumn.from_pairs([(int(r), int(c)) for r, c in rng.integers(0, 8, (4, 2))], f)
         c = int(rng.integers(0, 5))
-        got = a.plus_scaled(b, c, f).to_dense(8)
-        want = (a.to_dense(8) + c * b.to_dense(8)) % 5
+        got = dense_matrix([a.plus_scaled(b, c, f)], 8, 5)
+        want = (dense_matrix([a], 8, 5) + c * dense_matrix([b], 8, 5)) % 5
         assert (got == want).all()
 
 
@@ -203,8 +203,8 @@ def test_recorded_transition_replays_the_reduction():
 
 def _solve(target: SparseColumn, basis: SparseMatrix):
     """Coefficients of ``target`` over the columns of ``basis``, or None outside their span."""
-    b = target.to_dense(basis.num_rows).reshape(-1, 1)
-    x = dense_solve_many(basis.to_dense(), b, basis.field.q)
+    q, rows = basis.field.q, basis.num_rows
+    x = dense_solve_many(dense_matrix(basis.columns, rows, q), dense_matrix([target], rows, q), q)
     return None if x is None else [int(v) for v in x[:, 0]]
 
 
@@ -270,18 +270,18 @@ def test_dense_solve_round_trip():
     assert ((a @ got[:, 0]) % q == b).all()
 
 
-def test_incremental_span_tracks_rank():
+def test_pivot_columns_track_rank():
+    # a column is a pivot exactly when it grows the rank of the columns before it
     rng = np.random.default_rng(43)
-    q = 3
-    span = IncrementalSpan(6, q)
-    vectors = []
-    for _ in range(10):
-        v = rng.integers(0, q, 6)
-        grew = span.add(v)
-        vectors.append(list(v))
-        assert span.rank == gf_rank(vectors, q)
-        assert span.contains(v)
-        assert grew == (gf_rank(vectors, q) > gf_rank(vectors[:-1], q))
+    for q in (2, 3, 5):
+        for _ in range(20):
+            a = rng.integers(0, q, (6, 10)) * (rng.random((6, 10)) < 0.6)
+            a[:, int(rng.integers(0, 10))] = a[:, int(rng.integers(0, 10))]  # a repeated column
+            vectors = [list(v) for v in a.T]
+            grew = [k for k in range(10) if gf_rank(vectors[: k + 1], q) > gf_rank(vectors[:k], q)]
+            assert pivot_columns(a, q) == grew
+        assert pivot_columns(np.zeros((0, 3), dtype=np.int64), q) == []
+        assert pivot_columns(np.zeros((3, 0), dtype=np.int64), q) == []
 
 
 def test_dense_matrix_matches_entries():

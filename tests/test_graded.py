@@ -39,8 +39,7 @@ def edge_complex(q=2):
 
 
 def span_rows(slice_, p, q):
-    vec = slice_.vector_matrix(p)
-    return [list(r) for r in vec.T]
+    return [list(r) for r in slice_.vectors[p].T]
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +179,9 @@ def test_single_vertex_homology():
 
 def test_homology_rejects_broken_boundaries():
     from extph.graded import ChainComplexSlice
-    from extph.field import SparseColumn, SparseMatrix
 
-    bad = ChainComplexSlice(
-        2,
-        2,
-        {0: 1, 1: 1, 2: 1},
-        {0: [SparseColumn(((0, 1),))], 1: [SparseColumn(((0, 1),))], 2: [SparseColumn(((0, 1),))]},
-        {
-            1: SparseMatrix(1, [SparseColumn(((0, 1),))], 2),
-            2: SparseMatrix(1, [SparseColumn(((0, 1),))], 2),
-        },
-    )
+    one = np.ones((1, 1), dtype=np.int64)
+    bad = ChainComplexSlice(2, {0: one, 1: one, 2: one}, {1: one, 2: one})
     with pytest.raises(GradedValidationError):
         homology_dims(bad, 1)
 
@@ -293,8 +283,9 @@ def test_relative_rejects_non_contained_pairs():
 def test_stage_restriction_takes_prefixes():
     rng = np.random.default_rng(19)
     f = random_filtered(rng, 2, p_max=1, max_per_dim=6, max_stages=4)
+    g = f.graded
     for stage in range(1, f.num_stages + 1):
-        restricted = f.restricted_to_stage(stage)
-        for p in f.graded.dims():
-            want = [l for l in f.graded.basis[p] if f.height_of(l) <= stage]
+        restricted = g.restricted({p: g.basis[p][: f.stage_prefix(p, stage)] for p in g.dims()})
+        for p in g.dims():
+            want = [l for l in g.basis[p] if f.height_of(l) <= stage]
             assert restricted.basis[p] == want

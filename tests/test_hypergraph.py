@@ -96,13 +96,14 @@ def test_simplicial_complex_input_matches_classical_persistence():
     # sublevel stages of a complex closed under faces with monotone values:
     # sup and inf complexes are the stage itself
     for stage in range(1, x.M + 1):
-        restricted = x.ascending.restricted_to_stage(stage)
+        g = x.ascending.graded
+        restricted = g.restricted({p: g.basis[p][: x.ascending.stage_prefix(p, stage)] for p in g.dims()})
         s = sup_complex(restricted, 2)
         i = inf_complex(restricted, 2)
         n_basis = [len(restricted.basis.get(p, [])) for p in range(3)]
         assert [s.dim(p) for p in range(3)] == n_basis == [i.dim(p) for p in range(3)]
     bc = barcode(compute_pairings(build_matrices(x.ascending, 2)), x.ascending)
-    filtered = [(s, x.asc_height(s)) for p in range(3) for s in x.ascending.graded.basis.get(p, [])]
+    filtered = [(s, x.ascending.height_of(s)) for p in range(3) for s in x.ascending.graded.basis.get(p, [])]
     assert bc.as_multiset() == classical_barcode(filtered, 2, 2)
 
 
@@ -173,16 +174,16 @@ def test_oversized_hyperedges_are_ignored():
 
 def _induced_map_ranks(big, keep, p_max, q):
     """Ranks of H_p(small) -> H_p(big): dim(cycles(small)+boundaries(big)) - dim boundaries(big)."""
-    from extph.field import dense_kernel, dense_matrix, dense_rank
+    from extph.field import dense_kernel, dense_rank
+    from extph.graded import image_matrix
 
     small_s = sup_complex(big.restricted(keep), p_max)
     out = []
     for p in range(p_max + 1):
-        rows = big.universe_size(p)
-        vecs = small_s.vector_matrix(p)
+        vecs = small_s.vectors[p]
         if p:
-            vecs = (vecs @ dense_kernel(small_s.boundary_matrix(p).to_dense(), q)) % q
-        bnd = dense_matrix([big.column(l) for l in big.basis.get(p + 1, ())], rows, q)
+            vecs = (vecs @ dense_kernel(small_s.boundary_matrix(p), q)) % q
+        bnd = image_matrix(big, p + 1, big.basis.get(p + 1, ()))
         out.append(dense_rank(np.hstack([vecs, bnd]), q) - dense_rank(bnd, q))
     return out
 

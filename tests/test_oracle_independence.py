@@ -12,7 +12,8 @@ over-approximates what can run:
   function called ``name``, whatever ``obj`` is, so properties count too.
 
 A walk that stays clear of the pivot route therefore proves the oracles
-independent of it.
+independent of it.  The walk also checks that the oracle side is dense end
+to end: it builds no sparse matrix and converts none back to numpy.
 """
 
 import ast
@@ -89,7 +90,19 @@ def test_the_oracles_never_reach_the_pivot_route():
     hits = _pivot_names(reached)
     assert not hits, "; ".join(_route(reached, name) for name in hits)
     # the walk did follow the oracles into the dense helpers and the store
-    assert {"dense_kernel", "prefix_ranks", "dense_solve_many", "GradedSubgroup.column"} <= reached.keys()
+    dense = {"pivot_columns", "dense_kernel", "prefix_ranks", "dense_solve_many", "window_ranks"}
+    assert dense | {"GradedSubgroup.column"} <= reached.keys()
+
+
+def test_the_oracles_are_dense_end_to_end():
+    reached = _walk(ORACLES)
+    hits = sorted(n for n in reached if n == "SparseMatrix.__init__" or n.endswith("to_dense"))
+    assert not hits, "; ".join(_route(reached, name) for name in hits)
+
+
+def test_both_module_oracles_count_windows_with_one_kernel():
+    for oracle in ("persistent_betti_oracle", "extended_module_oracle"):
+        assert {"window_ranks", "stage_cycles", "pivot_columns"} <= _walk([oracle]).keys(), oracle
 
 
 def test_the_walk_finds_the_pivot_route_from_the_barcode():
