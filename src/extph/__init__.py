@@ -53,7 +53,6 @@ from .extended import (
     ExtendedInterval,
     build_extended_filtration,
     cone_graded,
-    cone_matrices,
     extended_barcode,
     extended_module_oracle,
     interval_rank_table,

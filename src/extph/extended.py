@@ -12,12 +12,12 @@ supremum complexes (the constructions commute), and the homology of the
 cone of an inclusion is the homology of the quotient.  Concretely one
 reduces a single M+N stage filtration on the cone.  Its dimension-p basis
 is the base block, the ascending basis of dimension p, followed by the
-cone block, the descending basis of dimension p-1.  Its boundary matrices
-are assembled from the two plain boundary matrices: a base column is the
-ascending boundary column, and the cone column of a descending generator
-u is a 1 at u's ascending row plus u's negated descending boundary,
-shifted below the base rows.  The ordinary pairing algorithm runs on
-these matrices, and each pair is typed by the blocks it joins:
+cone block, the descending basis of dimension p-1.  ``ExtendedInput.layout``
+gives ``build_matrices`` these rows and the columns: a base column is the
+ascending boundary, and the cone column of a descending generator u is a
+1 at u's base row plus u's negated boundary.  The ordinary pairing
+algorithm runs on these matrices, and each pair is typed by the blocks
+it joins:
 
 * base row / base column  -> ordinary interval on the ascending stages,
 * cone row / cone column  -> relative interval on the descending stages,
@@ -27,21 +27,20 @@ A base column never pivots on a cone row, and because the module ends at
 zero no generator survives unpaired; either situation raises
 ConsistencyError.  ``build_extended_filtration`` builds the same cone as a
 labelled filtration through ``cone_graded``.  The pipeline never calls it:
-it is the reference the block assembly is tested against, and the
-benchmark's tracer wraps it.  ``extended_module_oracle`` recomputes every
+it is the reference the layout is tested against, and the benchmark's
+tracer wraps it.  ``extended_module_oracle`` recomputes every
 composite rank of the module from the stage subgroups by dense elimination
 mod q, with no cones and no pivots: the denominators are nested, so one
 elimination per source stage gives all of its ranks.  It is the ground
 truth for the barcode.
 """
 
-from numbers import Integral
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, GradedValidationError
-from .field import SparseColumn, SparseMatrix, dense_kernel
+from .field import dense_kernel
 from .graded import (
     FilteredGradedSubgroup,
     GradedSubgroup,
@@ -51,7 +50,7 @@ from .graded import (
     unit_matrix,
     window_ranks,
 )
-from .persistence import BoundaryMatrices, betti_table_from_barcode, build_matrices, compute_pairings
+from .persistence import betti_table_from_barcode, build_matrices, compute_pairings
 
 __all__ = [
     "BASE",
@@ -65,7 +64,6 @@ __all__ = [
     "ExtendedBarcode",
     "cone_graded",
     "build_extended_filtration",
-    "cone_matrices",
     "extended_barcode",
     "extended_module_oracle",
     "interval_rank_table",
@@ -106,8 +104,8 @@ def _sorted_by(graded: GradedSubgroup, heights, num_stages: int, side: str) -> F
 class ExtendedInput:
     """Ascending and descending filtrations of one graded subgroup.
 
-    ``graded`` is the one generator store: universe, boundaries and column
-    cache.  ``ascending`` and ``descending`` are views of it that differ
+    ``graded`` is the one generator store: universe and boundaries.
+    ``ascending`` and ``descending`` are views of it that differ
     only in basis order, the store's basis sorted stably by each side's
     heights, which makes each a compatible order.  Ascending heights live
     in [1, M], descending ones in [1, N]; both tops are the full basis, as
@@ -134,6 +132,31 @@ class ExtendedInput:
         problems += [f"descending: {m}" for m in self.descending.height_problems()]
         return ValidationReport(problems)
 
+    def layout(self, p: int):
+        """Rows and columns of cone matrix p, for ``build_matrices``.
+
+        The rows are the base block, the ascending basis of dimension p,
+        then the cone block, the descending basis of dimension p-1; one row
+        map may hold labels of both dimensions because a store never lists
+        a label in two dimensions (a face listed in the wrong dimension is
+        left to ``validate``).  The columns are the ascending
+        dimension-(p+1) generators with their boundaries, then for each
+        descending dimension-p generator u the faces {u: 1} and u's negated
+        boundary.  Both tops are the full basis, so u always has a base row.
+        """
+        g, q = self.graded, self.graded.q
+        up, down = self.ascending.graded.basis, self.descending.graded.basis
+
+        def columns():
+            for label in up.get(p + 1, ()):
+                yield label, g.boundary_dict(label)
+            for u in down.get(p, ()):
+                faces = {u: 1}
+                faces.update((f, (-c) % q) for f, c in g.boundary_dict(u).items())
+                yield u, faces
+
+        return up.get(p, []) + down.get(p - 1, []), columns()
+
     @classmethod
     def from_heights(
         cls,
@@ -153,14 +176,6 @@ class ExtendedInput:
         side sorts it stably by its own heights to obtain a compatible
         order.  Every basis generator needs an integer height on each side.
         """
-        labels = [label for dim_labels in basis.values() for label in dim_labels]
-        for side, heights in (("ascending", ascending_heights), ("descending", descending_heights)):
-            for label in labels:
-                h = heights.get(label, 0)  # the constructor reports a missing height
-                if not isinstance(h, Integral):
-                    raise GradedValidationError(
-                        f"{side}: height {h!r} of generator {label!r} is not an integer"
-                    )
         graded = GradedSubgroup(basis, extension, boundary, q=q)
         return cls(graded, ascending_heights, descending_heights, num_ascending, num_descending, check)
 
@@ -208,11 +223,6 @@ class ExtendedBarcode:
             else:
                 out.append((iv.dim, iv.birth, M + iv.death))
         return out
-
-    def as_multiset(self):
-        from collections import Counter
-
-        return Counter(self.intervals)
 
     def __iter__(self):
         return iter(self.intervals)
@@ -284,7 +294,7 @@ def cone_graded(small: GradedSubgroup, big: GradedSubgroup, max_dim=None) -> Gra
 
 
 def build_extended_filtration(x: ExtendedInput, p_max: int) -> FilteredGradedSubgroup:
-    """The M + N stage filtration on the labelled cone, the reference for ``cone_matrices``.
+    """The M + N stage filtration on the labelled cone, the reference for ``ExtendedInput.layout``.
 
     It is ``cone_graded`` of the descending subgroup inside the ascending
     one, up to cone dimension p_max + 1: base copies of the ascending basis
@@ -297,38 +307,6 @@ def build_extended_filtration(x: ExtendedInput, p_max: int) -> FilteredGradedSub
         p: asc.heights.get(p, []) + [x.M + h for h in desc.heights.get(p - 1, [])] for p in cone.dims()
     }
     return FilteredGradedSubgroup(cone, heights, x.M + x.N)
-
-
-def cone_matrices(x: ExtendedInput, p_max: int) -> BoundaryMatrices:
-    """Boundary matrices of the cone filtration, assembled from the two plain ones.
-
-    Cone dimension p has a_p base rows (the ascending basis), then d_p cone
-    rows (the descending basis of dimension p-1), then the extension rows
-    of the base block and those of the cone block.  A base column is the
-    ascending boundary column; the cone column of a dimension-p descending
-    generator u is a 1 at u's ascending row plus u's negated descending
-    boundary column, shifted below the base rows.  The basis pivots do not
-    depend on the order of the extension rows, so this gives the pairing of
-    ``build_matrices(build_extended_filtration(x, p_max), p_max)``.
-    """
-    asc, desc = x.ascending, x.descending
-    field = asc.field
-    up = build_matrices(asc, p_max)
-    down = build_matrices(desc, p_max - 1)
-    d = (0,) + down.basis_counts
-    mats = []
-    for p in range(p_max + 1):
-        a_p, d_p, base = up.basis_counts[p], d[p], up.mats[p]
-        ext_a = base.num_rows - a_p
-        cols = [SparseColumn([(r if r < a_p else r + d_p, c) for r, c in col.entries]) for col in base.columns]
-        asc_row = {label: i for i, label in enumerate(asc.graded.basis.get(p, ()))}
-        cone_labels = desc.graded.basis.get(p, ())
-        cone = down.mats[p - 1] if p else SparseMatrix(0, [SparseColumn()] * len(cone_labels), field)
-        for label, col in zip(cone_labels, cone.columns):
-            entries = [(a_p + r if r < d_p else r + a_p + ext_a, field.neg(c)) for r, c in col.entries]
-            cols.append(SparseColumn([(asc_row[label], 1)] + entries))
-        mats.append(SparseMatrix(base.num_rows + cone.num_rows, cols, field))
-    return BoundaryMatrices(tuple(mats), tuple(a_p + d_p for a_p, d_p in zip(up.basis_counts, d)))
 
 
 def extended_barcode(
@@ -353,7 +331,7 @@ def extended_barcode(
     """
     if case_iii_reading not in ("corresponding", "positional"):
         raise ValueError(f"unknown case_iii_reading {case_iii_reading!r}")
-    pairings = compute_pairings(cone_matrices(x, p_max), clearing=clearing)
+    pairings = compute_pairings(build_matrices(x, p_max), clearing=clearing)
     asc, desc = x.ascending.graded.basis, x.descending.graded.basis
     ah, dh = x.ascending.heights, x.descending.heights
 

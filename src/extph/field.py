@@ -28,7 +28,6 @@ __all__ = [
     "SparseMatrix",
     "as_field",
     "reduce",
-    "dense_matrix",
     "dense_rank",
     "prefix_ranks",
     "dense_kernel",
@@ -69,12 +68,6 @@ class PrimeField:
 
     def normalize(self, a: int) -> int:
         return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
 
     def neg(self, a: int) -> int:
         return (-a) % self.q
@@ -247,14 +240,6 @@ def reduce(matrix: SparseMatrix, skip_columns=()):
 # ---------------------------------------------------------------------------
 # dense mod-q helpers (oracle side)
 # ---------------------------------------------------------------------------
-
-
-def dense_matrix(columns, num_rows: int, q: int) -> np.ndarray:
-    a = np.zeros((num_rows, len(columns)), dtype=np.int64)
-    for j, col in enumerate(columns):
-        for r, c in col.entries:
-            a[r, j] = c
-    return a % q
 
 
 def _row_echelon(a: np.ndarray, q: int):

@@ -12,23 +12,23 @@ arithmetic on the dense ``ChainComplexSlice`` that ``sup_complex`` builds.
 
 The module oracles count window ranks dim(Z_u + B_v) - dim(B_v) of a
 persistence module with ``stage_cycles`` and ``window_ranks``.  This side
-is numpy int64 matrices mod q throughout: it reads the generator store
-only through ``GradedSubgroup.column`` and takes every rank from
-``pivot_columns``, never from the sparse pivot reduction of the pairing
-algorithms, so the two code paths stay independent.
+is numpy int64 matrices mod q throughout: ``unit_matrix`` and
+``image_matrix`` fill them straight from the store's universe rows and
+``GradedSubgroup.boundary_dict``, and every rank comes from
+``pivot_columns``, never from the sparse columns and pivot reduction of
+the pairing algorithms, so the two code paths stay independent.
 """
 
 from bisect import bisect_right
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GradedValidationError
 from .field import (
-    SparseColumn,
     as_field,
     dense_kernel,
-    dense_matrix,
     dense_rank,
     dense_solve_many,
     pivot_columns,
@@ -91,9 +91,9 @@ class GradedSubgroup:
 
     ``boundary`` maps a generator label to a dict ``{face_label: coeff}``
     describing its boundary one dimension down; omitted labels have zero
-    boundary (dimension-0 generators always do).  Row order for stored
-    columns is the *universe* order, which defaults to basis followed by
-    extension.
+    boundary (dimension-0 generators always do).  The *universe* order,
+    which defaults to basis followed by extension, gives each generator
+    its row in the oracles' dense matrices.
     """
 
     def __init__(self, basis, extension=None, boundary=None, q=2, universe=None):
@@ -128,7 +128,6 @@ class GradedSubgroup:
             label: {face: r for face, c in faces.items() if (r := c % q)}
             for label, faces in (boundary or {}).items()
         }
-        self._cols: dict = {}
         self._problems = None  # the memoised report of validate()
 
     def with_basis(self, basis) -> "GradedSubgroup":
@@ -136,8 +135,7 @@ class GradedSubgroup:
 
         ``basis[p]`` lists some of this subgroup's dimension-p basis
         generators in any order; the rest of the universe becomes
-        extension, in universe order.  Columns computed by either object
-        are cached for both.
+        extension, in universe order.
         """
         out = object.__new__(GradedSubgroup)
         out.__dict__.update(self.__dict__)
@@ -181,32 +179,6 @@ class GradedSubgroup:
     def boundary_dict(self, label) -> dict:
         """Boundary of a generator as {face: nonzero coeff mod q}; shared, do not mutate."""
         return self._faces.get(label, {})
-
-    def column(self, label) -> SparseColumn:
-        """Boundary of a listed generator as a column over the universe one dimension down."""
-        col = self._cols.get(label)
-        if col is None:
-            p = self._dim_of[label]
-            faces = self._faces.get(label, {})
-            if p == 0:
-                if faces:
-                    raise GradedValidationError(
-                        f"dimension-0 generator {label!r} was given a nonzero boundary"
-                    )
-                col = SparseColumn()
-            else:
-                row = self._row[p - 1]
-                pairs = []
-                for face, coeff in faces.items():
-                    r = row.get(face)
-                    if r is None:
-                        raise GradedValidationError(
-                            f"boundary of {label!r} references unlisted generator {face!r}"
-                        )
-                    pairs.append((r, coeff))
-                col = SparseColumn.from_pairs(pairs, self.field)
-            self._cols[label] = col
-        return col
 
     # -- derived objects ----------------------------------------------------
 
@@ -279,18 +251,16 @@ class FilteredGradedSubgroup:
     def __init__(self, graded: GradedSubgroup, heights, num_stages: int):
         self.graded = graded
         self.num_stages = int(num_stages)
-        self.heights = {p: [int(h) for h in heights.get(p, ())] for p in graded.dims()}
-        self._height_of = {}
+        self.heights, self._height_of = {}, {}
         for p in graded.dims():
-            labels = graded.basis[p]
-            if len(self.heights[p]) != len(labels):
-                raise ValueError(
-                    f"dimension {p}: {len(self.heights[p])} heights for {len(labels)} basis generators"
-                )
-            for label, h, given in zip(labels, self.heights[p], heights.get(p, ())):
-                if h != given:
-                    raise GradedValidationError(f"height {given!r} of generator {label!r} is not an integer")
-                self._height_of[label] = h
+            labels, given = graded.basis[p], heights.get(p, ())
+            if len(given) != len(labels):
+                raise ValueError(f"dimension {p}: {len(given)} heights for {len(labels)} basis generators")
+            for label, h in zip(labels, given):
+                if not isinstance(h, Integral):
+                    raise GradedValidationError(f"height {h!r} of generator {label!r} is not an integer")
+            self.heights[p] = [int(h) for h in given]
+            self._height_of.update(zip(labels, self.heights[p]))
 
     @property
     def field(self):
@@ -306,6 +276,15 @@ class FilteredGradedSubgroup:
     def stage_prefix(self, p: int, stage: int) -> int:
         """Number of dimension-p basis generators present at a stage."""
         return bisect_right(self.heights.get(p, []), stage)
+
+    def layout(self, p: int):
+        """Rows and columns of boundary matrix p, for ``build_matrices``.
+
+        The rows are the dimension-p basis; the columns are the
+        dimension-(p+1) basis generators with their boundaries.
+        """
+        g = self.graded
+        return g.basis.get(p, []), ((label, g.boundary_dict(label)) for label in g.basis.get(p + 1, ()))
 
     def height_problems(self) -> list:
         """Heights outside [1, num_stages] or decreasing along a basis order."""
@@ -369,7 +348,15 @@ def unit_matrix(graded: GradedSubgroup, p: int, labels) -> np.ndarray:
 
 def image_matrix(graded: GradedSubgroup, p: int, labels) -> np.ndarray:
     """Boundaries of the dimension-p ``labels`` as columns over the dimension-(p-1) universe."""
-    return dense_matrix([graded.column(l) for l in labels], graded.universe_size(p - 1), graded.q)
+    out = np.zeros((graded.universe_size(p - 1), len(labels)), dtype=np.int64)
+    for k, label in enumerate(labels):
+        for face, c in graded.boundary_dict(label).items():
+            if p == 0:
+                raise GradedValidationError(f"dimension-0 generator {label!r} was given a nonzero boundary")
+            if not graded.is_listed(p - 1, face):
+                raise GradedValidationError(f"boundary of {label!r} references unlisted generator {face!r}")
+            out[graded.row_of(p - 1, face), k] = c
+    return out
 
 
 def sup_complex(graded: GradedSubgroup, p_max: int) -> ChainComplexSlice:
@@ -382,7 +369,8 @@ def sup_complex(graded: GradedSubgroup, p_max: int) -> ChainComplexSlice:
     the span of what precedes them.
     """
     q = graded.q
-    images = {p: image_matrix(graded, p, graded.basis.get(p, [])) for p in range(1, p_max + 2)}
+    # images[0] has no rows; building it rejects a boundary on a dimension-0 generator
+    images = {p: image_matrix(graded, p, graded.basis.get(p, [])) for p in range(p_max + 2)}
     vectors, boundaries = {}, {}
     for p in range(p_max + 2):
         both = unit_matrix(graded, p, graded.basis.get(p, []))

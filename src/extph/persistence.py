@@ -58,14 +58,6 @@ class Barcode:
     def __init__(self, intervals=()):
         self.intervals = tuple(sorted(intervals))
 
-    def in_dim(self, p: int):
-        return tuple((b, d) for dim, b, d in self.intervals if dim == p)
-
-    def as_multiset(self):
-        from collections import Counter
-
-        return Counter(self.intervals)
-
     def __iter__(self):
         return iter(self.intervals)
 
@@ -93,19 +85,28 @@ class BoundaryMatrices:
     basis_counts: tuple
 
 
-def build_matrices(f: FilteredGradedSubgroup, p_max: int) -> BoundaryMatrices:
+def build_matrices(f, p_max: int) -> BoundaryMatrices:
+    """Boundary matrices 0..p_max of a filtration, read from ``f.layout(p)``.
+
+    ``f`` is a ``FilteredGradedSubgroup`` or an ``ExtendedInput``, whose
+    layout is the cone.  ``f.layout(p)`` gives the basis rows of matrix p in
+    compatible order, and its columns as (generator, {face: coeff}) pairs.
+    A face outside the basis rows becomes an extension row, in the order
+    the faces first appear; it must be listed one dimension below the
+    column's generator.
+    """
     g = f.graded
-    mats = []
-    basis_counts = [g.n_basis(p) for p in range(p_max + 2)]
+    mats, basis_counts = [], []
     for p in range(p_max + 1):
-        row = {label: i for i, label in enumerate(g.basis.get(p, ()))}
+        rows, columns = f.layout(p)
+        row = {label: i for i, label in enumerate(rows)}
         cols = []
-        for label in g.basis.get(p + 1, ()):
+        for label, faces in columns:
             entries = []
-            for face, c in g.boundary_dict(label).items():
+            for face, c in faces.items():
                 i = row.get(face)
                 if i is None:
-                    if not g.is_listed(p, face):
+                    if not g.is_listed(g.dim_of(label) - 1, face):
                         raise GradedValidationError(
                             f"boundary of {label!r} references unlisted generator {face!r}"
                         )
@@ -113,6 +114,8 @@ def build_matrices(f: FilteredGradedSubgroup, p_max: int) -> BoundaryMatrices:
                 entries.append((i, c))
             cols.append(SparseColumn(sorted(entries)))
         mats.append(SparseMatrix(len(row), cols, g.field))
+        basis_counts.append(len(rows))
+    basis_counts.append(len(cols))  # the columns of the last matrix are the next basis
     return BoundaryMatrices(tuple(mats), tuple(basis_counts))
 
 

@@ -16,7 +16,6 @@ from extph import (
     build_matrices,
     compute_pairings,
     cone_graded,
-    cone_matrices,
     extended_barcode,
     extended_module_oracle,
     homology_dims,
@@ -291,7 +290,10 @@ def test_both_filtrations_share_one_generator_store():
         assert sorted(a.basis[p]) == sorted(d.basis[p]) == sorted(x.graded.basis[p])
         assert a.extension[p] == d.extension[p] == x.graded.extension[p]
         for label in x.graded.universe[p]:
-            assert a.column(label) is d.column(label)  # one column cache
+            faces = x.graded.boundary_dict(label)
+            assert a.boundary_dict(label) == d.boundary_dict(label) == faces
+            if faces:
+                assert a.boundary_dict(label) is d.boundary_dict(label) is faces  # one boundary store
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +356,12 @@ def test_from_heights_rejects_a_missing_or_non_integer_height(ascending, descend
         ({"u": 1, "v": 2}, None, "ascending: generator 'uv' has no height"),
         ({"u": 1.5, "v": 2, "uv": 2}, None, "ascending: height 1.5 of generator 'u' is not an integer"),
         (None, {"v": 1, "u": 2}, "descending: generator 'uv' has no height"),
+        (None, {"v": 1, "u": 2, "uv": 2.0}, "descending: height 2.0 of generator 'uv' is not an integer"),
     ],
-    ids=["missing", "non_integer", "missing_descending"],
+    ids=["missing", "non_integer", "missing_descending", "float_descending"],
 )
 def test_constructor_rejects_a_missing_or_non_integer_height(ascending, descending, message):
-    # the front ends call the constructor directly, without from_heights' checks
+    # the front ends call the constructor directly; from_heights goes through it too
     ascending = ascending or {"u": 1, "v": 2, "uv": 2}
     descending = descending or {"v": 1, "u": 2, "uv": 2}
     with pytest.raises(GradedValidationError) as err:
@@ -380,13 +383,13 @@ def test_unchecked_input_with_an_unlisted_face_fails_cleanly():
 # ---------------------------------------------------------------------------
 
 
-def test_block_assembled_cone_matches_the_labelled_reference():
+def test_cone_layout_matches_the_labelled_reference():
     rng = np.random.default_rng(109)
     inputs = [edge_uv_input(2), edge_uv_input(3)]
     inputs += [random_extended_input(rng, q, p_max=3, max_per_dim=5) for q in (2, 3) for _ in range(20)]
     for x in inputs:
         for p_max in (1, 2, 3):
-            got = cone_matrices(x, p_max)
+            got = build_matrices(x, p_max)
             want = build_matrices(build_extended_filtration(x, p_max), p_max)
             assert got.basis_counts == want.basis_counts
             for m, g, w in zip(got.basis_counts, got.mats, want.mats):

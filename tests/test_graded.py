@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from extph import (
     GradedSubgroup,
     GradedValidationError,
     homology_dims,
+    persistent_betti_oracle,
     sup_complex,
     validate_compatible,
 )
@@ -184,6 +187,28 @@ def test_homology_rejects_broken_boundaries():
     bad = ChainComplexSlice(2, {0: one, 1: one, 2: one}, {1: one, 2: one})
     with pytest.raises(GradedValidationError):
         homology_dims(bad, 1)
+
+
+@pytest.mark.parametrize(
+    "boundary, message",
+    [
+        ({"uv": {"v": 1, "w": -1}}, "boundary of 'uv' references unlisted generator 'w'"),
+        ({"uv": {"v": 1, "u": -1}, "u": {"v": 1}}, "dimension-0 generator 'u' was given a nonzero boundary"),
+    ],
+    ids=["unlisted_face", "dimension_0_boundary"],
+)
+def test_oracles_reject_an_unvalidated_store(boundary, message):
+    # nothing validates this store, so the oracles' own reading of it must catch the fault
+    g = GradedSubgroup({0: ["u", "v"], 1: ["uv"]}, {}, boundary, q=3)
+    f = FilteredGradedSubgroup(g, {0: [1, 1], 1: [1]}, 1)
+    runs = [
+        lambda: sup_complex(g, 1),
+        lambda: homology_dims(sup_complex(g, 1), 1),
+        lambda: persistent_betti_oracle(f, 1),
+    ]
+    for run in runs:
+        with pytest.raises(GradedValidationError, match=re.escape(message)):
+            run()
 
 
 def test_sup_inf_equal_homology_on_random_subgroups():

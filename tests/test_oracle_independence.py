@@ -13,7 +13,7 @@ over-approximates what can run:
 
 A walk that stays clear of the pivot route therefore proves the oracles
 independent of it.  The walk also checks that the oracle side is dense end
-to end: it builds no sparse matrix and converts none back to numpy.
+to end: it reaches no sparse column or matrix and converts none to numpy.
 """
 
 import ast
@@ -23,7 +23,7 @@ from pathlib import Path
 import extph
 
 ORACLES = ("homology_dims", "sup_complex", "persistent_betti_oracle", "extended_module_oracle")
-PIVOT_ROUTE = {"reduce", "compute_pairings", "build_matrices", "cone_matrices", "plus_scaled"}
+PIVOT_ROUTE = {"reduce", "compute_pairings", "build_matrices", "plus_scaled"}
 
 
 def _definitions(package_dir):
@@ -91,12 +91,15 @@ def test_the_oracles_never_reach_the_pivot_route():
     assert not hits, "; ".join(_route(reached, name) for name in hits)
     # the walk did follow the oracles into the dense helpers and the store
     dense = {"pivot_columns", "dense_kernel", "prefix_ranks", "dense_solve_many", "window_ranks"}
-    assert dense | {"GradedSubgroup.column"} <= reached.keys()
+    assert dense | {"GradedSubgroup.boundary_dict"} <= reached.keys()
 
 
 def test_the_oracles_are_dense_end_to_end():
     reached = _walk(ORACLES)
     hits = sorted(n for n in reached if n == "SparseMatrix.__init__" or n.endswith("to_dense"))
+    assert not hits, "; ".join(_route(reached, name) for name in hits)
+    # they read the store straight into numpy, never through a sparse column or matrix
+    hits = sorted(n for n in reached if n.startswith(("SparseColumn.", "SparseMatrix.")))
     assert not hits, "; ".join(_route(reached, name) for name in hits)
 
 
@@ -108,3 +111,4 @@ def test_both_module_oracles_count_windows_with_one_kernel():
 def test_the_walk_finds_the_pivot_route_from_the_barcode():
     reached = _walk(["extended_barcode"])
     assert {name.rsplit(".", 1)[-1] for name in _pivot_names(reached)} == PIVOT_ROUTE
+    assert "ExtendedInput.layout" in reached  # the cone is a layout of build_matrices
