@@ -65,10 +65,8 @@ from .graded import (
     FilteredGradedSubgroup,
     GeneratorId,
     GradedSubgroup,
-    ValidationReport,
     homology_dims,
     sup_complex,
-    validate_compatible,
 )
 from .hypergraph import (
     FilteredHypergraph,

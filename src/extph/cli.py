@@ -73,6 +73,8 @@ def _emit(text: str, out_path) -> None:
 def _validate_config(args) -> None:
     if args.pmax < 0:
         raise InputFormatError(0, "--pmax must be nonnegative")
+    if args.seed < 0:
+        raise InputFormatError(0, "--seed must be nonnegative")
     delta = getattr(args, "delta", None)
     if delta is not None and not (delta >= 0 and math.isfinite(2 * delta)):
         raise InputFormatError(0, "--delta must be nonnegative, with 2 * delta finite")

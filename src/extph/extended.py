@@ -1,8 +1,8 @@
 """Extended persistence of graded-subgroup filtrations via mapping cones.
 
 Given an ascending filtration D^1 ⊆ ... ⊆ D^M and a descending one
-E^1 ⊆ ... ⊆ E^N of graded subgroups whose tops span the same space, the
-extended module runs
+E^1 ⊆ ... ⊆ E^N of graded subgroups whose tops span the same space, here
+two height maps on one generator store, the extended module runs
 
     H_p(D^1) -> ... -> H_p(D^M) -> H_p(D^M, E^1) -> ... -> H_p(D^M, E^N) = 0.
 
@@ -44,7 +44,6 @@ from .field import dense_kernel
 from .graded import (
     FilteredGradedSubgroup,
     GradedSubgroup,
-    ValidationReport,
     image_matrix,
     stage_cycles,
     unit_matrix,
@@ -89,14 +88,9 @@ class ConeGenerator(NamedTuple):
     dim: int
 
 
-def _sorted_by(graded: GradedSubgroup, heights, num_stages: int, side: str) -> FilteredGradedSubgroup:
+def _side(graded: GradedSubgroup, heights, num_stages: int, side: str) -> FilteredGradedSubgroup:
     try:
-        basis = {p: sorted(graded.basis[p], key=lambda label: heights[label]) for p in graded.dims()}
-    except KeyError as missing:
-        raise GradedValidationError(f"{side}: generator {missing.args[0]!r} has no height") from None
-    stages = {p: [heights[label] for label in labels] for p, labels in basis.items()}
-    try:
-        return FilteredGradedSubgroup(graded.with_basis(basis), stages, num_stages)
+        return FilteredGradedSubgroup(graded, heights, num_stages)
     except GradedValidationError as bad:
         raise GradedValidationError(f"{side}: {bad}") from None
 
@@ -104,33 +98,25 @@ def _sorted_by(graded: GradedSubgroup, heights, num_stages: int, side: str) -> F
 class ExtendedInput:
     """Ascending and descending filtrations of one graded subgroup.
 
-    ``graded`` is the one generator store: universe and boundaries.
-    ``ascending`` and ``descending`` are views of it that differ
-    only in basis order, the store's basis sorted stably by each side's
-    heights, which makes each a compatible order.  Ascending heights live
-    in [1, M], descending ones in [1, N]; both tops are the full basis, as
-    the definition of extended persistence requires.
+    ``graded`` is the one generator store: basis, universe and boundaries.
+    ``ascending`` and ``descending`` are filtrations of that same store,
+    which differ only in their height maps and hence in their compatible
+    basis orders.  Ascending heights live in [1, M], descending ones in
+    [1, N]; both tops are the full basis, as the definition of extended
+    persistence requires.
     """
 
-    def __init__(
-        self, graded, ascending_heights, descending_heights, num_ascending, num_descending, check=True
-    ):
+    def __init__(self, graded, ascending_heights, descending_heights, num_ascending, num_descending):
         self.graded = graded
-        self.ascending = _sorted_by(graded, ascending_heights, num_ascending, "ascending")
-        self.descending = _sorted_by(graded, descending_heights, num_descending, "descending")
+        self.validate()
+        self.ascending = _side(graded, ascending_heights, num_ascending, "ascending")
+        self.descending = _side(graded, descending_heights, num_descending, "descending")
         self.M = self.ascending.num_stages
         self.N = self.descending.num_stages
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise GradedValidationError(str(report))
 
-    def validate(self) -> ValidationReport:
-        """Closure and d∘d = 0 of the store, once; each side's heights in range."""
-        problems = list(self.graded.validate().problems)
-        problems += [f"ascending: {m}" for m in self.ascending.height_problems()]
-        problems += [f"descending: {m}" for m in self.descending.height_problems()]
-        return ValidationReport(problems)
+    def validate(self) -> None:
+        """Closure and d∘d = 0 of the store, checked once per store; raises GradedValidationError."""
+        self.graded.validate()
 
     def layout(self, p: int):
         """Rows and columns of cone matrix p, for ``build_matrices``.
@@ -145,7 +131,7 @@ class ExtendedInput:
         boundary.  Both tops are the full basis, so u always has a base row.
         """
         g, q = self.graded, self.graded.q
-        up, down = self.ascending.graded.basis, self.descending.graded.basis
+        up, down = self.ascending.basis, self.descending.basis
 
         def columns():
             for label in up.get(p + 1, ()):
@@ -168,7 +154,6 @@ class ExtendedInput:
         num_ascending: int,
         num_descending: int,
         q: int = 2,
-        check: bool = True,
     ) -> "ExtendedInput":
         """Build both filtrations from one generator listing and two height maps.
 
@@ -177,7 +162,7 @@ class ExtendedInput:
         order.  Every basis generator needs an integer height on each side.
         """
         graded = GradedSubgroup(basis, extension, boundary, q=q)
-        return cls(graded, ascending_heights, descending_heights, num_ascending, num_descending, check)
+        return cls(graded, ascending_heights, descending_heights, num_ascending, num_descending)
 
 
 class ExtendedInterval(NamedTuple):
@@ -247,64 +232,59 @@ class ExtendedBarcode:
 # ---------------------------------------------------------------------------
 
 
-def cone_graded(small: GradedSubgroup, big: GradedSubgroup, max_dim=None) -> GradedSubgroup:
-    """Cone of the inclusion small ⊆ big, as a graded subgroup of the ambient cone.
+def cone_graded(graded: GradedSubgroup, small, big, max_dim=None) -> GradedSubgroup:
+    """Cone of the inclusion small ⊆ big of subgroups of one store, as a graded subgroup.
 
-    Both subgroups must share the ambient listing (same universe, same
-    boundaries) and small's basis must be a subset of big's per dimension.
-    Cone dimension p lists the base copies of the full dimension-p universe
-    followed by the cone copies of the dimension-(p-1) universe, the row
-    layout of the mapping cone of the two supremum complexes.  Cone
-    dimensions above ``max_dim``, when given, are left out.
+    ``small`` and ``big`` list per dimension some of the store's basis
+    generators, small's inside big's.  Cone dimension p lists the base
+    copies of the full dimension-p universe followed by the cone copies of
+    the dimension-(p-1) universe, the row layout of the mapping cone of the
+    two supremum complexes; its basis is the base copies of big's
+    dimension-p generators and the cone copies of small's dimension-(p-1)
+    ones.  Cone dimensions above ``max_dim``, when given, are left out.
     """
-    if small.field != big.field:
-        raise GradedValidationError("graded subgroups live over different fields")
-    q = big.q
-    top = big.max_dim
-    for p in range(top + 1):
-        if small.universe.get(p, []) != big.universe.get(p, []):
-            raise GradedValidationError(f"dimension {p}: the two subgroups list different universes")
-        if not small.basis_set(p) <= big.basis_set(p):
-            raise GradedValidationError(f"dimension {p}: small basis is not contained in big basis")
-        for label in big.universe.get(p, ()):
-            if small.boundary_dict(label) != big.boundary_dict(label):
-                raise GradedValidationError(f"boundaries of {label!r} disagree between the subgroups")
+    q = graded.q
+    for p in graded.dims():
+        if not set(small.get(p, ())) <= set(big.get(p, ())) <= set(graded.basis[p]):
+            raise GradedValidationError(f"dimension {p}: small ⊆ big ⊆ the basis does not hold")
 
     basis, extension, universe, boundary = {}, {}, {}, {}
-    for p in range(top + 2 if max_dim is None else max_dim + 1):
-        base_univ = [ConeGenerator(BASE, u, p) for u in big.universe.get(p, ())]
-        cone_univ = [ConeGenerator(CONE, u, p) for u in big.universe.get(p - 1, ())]
+    for p in range(graded.max_dim + 2 if max_dim is None else max_dim + 1):
+        base_univ = [ConeGenerator(BASE, u, p) for u in graded.universe.get(p, ())]
+        cone_univ = [ConeGenerator(CONE, u, p) for u in graded.universe.get(p - 1, ())]
         universe[p] = base_univ + cone_univ
-        b = [ConeGenerator(BASE, u, p) for u in big.basis.get(p, ())]
-        b += [ConeGenerator(CONE, u, p) for u in small.basis.get(p - 1, ())]
+        b = [ConeGenerator(BASE, u, p) for u in big.get(p, ())]
+        b += [ConeGenerator(CONE, u, p) for u in small.get(p - 1, ())]
         basis[p] = b
         in_basis = frozenset(b)
         extension[p] = [cg for cg in universe[p] if cg not in in_basis]
-        for u in big.universe.get(p, ()):
+        for u in graded.universe.get(p, ()):
             if p >= 1:
                 boundary[ConeGenerator(BASE, u, p)] = {
-                    ConeGenerator(BASE, f, p - 1): c for f, c in big.boundary_dict(u).items()
+                    ConeGenerator(BASE, f, p - 1): c for f, c in graded.boundary_dict(u).items()
                 }
-        for u in big.universe.get(p - 1, ()):
+        for u in graded.universe.get(p - 1, ()):
             faces: dict = {ConeGenerator(BASE, u, p - 1): 1}
-            for f, c in big.boundary_dict(u).items():
+            for f, c in graded.boundary_dict(u).items():
                 faces[ConeGenerator(CONE, f, p - 1)] = (-c) % q
             boundary[ConeGenerator(CONE, u, p)] = faces
-    return GradedSubgroup(basis, extension, boundary, q=big.field, universe=universe)
+    return GradedSubgroup(basis, extension, boundary, q=graded.field, universe=universe)
 
 
 def build_extended_filtration(x: ExtendedInput, p_max: int) -> FilteredGradedSubgroup:
     """The M + N stage filtration on the labelled cone, the reference for ``ExtendedInput.layout``.
 
-    It is ``cone_graded`` of the descending subgroup inside the ascending
+    It is ``cone_graded`` of the descending basis inside the ascending
     one, up to cone dimension p_max + 1: base copies of the ascending basis
     at their ascending heights, then cone copies of the descending basis
     at M + their descending heights.
     """
     asc, desc = x.ascending, x.descending
-    cone = cone_graded(desc.graded, asc.graded, max_dim=p_max + 1)
+    cone = cone_graded(x.graded, desc.basis, asc.basis, max_dim=p_max + 1)
     heights = {
-        p: asc.heights.get(p, []) + [x.M + h for h in desc.heights.get(p - 1, [])] for p in cone.dims()
+        cg: asc.height_of(cg.gen) if cg.part == BASE else x.M + desc.height_of(cg.gen)
+        for p in cone.dims()
+        for cg in cone.basis[p]
     }
     return FilteredGradedSubgroup(cone, heights, x.M + x.N)
 
@@ -332,7 +312,7 @@ def extended_barcode(
     if case_iii_reading not in ("corresponding", "positional"):
         raise ValueError(f"unknown case_iii_reading {case_iii_reading!r}")
     pairings = compute_pairings(build_matrices(x, p_max), clearing=clearing)
-    asc, desc = x.ascending.graded.basis, x.descending.graded.basis
+    asc, desc = x.ascending.basis, x.descending.basis
     ah, dh = x.ascending.heights, x.descending.heights
 
     def generator(p, i):
@@ -406,12 +386,12 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
     E^j_{p-1}, plus a chain of E^j_p.
     """
     asc, desc = x.ascending, x.descending
-    g, q = asc.graded, asc.q
+    g, q = x.graded, x.graded.q
     M, N = x.M, x.N
     table: dict = {}
     for p in range(p_max + 1):
-        a_p, ups = g.basis.get(p, []), g.basis.get(p + 1, [])
-        d_p, d_prev = desc.graded.basis.get(p, []), desc.graded.basis.get(p - 1, [])
+        a_p, ups = asc.basis.get(p, []), asc.basis.get(p + 1, [])
+        d_p, d_prev = desc.basis.get(p, []), desc.basis.get(p - 1, [])
         chain = np.hstack([image_matrix(g, p + 1, ups), unit_matrix(g, p, d_p)])
         ends = [asc.stage_prefix(p + 1, v) for v in range(1, M + 1)]
         ends += [len(ups) + desc.stage_prefix(p, j) for j in range(1, N + 1)]

@@ -106,16 +106,8 @@ class SparseColumn:
 
     def __init__(self, entries=()):
         # trusted constructor: entries must be sorted by row with nonzero,
-        # fully reduced coefficients; use from_pairs for raw data
+        # fully reduced coefficients
         self.entries = tuple(entries)
-
-    @classmethod
-    def from_pairs(cls, pairs, field: PrimeField) -> "SparseColumn":
-        """Build a column from unsorted, possibly repeated (row, coeff) pairs."""
-        acc: dict[int, int] = {}
-        for row, coeff in pairs:
-            acc[row] = (acc.get(row, 0) + coeff) % field.q
-        return cls(sorted((r, c) for r, c in acc.items() if c))
 
     @property
     def low(self):

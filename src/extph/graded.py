@@ -10,6 +10,11 @@ smallest subcomplex containing D_*, can be computed.  Its homology is the
 homology of the subgroup, which ``homology_dims`` counts by rank
 arithmetic on the dense ``ChainComplexSlice`` that ``sup_complex`` builds.
 
+A filtration is a store plus a height per basis generator: its compatible
+basis is the store's basis sorted stably by height, so a stage is a prefix
+of it.  There is no view or copy of the store; building a filtration
+validates the store (once per store) and every height.
+
 The module oracles count window ranks dim(Z_u + B_v) - dim(B_v) of a
 persistence module with ``stage_cycles`` and ``window_ranks``.  This side
 is numpy int64 matrices mod q throughout: ``unit_matrix`` and
@@ -39,11 +44,9 @@ __all__ = [
     "BASIS",
     "EXTENSION",
     "GeneratorId",
-    "ValidationReport",
     "GradedSubgroup",
     "FilteredGradedSubgroup",
     "ChainComplexSlice",
-    "validate_compatible",
     "sup_complex",
     "homology_dims",
     "unit_matrix",
@@ -62,28 +65,6 @@ class GeneratorId(NamedTuple):
     dim: int
     kind: str
     index: int
-
-
-class ValidationReport:
-    """Outcome of a structural validation pass; never raised, only returned."""
-
-    __slots__ = ("problems",)
-
-    def __init__(self, problems=()):
-        self.problems = list(problems)
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return "ValidationReport(ok)" if self.ok else f"ValidationReport({self.problems!r})"
-
-    def __str__(self):
-        return "ok" if self.ok else "; ".join(self.problems)
 
 
 class GradedSubgroup:
@@ -114,40 +95,20 @@ class GradedSubgroup:
                 if len(self.universe[p]) != len(listed) or set(self.universe[p]) != set(listed):
                     raise ValueError(f"dimension {p}: universe is not a permutation of basis+extension")
         self._row = {p: {label: i for i, label in enumerate(self.universe[p])} for p in range(n)}
-        self._basis_set = {p: frozenset(self.basis[p]) for p in range(n)}
-        self._dim_of = {}
+        seen = set()
         for p in range(n):
             if len(self._row[p]) != len(self.universe[p]):
                 raise ValueError(f"dimension {p}: duplicate generator labels")
             for label in self.universe[p]:
-                if label in self._dim_of:
+                if label in seen:
                     raise ValueError(f"generator label {label!r} listed in two dimensions")
-                self._dim_of[label] = p
+                seen.add(label)
         q = self.field.q
         self._faces = {
             label: {face: r for face, c in faces.items() if (r := c % q)}
             for label, faces in (boundary or {}).items()
         }
-        self._problems = None  # the memoised report of validate()
-
-    def with_basis(self, basis) -> "GradedSubgroup":
-        """The subgroup spanned by ``basis``, sharing this one's universe and boundary store.
-
-        ``basis[p]`` lists some of this subgroup's dimension-p basis
-        generators in any order; the rest of the universe becomes
-        extension, in universe order.
-        """
-        out = object.__new__(GradedSubgroup)
-        out.__dict__.update(self.__dict__)
-        out.basis = {p: list(basis.get(p, ())) for p in self.dims()}
-        out._basis_set = {p: frozenset(out.basis[p]) for p in self.dims()}
-        for p in self.dims():
-            if len(out._basis_set[p]) != len(out.basis[p]) or not out._basis_set[p] <= self._basis_set[p]:
-                raise ValueError(f"dimension {p}: the new basis must list distinct basis generators")
-        out.extension = {
-            p: [l for l in self.universe[p] if l not in out._basis_set[p]] for p in self.dims()
-        }
-        return out
+        self._problems = None  # the memoised outcome of validate()
 
     # -- introspection -----------------------------------------------------
 
@@ -164,53 +125,33 @@ class GradedSubgroup:
     def universe_size(self, p: int) -> int:
         return len(self.universe.get(p, ()))
 
-    def basis_set(self, p: int):
-        return self._basis_set.get(p, frozenset())
-
     def row_of(self, p: int, label) -> int:
         return self._row[p][label]
 
     def is_listed(self, p: int, label) -> bool:
         return label in self._row.get(p, ())
 
-    def dim_of(self, label) -> int:
-        return self._dim_of[label]
-
     def boundary_dict(self, label) -> dict:
         """Boundary of a generator as {face: nonzero coeff mod q}; shared, do not mutate."""
         return self._faces.get(label, {})
 
-    # -- derived objects ----------------------------------------------------
-
-    def restricted(self, keep) -> "GradedSubgroup":
-        """Subgroup spanned by a subset of the basis generators.
-
-        The universe (and hence the row order of every column) is kept
-        intact; dropped basis generators become extension generators.
-        """
-        wanted = {p: frozenset(keep.get(p, ())) for p in self.dims()}
-        for p in self.dims():
-            unknown = wanted[p] - self._basis_set[p]
-            if unknown:
-                raise ValueError(f"dimension {p}: {sorted(map(repr, unknown))} are not basis generators")
-        return self.with_basis({p: [l for l in self.basis[p] if l in wanted[p]] for p in self.dims()})
-
-    def validate(self) -> ValidationReport:
+    def validate(self) -> None:
         """Check closure (all referenced faces listed) and d∘d = 0.
 
-        Neither depends on the basis, and the universe and boundaries never
-        change after construction, so the check runs once per store: its
-        problems are kept and reported again on later calls, also by the
-        ``with_basis`` views made after the first one.
+        Raises GradedValidationError naming every problem found, joined by
+        "; ".  The universe and boundaries never change after construction,
+        so the check runs once per store: its problems are kept and raised
+        again on later calls.
         """
         if self._problems is None:
-            self._problems = tuple(self._closure_problems())
-        return ValidationReport(self._problems)
+            self._problems = "; ".join(self._closure_problems())
+        if self._problems:
+            raise GradedValidationError(self._problems)
 
     def _closure_problems(self) -> list:
         problems = []
         for label in self._faces:
-            if label not in self._dim_of:
+            if not any(label in row for row in self._row.values()):
                 problems.append(f"boundary given for unlisted generator {label!r}")
         faces_of, empty = self._faces, {}
         for p in self.dims():
@@ -243,24 +184,32 @@ class GradedSubgroup:
 class FilteredGradedSubgroup:
     """A graded subgroup with a stage height per basis generator.
 
-    Heights are integers in [1, num_stages], non-decreasing along each
-    dimension's basis order: that order is then a compatible basis for the
-    stage filtration, and stage i is spanned by a prefix of it.
+    ``graded`` is the generator store itself, checked by its ``validate``.
+    ``heights`` maps each basis generator to an integer stage in
+    [1, num_stages].  ``basis[p]`` is the store's dimension-p basis sorted
+    stably by height, ``heights[p]`` the heights along it: a compatible
+    basis for the stage filtration, whose stage i is spanned by a prefix.
     """
 
     def __init__(self, graded: GradedSubgroup, heights, num_stages: int):
+        graded.validate()
         self.graded = graded
         self.num_stages = int(num_stages)
-        self.heights, self._height_of = {}, {}
+        self.basis, self.heights, self._height_of = {}, {}, {}
         for p in graded.dims():
-            labels, given = graded.basis[p], heights.get(p, ())
-            if len(given) != len(labels):
-                raise ValueError(f"dimension {p}: {len(given)} heights for {len(labels)} basis generators")
-            for label, h in zip(labels, given):
+            for label in graded.basis[p]:
+                if label not in heights:
+                    raise GradedValidationError(f"generator {label!r} has no height")
+                h = heights[label]
                 if not isinstance(h, Integral):
                     raise GradedValidationError(f"height {h!r} of generator {label!r} is not an integer")
-            self.heights[p] = [int(h) for h in given]
-            self._height_of.update(zip(labels, self.heights[p]))
+                if not 1 <= h <= self.num_stages:
+                    raise GradedValidationError(
+                        f"dimension {p}: height {h} of generator {label!r} outside [1, {self.num_stages}]"
+                    )
+                self._height_of[label] = int(h)
+            self.basis[p] = sorted(graded.basis[p], key=self._height_of.__getitem__)
+            self.heights[p] = [self._height_of[label] for label in self.basis[p]]
 
     @property
     def field(self):
@@ -284,33 +233,7 @@ class FilteredGradedSubgroup:
         dimension-(p+1) basis generators with their boundaries.
         """
         g = self.graded
-        return g.basis.get(p, []), ((label, g.boundary_dict(label)) for label in g.basis.get(p + 1, ()))
-
-    def height_problems(self) -> list:
-        """Heights outside [1, num_stages] or decreasing along a basis order."""
-        problems = []
-        for p in self.graded.dims():
-            labels = self.graded.basis[p]
-            prev = None
-            for idx, h in enumerate(self.heights[p]):
-                if not 1 <= h <= self.num_stages:
-                    problems.append(
-                        f"dimension {p}: height {h} of generator {labels[idx]!r} (index {idx})"
-                        f" outside [1, {self.num_stages}]"
-                    )
-                    break
-                if prev is not None and h < prev:
-                    problems.append(
-                        f"dimension {p}: heights decrease at generator {labels[idx]!r} (index {idx})"
-                    )
-                    break
-                prev = h
-        return problems
-
-
-def validate_compatible(f: FilteredGradedSubgroup) -> ValidationReport:
-    """Full structural check: closure, d∘d = 0, heights in range and monotone."""
-    return ValidationReport(f.graded.validate().problems + f.height_problems())
+        return self.basis.get(p, []), ((label, g.boundary_dict(label)) for label in self.basis.get(p + 1, ()))
 
 
 class ChainComplexSlice(NamedTuple):

@@ -19,7 +19,6 @@ involved, and is the ground truth the pairing route is tested against.
 import math
 from dataclasses import dataclass
 
-from .errors import GradedValidationError
 from .field import SparseColumn, SparseMatrix, reduce
 from .graded import FilteredGradedSubgroup, image_matrix, stage_cycles, unit_matrix, window_ranks
 
@@ -92,10 +91,9 @@ def build_matrices(f, p_max: int) -> BoundaryMatrices:
     layout is the cone.  ``f.layout(p)`` gives the basis rows of matrix p in
     compatible order, and its columns as (generator, {face: coeff}) pairs.
     A face outside the basis rows becomes an extension row, in the order
-    the faces first appear; it must be listed one dimension below the
-    column's generator.
+    the faces first appear.  Both kinds of ``f`` hold a validated store, so
+    every such face is listed one dimension below the column's generator.
     """
-    g = f.graded
     mats, basis_counts = [], []
     for p in range(p_max + 1):
         rows, columns = f.layout(p)
@@ -106,14 +104,10 @@ def build_matrices(f, p_max: int) -> BoundaryMatrices:
             for face, c in faces.items():
                 i = row.get(face)
                 if i is None:
-                    if not g.is_listed(g.dim_of(label) - 1, face):
-                        raise GradedValidationError(
-                            f"boundary of {label!r} references unlisted generator {face!r}"
-                        )
                     i = row[face] = len(row)  # next extension row
                 entries.append((i, c))
             cols.append(SparseColumn(sorted(entries)))
-        mats.append(SparseMatrix(len(row), cols, g.field))
+        mats.append(SparseMatrix(len(row), cols, f.graded.field))
         basis_counts.append(len(rows))
     basis_counts.append(len(cols))  # the columns of the last matrix are the next basis
     return BoundaryMatrices(tuple(mats), tuple(basis_counts))
@@ -177,10 +171,10 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     stages = range(1, f.num_stages + 1)
     table: dict = {}
     for p in range(p_max + 1):
-        labels = g.basis.get(p, [])
+        labels = f.basis.get(p, [])
         units, images = unit_matrix(g, p, labels), image_matrix(g, p, labels)
         cycles = stage_cycles(units, images, [f.stage_prefix(p, i) for i in stages], q)
-        bound = image_matrix(g, p + 1, g.basis.get(p + 1, []))
+        bound = image_matrix(g, p + 1, f.basis.get(p + 1, []))
         ends = [f.stage_prefix(p + 1, j) for j in stages]
         for i, row in enumerate(window_ranks(cycles, bound, ends, q), start=1):
             for j, r in enumerate(row, start=i):

@@ -154,9 +154,10 @@ def random_graded(rng, q, max_dim=3, max_per_dim=6, basis_prob=0.7):
 def random_filtered(rng, q, p_max=2, max_per_dim=8, max_stages=5, basis_prob=0.75):
     g = random_graded(rng, q, max_dim=p_max + 1, max_per_dim=max_per_dim, basis_prob=basis_prob)
     num_stages = int(rng.integers(1, max_stages + 1))
-    heights = {
-        p: sorted(int(rng.integers(1, num_stages + 1)) for _ in g.basis[p]) for p in g.dims()
-    }
+    heights = {}
+    for p in g.dims():
+        # sorted along the basis order, so the compatible order is the store's own
+        heights.update(zip(g.basis[p], sorted(int(rng.integers(1, num_stages + 1)) for _ in g.basis[p])))
     return FilteredGradedSubgroup(g, heights, num_stages)
 
 
@@ -258,7 +259,7 @@ def fgs_from_filtered_complex(filtered_simplices, q, p_max):
     for s, stage in chosen:
         p = len(s) - 1
         basis.setdefault(p, []).append(s)
-        heights.setdefault(p, []).append(stage)
+        heights[s] = stage
         if p >= 1:
             faces = {}
             sign = 1

@@ -4,6 +4,9 @@ The pipeline never builds these objects; the tests use them to check the
 identities that extended persistence rests on (Cohen-Steiner, Edelsbrunner,
 Harer, "Extending persistence using Poincaré and Lefschetz duality", 2009):
 
+* ``restricted``: the subgroup spanned by some of a store's basis
+  generators, over the store's universe, the stages and sub-pairs the
+  identities are stated for;
 * ``inf_complex``: the infimum complex I_p = D_p ∩ d^{-1}(D_{p-1}), the
   largest subcomplex inside a graded subgroup, whose homology equals that
   of the supremum complex;
@@ -23,7 +26,7 @@ import numpy as np
 
 from extph.errors import ConsistencyError, GradedValidationError
 from extph.field import dense_kernel, dense_rank, dense_solve_many, pivot_columns
-from extph.graded import ChainComplexSlice, image_matrix, unit_matrix
+from extph.graded import ChainComplexSlice, GradedSubgroup, image_matrix, unit_matrix
 
 _EMPTY = np.zeros((0, 0), dtype=np.int64)
 
@@ -31,6 +34,24 @@ _EMPTY = np.zeros((0, 0), dtype=np.int64)
 def _vectors(c: ChainComplexSlice, p: int) -> np.ndarray:
     """The basis chains of dimension p; an empty matrix outside the slice."""
     return c.vectors.get(p, _EMPTY)
+
+
+def restricted(graded: GradedSubgroup, keep) -> GradedSubgroup:
+    """Subgroup spanned by the basis generators ``keep[p]``, in basis order.
+
+    The universe (and hence the row order of every column) is kept
+    intact; dropped basis generators become extension generators.
+    """
+    basis, extension = {}, {}
+    for p in graded.dims():
+        wanted = frozenset(keep.get(p, ()))
+        unknown = wanted - frozenset(graded.basis[p])
+        if unknown:
+            raise ValueError(f"dimension {p}: {sorted(map(repr, unknown))} are not basis generators")
+        basis[p] = [l for l in graded.basis[p] if l in wanted]
+        extension[p] = [l for l in graded.universe[p] if l not in wanted]
+    boundary = {l: graded.boundary_dict(l) for p in graded.dims() for l in graded.universe[p]}
+    return GradedSubgroup(basis, extension, boundary, q=graded.field, universe=graded.universe)
 
 
 def inf_complex(graded, p_max: int) -> ChainComplexSlice:

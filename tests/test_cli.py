@@ -244,6 +244,16 @@ def test_negative_trials_exits_2(tmp_path, capsys):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("command", ["pph", "hyper", "distance", "stability"])
+def test_a_negative_seed_exits_2_and_names_the_flag(tmp_path, capsys, command):
+    src = tmp_path / "g.tsv"
+    src.write_text(TWO_STAGE if command != "hyper" else HYPER)
+    files = [str(src), str(src)] if command == "distance" else [str(src)]
+    code, out, err = run([command, *files, "--seed", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert "--seed must be nonnegative" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf", "1e308", "-0.1"])
 def test_a_delta_that_cannot_be_drawn_from_exits_2(tmp_path, capsys, delta):
     src = tmp_path / "g.tsv"

@@ -363,12 +363,13 @@ def test_a_new_store_is_checked_and_each_trial_checks_its_heights():
     from extph.digraph import pph_input, pph_store
     from extph.errors import GradedValidationError
     from extph.extended import ExtendedInput
-    from extph.graded import FilteredGradedSubgroup, GradedSubgroup, validate_compatible
+    from extph.graded import GradedSubgroup
 
     g = WeightedDigraph(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 2.0, ("a", "c"): 3.0})
     store = pph_store(g, 1, 2)
     x, _, _ = pph_input(g, store)
-    assert store.validate().ok and x.graded is store
+    store.validate()
+    assert x.graded is store is x.ascending.graded is x.descending.graded
 
     bad = GradedSubgroup({0: ["a", "b"], 1: ["e"], 2: ["T"]}, {}, {"e": {"a": 1, "b": 1}, "T": {"e": 1}})
     ones = dict.fromkeys(["a", "b", "e", "T"], 1)
@@ -380,9 +381,6 @@ def test_a_new_store_is_checked_and_each_trial_checks_its_heights():
     for wrong in (0, x.M + 1):
         with pytest.raises(GradedValidationError, match="outside"):
             ExtendedInput(store, {**heights, ("a", "b"): wrong}, heights, x.M, x.N)
-    decreasing = {p: list(range(len(store.basis[p]), 0, -1)) for p in store.dims()}
-    report = validate_compatible(FilteredGradedSubgroup(store, decreasing, 3))
-    assert not report.ok and "decrease" in str(report)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ from extph import (
     homology_dims,
     persistent_betti_oracle,
     sup_complex,
-    validate_compatible,
 )
 
 from oracles import gf_rank, random_filtered, random_graded
-from references import inf_complex, relative_homology_dims
+from references import inf_complex, relative_homology_dims, restricted
 
 
 def triangle_hyperedge(q=2):
@@ -52,8 +51,9 @@ def span_rows(slice_, p, q):
 
 def test_validate_accepts_monotone_heights():
     g = GradedSubgroup(basis={0: ["a", "b", "c", "d"]}, q=2)
-    f = FilteredGradedSubgroup(g, {0: [1, 1, 2, 3]}, 3)
-    assert validate_compatible(f).ok
+    f = FilteredGradedSubgroup(g, {"a": 1, "b": 1, "c": 2, "d": 3}, 3)
+    assert f.basis[0] == g.basis[0] and f.heights[0] == [1, 1, 2, 3]
+    assert [f.stage_prefix(0, i) for i in (1, 2, 3)] == [2, 3, 4]
 
 
 def test_generator_id_labels_work_like_any_other():
@@ -68,7 +68,7 @@ def test_generator_id_labels_work_like_any_other():
         boundary={e: {v[0]: 1, eps: -1}},
         q=3,
     )
-    assert g.validate().ok
+    g.validate()
     assert homology_dims(sup_complex(g, 1), 1) == [2, 0]
 
 
@@ -85,18 +85,12 @@ def test_universe_must_list_the_same_labels_not_just_the_same_reprs():
     assert GradedSubgroup({0: [a]}, {0: [b]}, universe={0: [b, a]}).row_of(0, a) == 1
 
 
-def test_validate_names_the_offending_height_index():
-    g = GradedSubgroup(basis={0: ["a", "b", "c"]}, q=2)
-    f = FilteredGradedSubgroup(g, {0: [1, 3, 2]}, 3)
-    report = validate_compatible(f)
-    assert not report.ok
-    assert "index 2" in report.problems[0]
-
-
 def test_validate_reports_out_of_range_heights():
     g = GradedSubgroup(basis={0: ["a"]}, q=2)
-    report = validate_compatible(FilteredGradedSubgroup(g, {0: [4]}, 3))
-    assert not report.ok and "outside" in report.problems[0]
+    for h in (0, 4):
+        message = f"dimension 0: height {h} of generator 'a' outside [1, 3]"
+        with pytest.raises(GradedValidationError, match=re.escape(message)):
+            FilteredGradedSubgroup(g, {"a": h}, 3)
 
 
 def test_validate_reports_unlisted_boundary_generators():
@@ -105,9 +99,8 @@ def test_validate_reports_unlisted_boundary_generators():
         boundary={"e": {"a": 1, "ghost": 1}},
         q=2,
     )
-    report = g.validate()
-    assert not report.ok
-    assert "unlisted" in report.problems[0] and "ghost" in report.problems[0]
+    with pytest.raises(GradedValidationError, match="references unlisted generator 'ghost'"):
+        g.validate()
 
 
 def test_validate_reports_broken_d_squared():
@@ -120,26 +113,32 @@ def test_validate_reports_broken_d_squared():
         },
         q=2,
     )
-    report = g.validate()
-    assert not report.ok
-    assert "boundary of boundary" in report.problems[0]
+    with pytest.raises(GradedValidationError, match="boundary of boundary of 'T'"):
+        g.validate()
+    # a plain filtration checks its store when it is built
+    with pytest.raises(GradedValidationError, match="boundary of boundary of 'T'"):
+        FilteredGradedSubgroup(g, dict.fromkeys(["a", "b", "e", "f", "T"], 1), 1)
 
 
 def test_validate_checks_a_store_once_and_keeps_its_report(monkeypatch):
-    g = GradedSubgroup(basis={0: ["a"], 1: ["e"]}, boundary={"e": {"a": 1, "ghost": 1}}, q=2)
+    g = GradedSubgroup(basis={0: ["a"], 1: ["e"]}, boundary={"e": {"a": 1, "ghost": 1}, "x": {}}, q=2)
     calls = []
     original = GradedSubgroup._closure_problems
     monkeypatch.setattr(GradedSubgroup, "_closure_problems", lambda self: calls.append(1) or original(self))
-    first = g.validate()
-    first.problems.append("edited by the caller")
-    for view in (g, g.with_basis({0: ["a"]})):
-        assert view.validate().problems == first.problems[:1] and "ghost" in first.problems[0]
+    want = "boundary given for unlisted generator 'x'; boundary of 'e' references unlisted generator 'ghost'"
+    for _ in range(2):
+        with pytest.raises(GradedValidationError) as err:
+            g.validate()
+        assert str(err.value) == want
+    with pytest.raises(GradedValidationError, match="ghost"):
+        FilteredGradedSubgroup(g, {"a": 1, "e": 1}, 1)
     assert len(calls) == 1
 
 
 def test_dimension_zero_generators_must_have_zero_boundary():
     g = GradedSubgroup(basis={0: ["a", "b"]}, boundary={"a": {"b": 1}}, q=2)
-    assert not g.validate().ok
+    with pytest.raises(GradedValidationError, match="dimension-0 generator 'a' has a nonzero boundary"):
+        g.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +189,30 @@ def test_homology_rejects_broken_boundaries():
 
 
 @pytest.mark.parametrize(
-    "boundary, message",
+    "boundary, message, store_message",
     [
-        ({"uv": {"v": 1, "w": -1}}, "boundary of 'uv' references unlisted generator 'w'"),
-        ({"uv": {"v": 1, "u": -1}, "u": {"v": 1}}, "dimension-0 generator 'u' was given a nonzero boundary"),
+        (
+            {"uv": {"v": 1, "w": -1}},
+            "boundary of 'uv' references unlisted generator 'w'",
+            "boundary of 'uv' references unlisted generator 'w'",
+        ),
+        (
+            {"uv": {"v": 1, "u": -1}, "u": {"v": 1}},
+            "dimension-0 generator 'u' was given a nonzero boundary",
+            "dimension-0 generator 'u' has a nonzero boundary",
+        ),
     ],
     ids=["unlisted_face", "dimension_0_boundary"],
 )
-def test_oracles_reject_an_unvalidated_store(boundary, message):
+def test_oracles_reject_an_unvalidated_store(boundary, message, store_message):
     # nothing validates this store, so the oracles' own reading of it must catch the fault
     g = GradedSubgroup({0: ["u", "v"], 1: ["uv"]}, {}, boundary, q=3)
-    f = FilteredGradedSubgroup(g, {0: [1, 1], 1: [1]}, 1)
-    runs = [
-        lambda: sup_complex(g, 1),
-        lambda: homology_dims(sup_complex(g, 1), 1),
-        lambda: persistent_betti_oracle(f, 1),
-    ]
-    for run in runs:
+    for run in (lambda: sup_complex(g, 1), lambda: homology_dims(sup_complex(g, 1), 1)):
         with pytest.raises(GradedValidationError, match=re.escape(message)):
             run()
+    # a filtration validates its store, so persistent_betti_oracle never sees this one
+    with pytest.raises(GradedValidationError, match=re.escape(store_message)):
+        FilteredGradedSubgroup(g, {"u": 1, "v": 1, "uv": 1}, 1)
 
 
 def test_sup_inf_equal_homology_on_random_subgroups():
@@ -257,7 +261,7 @@ def test_monotonicity_of_sup_and_inf():
     for _ in range(20):
         big = random_graded(rng, q, max_dim=3, max_per_dim=5)
         keep = {p: [l for l in big.basis[p] if rng.random() < 0.6] for p in big.dims()}
-        small = big.restricted(keep)
+        small = restricted(big, keep)
         s_small, s_big = sup_complex(small, 2), sup_complex(big, 2)
         i_small, i_big = inf_complex(small, 2), inf_complex(big, 2)
         for p in range(3):
@@ -281,20 +285,20 @@ def test_relative_of_equal_slices_is_zero():
 def test_relative_with_zero_subcomplex_is_absolute():
     g = edge_complex()
     s = sup_complex(g, 1)
-    zero = sup_complex(g.restricted({0: [], 1: []}), 1)
+    zero = sup_complex(restricted(g, {0: [], 1: []}), 1)
     assert relative_homology_dims(s, zero, 1) == homology_dims(s, 1)
 
 
 def test_relative_of_contractible_pair_vanishes():
     g = edge_complex()
     big = sup_complex(g, 1)
-    small = sup_complex(g.restricted({0: ["v"], 1: []}), 1)
+    small = sup_complex(restricted(g, {0: ["v"], 1: []}), 1)
     assert relative_homology_dims(big, small, 1) == [0, 0]
 
 
 def test_relative_rejects_non_contained_pairs():
     g = edge_complex()
-    big = sup_complex(g.restricted({0: ["v"], 1: []}), 1)
+    big = sup_complex(restricted(g, {0: ["v"], 1: []}), 1)
     small = sup_complex(g, 1)
     with pytest.raises(GradedValidationError):
         relative_homology_dims(big, small, 1)
@@ -310,7 +314,7 @@ def test_stage_restriction_takes_prefixes():
     f = random_filtered(rng, 2, p_max=1, max_per_dim=6, max_stages=4)
     g = f.graded
     for stage in range(1, f.num_stages + 1):
-        restricted = g.restricted({p: g.basis[p][: f.stage_prefix(p, stage)] for p in g.dims()})
+        stage_g = restricted(g, {p: f.basis[p][: f.stage_prefix(p, stage)] for p in g.dims()})
         for p in g.dims():
             want = [l for l in g.basis[p] if f.height_of(l) <= stage]
-            assert restricted.basis[p] == want
+            assert stage_g.basis[p] == want

@@ -27,7 +27,7 @@ from extph import (
 from extph.diagrams import DiagramPoint
 
 from oracles import classical_barcode, random_hypergraph
-from references import inf_complex
+from references import inf_complex, restricted
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +97,14 @@ def test_simplicial_complex_input_matches_classical_persistence():
     # sublevel stages of a complex closed under faces with monotone values:
     # sup and inf complexes are the stage itself
     for stage in range(1, x.M + 1):
-        g = x.ascending.graded
-        restricted = g.restricted({p: g.basis[p][: x.ascending.stage_prefix(p, stage)] for p in g.dims()})
-        s = sup_complex(restricted, 2)
-        i = inf_complex(restricted, 2)
-        n_basis = [len(restricted.basis.get(p, [])) for p in range(3)]
+        f = x.ascending
+        stage_g = restricted(x.graded, {p: f.basis[p][: f.stage_prefix(p, stage)] for p in x.graded.dims()})
+        s = sup_complex(stage_g, 2)
+        i = inf_complex(stage_g, 2)
+        n_basis = [len(stage_g.basis.get(p, [])) for p in range(3)]
         assert [s.dim(p) for p in range(3)] == n_basis == [i.dim(p) for p in range(3)]
     bc = barcode(compute_pairings(build_matrices(x.ascending, 2)), x.ascending)
-    filtered = [(s, x.ascending.height_of(s)) for p in range(3) for s in x.ascending.graded.basis.get(p, [])]
+    filtered = [(s, x.ascending.height_of(s)) for p in range(3) for s in x.ascending.basis.get(p, [])]
     assert Counter(bc) == classical_barcode(filtered, 2, 2)
 
 
@@ -178,7 +178,7 @@ def _induced_map_ranks(big, keep, p_max, q):
     from extph.field import dense_kernel, dense_rank
     from extph.graded import image_matrix
 
-    small_s = sup_complex(big.restricted(keep), p_max)
+    small_s = sup_complex(restricted(big, keep), p_max)
     out = []
     for p in range(p_max + 1):
         vecs = small_s.vectors[p]

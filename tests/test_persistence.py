@@ -33,7 +33,8 @@ def filtered_triangle(q=2):
         },
         q=q,
     )
-    return FilteredGradedSubgroup(g, {0: [1, 1, 1], 1: [2, 2, 3]}, 3)
+    heights = {"a": 1, "b": 1, "c": 1, "ab": 2, "bc": 2, "ac": 3}
+    return FilteredGradedSubgroup(g, heights, 3)
 
 
 def lone_triangle_hyperedge(q=2):
@@ -49,7 +50,7 @@ def lone_triangle_hyperedge(q=2):
         },
         q=q,
     )
-    return FilteredGradedSubgroup(g, {2: [1]}, 1)
+    return FilteredGradedSubgroup(g, {("a", "b", "c"): 1}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,7 @@ def test_lone_hyperedge_matrix_is_one_column_with_three_extension_rows():
 
 def test_empty_dimension_gives_zero_columns():
     g = GradedSubgroup(basis={0: ["a"]}, q=2)
-    f = FilteredGradedSubgroup(g, {0: [1]}, 1)
+    f = FilteredGradedSubgroup(g, {"a": 1}, 1)
     bm = build_matrices(f, 2)
     assert [m.num_cols for m in bm.mats] == [0, 0, 0]
 
@@ -107,7 +108,7 @@ def test_lone_hyperedge_pivot_falls_in_the_extension_block():
 
 def test_all_zero_boundaries_make_every_generator_a_cycle():
     g = GradedSubgroup(basis={0: ["a", "b"], 1: ["e"]}, q=2)
-    f = FilteredGradedSubgroup(g, {0: [1, 2], 1: [2]}, 2)
+    f = FilteredGradedSubgroup(g, {"a": 1, "b": 2, "e": 2}, 2)
     pairings = compute_pairings(build_matrices(f, 1))
     assert pairings[0].unpaired_cycles == frozenset({0, 1})
     assert pairings[1].unpaired_cycles == frozenset({0})
@@ -139,7 +140,7 @@ def test_triangle_barcode():
 
 def test_single_vertex_barcode():
     g = GradedSubgroup(basis={0: ["x"]}, q=2)
-    f = FilteredGradedSubgroup(g, {0: [1]}, 1)
+    f = FilteredGradedSubgroup(g, {"x": 1}, 1)
     bc = barcode(compute_pairings(build_matrices(f, 0)), f)
     assert bc.intervals == ((0, 1, math.inf),)
 
@@ -147,12 +148,22 @@ def test_single_vertex_barcode():
 def test_pair_with_reversed_heights_contributes_nothing():
     # the edge arrives before its vertex: a pair with height 2 -> 1
     g = GradedSubgroup(basis={0: ["v"], 1: ["e"]}, boundary={"e": {"v": 1}}, q=2)
-    f = FilteredGradedSubgroup(g, {0: [2], 1: [1]}, 2)
+    f = FilteredGradedSubgroup(g, {"v": 2, "e": 1}, 2)
     pairings = compute_pairings(build_matrices(f, 1))
     assert pairings[0].pairs == frozenset({(0, 0)})
     bc = barcode(pairings, f)
     assert bc.intervals == ()
     assert persistent_betti_oracle(f, 1) == betti_table_from_barcode(bc, 1, 2)
+
+
+def test_a_basis_listed_out_of_height_order_is_sorted_by_height():
+    # b enters before a; the store's own order is not compatible
+    g = GradedSubgroup(basis={0: ["a", "b"], 1: ["ab"]}, boundary={"ab": {"b": 1, "a": -1}}, q=2)
+    f = FilteredGradedSubgroup(g, {"a": 2, "b": 1, "ab": 3}, 3)
+    assert f.basis[0] == ["b", "a"] and f.heights[0] == [1, 2]
+    bc = barcode(compute_pairings(build_matrices(f, 1)), f)
+    assert bc.intervals == ((0, 1, math.inf), (0, 2, 3))
+    assert persistent_betti_oracle(f, 1) == betti_table_from_barcode(bc, 1, 3)
 
 
 def test_empty_filtration_is_legal():
@@ -212,7 +223,8 @@ def test_extension_row_order_never_matters():
             {l: g.boundary_dict(l) for p in g.dims() for l in g.universe[p]},
             q=g.field,
         )
-        f2 = FilteredGradedSubgroup(shuffled, f.heights, f.num_stages)
+        heights = {l: f.height_of(l) for p in g.dims() for l in g.basis[p]}
+        f2 = FilteredGradedSubgroup(shuffled, heights, f.num_stages)
         bc2 = barcode(compute_pairings(build_matrices(f2, 2)), f2)
         assert bc == bc2
 
