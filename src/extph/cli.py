@@ -71,16 +71,17 @@ def _emit(text: str, out_path) -> None:
 
 
 def _validate_config(args) -> None:
+    """Reject a bad flag; the message names the flag, not a line of any file."""
     if args.pmax < 0:
-        raise InputFormatError(0, "--pmax must be nonnegative")
+        raise ValueError("--pmax must be nonnegative")
     if args.seed < 0:
-        raise InputFormatError(0, "--seed must be nonnegative")
+        raise ValueError("--seed must be nonnegative")
     delta = getattr(args, "delta", None)
     if delta is not None and not (delta >= 0 and math.isfinite(2 * delta)):
-        raise InputFormatError(0, "--delta must be nonnegative, with 2 * delta finite")
+        raise ValueError("--delta must be nonnegative, with 2 * delta finite")
     trials = getattr(args, "trials", None)
     if trials is not None and trials < 0:
-        raise InputFormatError(0, "--trials must be nonnegative")
+        raise ValueError("--trials must be nonnegative")
 
 
 def _cmd_diagram(args, loader, builder) -> int:
@@ -134,11 +135,11 @@ def _detect_front_end(text: str) -> str:
         if not line or line.startswith("#"):
             continue
         widths.add(len(line.split("\t")))
-    if widths <= {3} :
+    if widths <= {3}:
         return "digraph"
     if widths == {2}:
         return "hypergraph"
-    raise InputFormatError(0, "cannot tell digraph (3 fields) from hypergraph (2 fields) input")
+    raise ValueError("cannot tell digraph (3 fields) from hypergraph (2 fields) input")
 
 
 def _cmd_stability(args) -> int:

@@ -254,6 +254,24 @@ def test_a_negative_seed_exits_2_and_names_the_flag(tmp_path, capsys, command):
     assert "--seed must be nonnegative" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("pph", ["--seed", "-1"]),
+        ("pph", ["--pmax", "-1"]),
+        ("stability", ["--trials", "-3"]),
+        ("stability", ["--delta", "nan"]),
+        ("stability", []),  # a file with both line shapes
+    ],
+)
+def test_a_config_error_names_no_line(tmp_path, capsys, command, flags):
+    src = tmp_path / "g.tsv"
+    src.write_text(TWO_STAGE if flags else TWO_STAGE + HYPER)
+    code, out, err = run([command, str(src), *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "line 0" not in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf", "1e308", "-0.1"])
 def test_a_delta_that_cannot_be_drawn_from_exits_2(tmp_path, capsys, delta):
     src = tmp_path / "g.tsv"
