@@ -66,6 +66,7 @@ from .graded import (
     GeneratorId,
     GradedSubgroup,
     homology_dims,
+    stage_heights,
     sup_complex,
 )
 from .hypergraph import (

@@ -7,6 +7,15 @@ faces dropped).  Edge weights induce the ascending sublevel and
 descending superlevel filtrations; vertices carry no weight and are
 present from the first stage on either axis.
 
+The input is built on integer rows.  Vertex ids follow the sorted vertex
+names, and the allowed paths of length p are an (n_p, p+1) array of
+vertex ids in lexicographic order, which is the order of their labels.
+``cell_store`` derives the regular faces and the extension from those
+rows, and a path's heights come from the edge weights gathered along its
+row.  ``allowed_paths`` and ``regular_boundary`` are the same objects at
+the level of labels; the demos use them and the tests check the array
+store against them.
+
 File format (one edge per line, consumed by the CLI)::
 
     source<TAB>target<TAB>weight
@@ -18,9 +27,11 @@ Vertex names are arbitrary non-empty tokens; self-loops are rejected.
 
 import math
 
+import numpy as np
+
 from .errors import InputFormatError
 from .extended import ExtendedInput
-from .graded import GradedSubgroup, homology_dims, sup_complex
+from .graded import GradedSubgroup, cell_store, homology_dims, sup_complex
 
 __all__ = [
     "WeightedDigraph",
@@ -110,30 +121,6 @@ def superlevel(g: WeightedDigraph, a: float) -> WeightedDigraph:
     return WeightedDigraph(g.vertices, {e: w for e, w in g.weights.items() if w >= a})
 
 
-def _path_universe(g: WeightedDigraph, top_dim: int):
-    """Allowed paths up to top_dim plus the extension generators they need.
-
-    Extension generators are the regular non-allowed faces, closed under
-    taking regular faces so every listed boundary stays inside the listing.
-    """
-    paths = allowed_paths(g, top_dim)
-    listed = {path for level in paths.values() for path in level}
-    eps = {p: set() for p in range(top_dim + 1)}
-    boundary = {}
-    queue = [path for p in range(1, top_dim + 1) for path in paths[p]]
-    while queue:
-        path = queue.pop()
-        faces = regular_boundary(path)
-        boundary[path] = faces
-        for face in faces:
-            if face not in listed:
-                listed.add(face)
-                eps[len(face) - 1].add(face)
-                if len(face) >= 2:
-                    queue.append(face)
-    return paths, {p: sorted(eps[p]) for p in eps}, boundary
-
-
 def path_homology(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> list[int]:
     """Path homology dimensions of the digraph (weights ignored).
 
@@ -144,15 +131,46 @@ def path_homology(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> list[int]:
     return homology_dims(sup_complex(pph_store(g, p_max, q), p_max), p_max)
 
 
+def _path_cells(src, tgt, n: int, top: int) -> dict:
+    """Allowed paths up to length ``top`` as (n_p, p+1) arrays of vertex ids, in lexicographic order.
+
+    ``src`` and ``tgt`` list the edges sorted by (source, target).  Each
+    path of length p-1 is repeated once per out-edge of its last vertex,
+    and the edge targets are appended in order, which keeps the rows
+    sorted.
+    """
+    first = np.searchsorted(src, np.arange(n + 1))  # out-edges of v are first[v]:first[v + 1]
+    cells = {0: np.arange(n, dtype=np.int64)[:, None]}
+    for p in range(1, top + 1):
+        last = cells[p - 1][:, -1]
+        degree = first[last + 1] - first[last]
+        ends = np.cumsum(degree)
+        edge = np.repeat(first[last] - ends + degree, degree) + np.arange(ends[-1] if len(ends) else 0)
+        cells[p] = np.hstack([np.repeat(cells[p - 1], degree, axis=0), tgt[edge][:, None]])
+    return cells
+
+
+def _edge_arrays(g: WeightedDigraph):
+    """(sources, targets, weights) of g's edges by vertex id, sorted by (source, target)."""
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    edges = g.edges
+    src = np.array([vid[x] for x, _ in edges], dtype=np.int64)
+    tgt = np.array([vid[y] for _, y in edges], dtype=np.int64)
+    return src, tgt, np.array([g.weights[e] for e in edges], dtype=float)
+
+
 def pph_store(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
     """The generator store of a digraph's input: what its weights do not change.
 
     Allowed paths up to length p_max + 1 are the basis, the regular
     non-allowed faces they need are the extension, and their regular
-    boundaries are reduced mod q.
+    boundaries are reduced mod q.  Vertex ids follow the sorted vertex
+    names, so rows in lexicographic order are labels in lexicographic
+    order; the store keeps the path rows as its ``cells``.
     """
-    paths, eps, boundary = _path_universe(g, p_max + 1)
-    return GradedSubgroup(paths, eps, boundary, q=q)
+    src, tgt, _ = _edge_arrays(g)
+    cells = _path_cells(src, tgt, len(g.vertices), p_max + 1)
+    return cell_store(g.vertices, cells, q, regular=True)
 
 
 def pph_input(g: WeightedDigraph, store: GradedSubgroup):
@@ -167,26 +185,25 @@ def pph_input(g: WeightedDigraph, store: GradedSubgroup):
     axes.  A graph with no edges has no critical values and yields an
     empty input.
     """
-    values = sorted({w for w in g.weights.values()})
+    values = sorted(set(g.weights.values()))
     if not values:
         empty = ExtendedInput.from_heights({}, {}, {}, {}, {}, 0, 0, q=store.q)
         return empty, [], []
-    asc_stage = {v: i + 1 for i, v in enumerate(values)}
-    desc_values = values[::-1]
-    desc_stage = {v: i + 1 for i, v in enumerate(desc_values)}
-
+    n, cells = len(g.vertices), store.cells
+    src, tgt, weights = _edge_arrays(g)
+    if len(cells[0]) != n or not np.array_equal(cells[1], np.column_stack([src, tgt])):
+        raise ValueError("the store was built on another digraph's vertices or edges")
+    grid, codes = np.array(values), src * n + tgt
     asc_h, desc_h = {}, {}
-    for p in store.dims():
-        for path in store.basis[p]:
-            if p == 0:
-                asc_h[path] = 1
-                desc_h[path] = 1
-            else:
-                ws = [g.weights[(path[k - 1], path[k])] for k in range(1, len(path))]
-                asc_h[path] = asc_stage[max(ws)]
-                desc_h[path] = desc_stage[min(ws)]
-    x = ExtendedInput(store, asc_h, desc_h, len(values), len(desc_values))
-    return x, values, desc_values
+    for p, paths in cells.items():
+        if p == 0:
+            asc_h[p] = desc_h[p] = np.ones(len(paths), dtype=np.int64)
+            continue
+        w = weights[np.searchsorted(codes, paths[:, :-1] * n + paths[:, 1:])]
+        asc_h[p] = np.searchsorted(grid, w.max(axis=1)) + 1
+        desc_h[p] = len(values) - np.searchsorted(grid, w.min(axis=1))
+    x = ExtendedInput(store, asc_h, desc_h, len(values), len(values))
+    return x, values, values[::-1]
 
 
 def build_pph_input(g: WeightedDigraph, p_max: int = 2, q: int = 2):

@@ -44,8 +44,11 @@ from .field import dense_kernel
 from .graded import (
     FilteredGradedSubgroup,
     GradedSubgroup,
+    Layout,
     image_matrix,
     stage_cycles,
+    stage_heights,
+    take_columns,
     unit_matrix,
     window_ranks,
 )
@@ -88,9 +91,10 @@ class ConeGenerator(NamedTuple):
     dim: int
 
 
-def _side(graded: GradedSubgroup, heights, num_stages: int, side: str) -> FilteredGradedSubgroup:
+def _on_side(side: str, build, *args):
+    """``build(*args)``, with the side named in front of any GradedValidationError it raises."""
     try:
-        return FilteredGradedSubgroup(graded, heights, num_stages)
+        return build(*args)
     except GradedValidationError as bad:
         raise GradedValidationError(f"{side}: {bad}") from None
 
@@ -100,17 +104,18 @@ class ExtendedInput:
 
     ``graded`` is the one generator store: basis, universe and boundaries.
     ``ascending`` and ``descending`` are filtrations of that same store,
-    which differ only in their height maps and hence in their compatible
-    basis orders.  Ascending heights live in [1, M], descending ones in
-    [1, N]; both tops are the full basis, as the definition of extended
-    persistence requires.
+    which differ only in their heights and hence in their compatible
+    basis orders.  Each side's heights are given per dimension, aligned
+    with ``graded.basis`` as ``FilteredGradedSubgroup`` takes them.
+    Ascending heights live in [1, M], descending ones in [1, N]; both tops
+    are the full basis, as the definition of extended persistence requires.
     """
 
     def __init__(self, graded, ascending_heights, descending_heights, num_ascending, num_descending):
         self.graded = graded
         self.validate()
-        self.ascending = _side(graded, ascending_heights, num_ascending, "ascending")
-        self.descending = _side(graded, descending_heights, num_descending, "descending")
+        self.ascending = _on_side("ascending", FilteredGradedSubgroup, graded, ascending_heights, num_ascending)
+        self.descending = _on_side("descending", FilteredGradedSubgroup, graded, descending_heights, num_descending)
         self.M = self.ascending.num_stages
         self.N = self.descending.num_stages
 
@@ -118,30 +123,35 @@ class ExtendedInput:
         """Closure and d∘d = 0 of the store, checked once per store; raises GradedValidationError."""
         self.graded.validate()
 
-    def layout(self, p: int):
+    def layout(self, p: int) -> Layout:
         """Rows and columns of cone matrix p, for ``build_matrices``.
 
-        The rows are the base block, the ascending basis of dimension p,
-        then the cone block, the descending basis of dimension p-1; one row
-        map may hold labels of both dimensions because a store never lists
-        a label in two dimensions (a face listed in the wrong dimension is
-        left to ``validate``).  The columns are the ascending
-        dimension-(p+1) generators with their boundaries, then for each
-        descending dimension-p generator u the faces {u: 1} and u's negated
-        boundary.  Both tops are the full basis, so u always has a base row.
+        Ids are the dimension-p universe rows, then the dimension-(p-1)
+        universe rows offset by the size of the first block.  The rows are
+        the base block, the ascending basis of dimension p, then the cone
+        block, the descending basis of dimension p-1.  The columns are the
+        boundaries of the ascending dimension-(p+1) generators, then for
+        each descending dimension-p generator u a 1 at u's base row and u's
+        negated boundary in the cone block.  Both tops are the full basis,
+        so u always has a base row.
         """
         g, q = self.graded, self.graded.q
-        up, down = self.ascending.basis, self.descending.basis
-
-        def columns():
-            for label in up.get(p + 1, ()):
-                yield label, g.boundary_dict(label)
-            for u in down.get(p, ()):
-                faces = {u: 1}
-                faces.update((f, (-c) % q) for f, c in g.boundary_dict(u).items())
-                yield u, faces
-
-        return up.get(p, []) + down.get(p - 1, []), columns()
+        asc, desc = self.ascending, self.descending
+        n_p = g.universe_size(p)
+        up_ptr, up_faces, up_coeffs = take_columns(g.boundary_csr(p + 1), asc.rows(p + 1))
+        units = desc.rows(p)
+        ptr, faces, coeffs = take_columns(g.boundary_csr(p), units)
+        # each column gets one more entry, the unit, in front of its faces
+        cone_ptr = ptr + np.arange(len(ptr))
+        cone_faces = np.insert(n_p + faces, ptr[:-1], units)
+        cone_coeffs = np.insert((-coeffs) % q, ptr[:-1], 1)
+        columns = (
+            np.concatenate([up_ptr, up_ptr[-1] + cone_ptr[1:]]),
+            np.concatenate([up_faces, cone_faces]),
+            np.concatenate([up_coeffs, cone_coeffs]),
+        )
+        rows = np.concatenate([asc.rows(p), n_p + desc.rows(p - 1)])
+        return Layout(n_p + g.universe_size(p - 1), rows, columns)
 
     @classmethod
     def from_heights(
@@ -155,14 +165,18 @@ class ExtendedInput:
         num_descending: int,
         q: int = 2,
     ) -> "ExtendedInput":
-        """Build both filtrations from one generator listing and two height maps.
+        """Build both filtrations from one generator listing and two maps of generator to height.
 
         ``basis[p]`` fixes a deterministic input order per dimension; each
         side sorts it stably by its own heights to obtain a compatible
         order.  Every basis generator needs an integer height on each side.
+        The store is checked before the heights, as in the constructor.
         """
         graded = GradedSubgroup(basis, extension, boundary, q=q)
-        return cls(graded, ascending_heights, descending_heights, num_ascending, num_descending)
+        graded.validate()
+        ascending = _on_side("ascending", stage_heights, graded, ascending_heights)
+        descending = _on_side("descending", stage_heights, graded, descending_heights)
+        return cls(graded, ascending, descending, num_ascending, num_descending)
 
 
 class ExtendedInterval(NamedTuple):
@@ -286,7 +300,7 @@ def build_extended_filtration(x: ExtendedInput, p_max: int) -> FilteredGradedSub
         for p in cone.dims()
         for cg in cone.basis[p]
     }
-    return FilteredGradedSubgroup(cone, heights, x.M + x.N)
+    return FilteredGradedSubgroup(cone, stage_heights(cone, heights), x.M + x.N)
 
 
 def extended_barcode(
@@ -330,8 +344,8 @@ def extended_barcode(
                 " the ascending and descending tops do not span the same space"
             )
         if case_iii_reading == "positional":
-            desc_pos = {label: k for k, label in enumerate(desc.get(p, ()))}
-            asc_pos = {label: i for i, label in enumerate(asc.get(p, ()))}
+            a_order, d_order = (f.order.get(p, np.zeros(0, dtype=np.int64)) for f in (x.ascending, x.descending))
+            a_rank, d_rank = np.argsort(a_order), np.argsort(d_order)  # store position -> position in order
         for i, j in sorted(pairing.pairs):
             if j < a_up:
                 if i >= a_p:
@@ -349,8 +363,8 @@ def extended_barcode(
             elif case_iii_reading == "corresponding":
                 intervals.append(ExtendedInterval(p, EXTENDED, ah[p][i], dh[p][j - a_up]))
             else:
-                b = ah[p][desc_pos[asc[p][i]]]
-                d = dh[p][asc_pos[desc[p][j - a_up]]]
+                b = ah[p][d_rank[a_order[i]]]
+                d = dh[p][a_rank[d_order[j - a_up]]]
                 intervals.append(ExtendedInterval(p, EXTENDED, b, d))
     return ExtendedBarcode(intervals, x.M, x.N)
 
@@ -390,8 +404,8 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
     M, N = x.M, x.N
     table: dict = {}
     for p in range(p_max + 1):
-        a_p, ups = asc.basis.get(p, []), asc.basis.get(p + 1, [])
-        d_p, d_prev = desc.basis.get(p, []), desc.basis.get(p - 1, [])
+        a_p, ups = asc.rows(p), asc.rows(p + 1)
+        d_p, d_prev = desc.rows(p), desc.rows(p - 1)
         chain = np.hstack([image_matrix(g, p + 1, ups), unit_matrix(g, p, d_p)])
         ends = [asc.stage_prefix(p + 1, v) for v in range(1, M + 1)]
         ends += [len(ups) + desc.stage_prefix(p, j) for j in range(1, N + 1)]
@@ -399,7 +413,7 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
         units, images = unit_matrix(g, p, a_p), image_matrix(g, p, a_p)
         sources = stage_cycles(units, images, [asc.stage_prefix(p, u) for u in range(1, M + 1)], q)
         for j in range(1, N + 1):
-            inside = [g.row_of(p - 1, l) for l in d_prev[: desc.stage_prefix(p - 1, j)]]
+            inside = d_prev[: desc.stage_prefix(p - 1, j)]
             sources.append(units @ dense_kernel(np.delete(images, inside, axis=0), q))
         for u, row in enumerate(window_ranks(sources, chain, ends, q), start=1):
             for v, r in enumerate(row, start=u):

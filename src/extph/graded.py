@@ -10,18 +10,27 @@ smallest subcomplex containing D_*, can be computed.  Its homology is the
 homology of the subgroup, which ``homology_dims`` counts by rank
 arithmetic on the dense ``ChainComplexSlice`` that ``sup_complex`` builds.
 
-A filtration is a store plus a height per basis generator: its compatible
-basis is the store's basis sorted stably by height, so a stage is a prefix
-of it.  There is no view or copy of the store; building a filtration
-validates the store (once per store) and every height.
+The store is arrays indexed by universe row.  Per dimension p it keeps
+the label lists (for messages and the hand-built API; any hashable works)
+and the boundary of dimension p as CSR arrays: ``indptr``, the faces as
+dimension-(p-1) universe rows, and coefficients nonzero mod q.  The front
+ends build these arrays directly from vertex-id rows (``cell_store``);
+the dict constructor converts hand-built boundaries once.  Closure and
+d∘d = 0 are checked on the arrays, once per store.
+
+A filtration is a store plus a height per basis generator, given per
+dimension as integers aligned with the store's basis: its compatible
+basis is a stable argsort of those heights, so a stage is a prefix of it.
+There is no view or copy of the store; building a filtration validates
+the store (once per store) and every height.
 
 The module oracles count window ranks dim(Z_u + B_v) - dim(B_v) of a
 persistence module with ``stage_cycles`` and ``window_ranks``.  This side
 is numpy int64 matrices mod q throughout: ``unit_matrix`` and
-``image_matrix`` fill them straight from the store's universe rows and
-``GradedSubgroup.boundary_dict``, and every rank comes from
-``pivot_columns``, never from the sparse columns and pivot reduction of
-the pairing algorithms, so the two code paths stay independent.
+``image_matrix`` fill them straight from universe rows and the store's
+CSR arrays, and every rank comes from ``pivot_columns``, never from the
+sparse columns and pivot reduction of the pairing algorithms, so the two
+code paths stay independent.
 """
 
 from bisect import bisect_right
@@ -46,7 +55,11 @@ __all__ = [
     "GeneratorId",
     "GradedSubgroup",
     "FilteredGradedSubgroup",
+    "Layout",
     "ChainComplexSlice",
+    "cell_store",
+    "stage_heights",
+    "take_columns",
     "sup_complex",
     "homology_dims",
     "unit_matrix",
@@ -58,6 +71,8 @@ __all__ = [
 BASIS = "basis"
 EXTENSION = "extension"
 
+_NONE = np.zeros(0, dtype=np.int64)
+
 
 class GeneratorId(NamedTuple):
     """Convenience label for hand-built instances; any hashable works."""
@@ -67,47 +82,121 @@ class GeneratorId(NamedTuple):
     index: int
 
 
+def _csr(indptr, faces, coeffs):
+    return (
+        np.asarray(indptr, dtype=np.int64),
+        np.asarray(faces, dtype=np.int64),
+        np.asarray(coeffs, dtype=np.int64),
+    )
+
+
+def take_columns(csr, cols):
+    """The columns ``cols`` of a CSR block (indptr, faces, coeffs), as a CSR block."""
+    indptr, faces, coeffs = csr
+    cols = np.asarray(cols, dtype=np.int64)
+    starts = indptr[cols]
+    lens = indptr[cols + 1] - starts
+    out = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum(lens, out=out[1:])
+    at = np.repeat(starts - out[:-1], lens) + np.arange(out[-1])
+    return out, faces[at], coeffs[at]
+
+
 class GradedSubgroup:
-    """Per-dimension basis/extension generator lists plus boundary data.
+    """Per-dimension basis/extension generator lists plus boundary arrays.
 
     ``boundary`` maps a generator label to a dict ``{face_label: coeff}``
     describing its boundary one dimension down; omitted labels have zero
     boundary (dimension-0 generators always do).  The *universe* order,
     which defaults to basis followed by extension, gives each generator
-    its row in the oracles' dense matrices.
+    its row.  The dicts are converted once: a face that is not listed one
+    dimension down, and a boundary given for an unlisted generator, are
+    recorded for ``validate`` to report.  ``from_arrays`` builds a store
+    from CSR arrays without hashing any label.
     """
 
     def __init__(self, basis, extension=None, boundary=None, q=2, universe=None):
-        self.field = as_field(q)
         extension = extension or {}
         dims = {p for p, labels in basis.items() if labels}
         dims |= {p for p, labels in extension.items() if labels}
-        self.max_dim = max(dims) if dims else -1
-        n = self.max_dim + 1
-        self.basis = {p: list(basis.get(p, ())) for p in range(n)}
-        self.extension = {p: list(extension.get(p, ())) for p in range(n)}
+        n = max(dims) + 1 if dims else 0
+        basis = {p: list(basis.get(p, ())) for p in range(n)}
+        extension = {p: list(extension.get(p, ())) for p in range(n)}
         if universe is None:
-            self.universe = {p: self.basis[p] + self.extension[p] for p in range(n)}
+            universe = {p: basis[p] + extension[p] for p in range(n)}
         else:
-            self.universe = {p: list(universe.get(p, ())) for p in range(n)}
+            universe = {p: list(universe.get(p, ())) for p in range(n)}
             for p in range(n):
-                listed = self.basis[p] + self.extension[p]
-                if len(self.universe[p]) != len(listed) or set(self.universe[p]) != set(listed):
+                listed = basis[p] + extension[p]
+                if len(universe[p]) != len(listed) or set(universe[p]) != set(listed):
                     raise ValueError(f"dimension {p}: universe is not a permutation of basis+extension")
-        self._row = {p: {label: i for i, label in enumerate(self.universe[p])} for p in range(n)}
-        seen = set()
+        where = {}
         for p in range(n):
-            if len(self._row[p]) != len(self.universe[p]):
-                raise ValueError(f"dimension {p}: duplicate generator labels")
-            for label in self.universe[p]:
-                if label in seen:
+            for r, label in enumerate(universe[p]):
+                if label in where:
+                    if where[label][0] == p:
+                        raise ValueError(f"dimension {p}: duplicate generator labels")
                     raise ValueError(f"generator label {label!r} listed in two dimensions")
-                seen.add(label)
-        q = self.field.q
-        self._faces = {
-            label: {face: r for face, c in faces.items() if (r := c % q)}
-            for label, faces in (boundary or {}).items()
-        }
+                where[label] = (p, r)
+        q = as_field(q).q
+        boundary = boundary or {}
+        strays, csr = [], {}
+        for p in range(n):
+            indptr, faces, coeffs = [0], [], []
+            for label in universe[p]:
+                for face, c in boundary.get(label, {}).items():
+                    if c % q:
+                        at = where.get(face)
+                        if p and at is not None and at[0] == p - 1:
+                            faces.append(at[1])
+                        else:  # an unlisted face: -1 - its index in strays
+                            faces.append(-1 - len(strays))
+                            strays.append(face)
+                        coeffs.append(c % q)
+                indptr.append(len(faces))
+            csr[p] = _csr(indptr, faces, coeffs)
+        rows = {p: np.array([where[label][1] for label in basis[p]], dtype=np.int64) for p in range(n)}
+        self._setup(q, basis, extension, universe, rows, csr)
+        self._strays = strays
+        self._unlisted = [label for label in boundary if label not in where]
+
+    @classmethod
+    def from_arrays(cls, basis, extension, boundaries, q=2, cells=None) -> "GradedSubgroup":
+        """A store whose universe is basis then extension, with CSR boundary arrays.
+
+        ``boundaries[p]`` is (indptr, faces, coeffs): column k is the
+        boundary of the k-th dimension-p universe generator, its faces are
+        dimension-(p-1) universe rows and its coefficients are nonzero mod
+        q.  ``cells``, when given, holds per dimension the vertex-id rows
+        the basis was built from, for the front end that computes heights.
+        """
+        self = cls.__new__(cls)
+        dims = [p for p in set(basis) | set(extension) if len(basis.get(p, ())) or len(extension.get(p, ()))]
+        n = max(dims) + 1 if dims else 0
+        basis = {p: list(basis.get(p, ())) for p in range(n)}
+        extension = {p: list(extension.get(p, ())) for p in range(n)}
+        universe = {p: basis[p] + extension[p] for p in range(n)}
+        csr = {}
+        for p in range(n):
+            indptr, faces, coeffs = boundaries.get(p) or _csr([0] * (len(universe[p]) + 1), [], [])
+            if len(indptr) != len(universe[p]) + 1 or (
+                len(faces) and (p == 0 or faces.min() < 0 or faces.max() >= len(universe[p - 1]))
+            ):
+                raise ValueError(f"dimension {p}: boundary arrays do not fit the universe")
+            csr[p] = _csr(indptr, faces, coeffs)
+        rows = {p: np.arange(len(basis[p]), dtype=np.int64) for p in range(n)}
+        self._setup(as_field(q).q, basis, extension, universe, rows, csr)
+        self._strays, self._unlisted = [], []
+        self.cells = cells
+        return self
+
+    def _setup(self, q, basis, extension, universe, rows, csr):
+        self.field = as_field(q)
+        self.max_dim = len(universe) - 1
+        self.basis, self.extension, self.universe = basis, extension, universe
+        self._basis_rows, self._csr = rows, csr
+        self.cells = None
+        self._where = None  # label -> (dim, universe row, basis position or -1), built on first use
         self._problems = None  # the memoised outcome of validate()
 
     # -- introspection -----------------------------------------------------
@@ -119,21 +208,49 @@ class GradedSubgroup:
     def dims(self):
         return range(self.max_dim + 1)
 
-    def n_basis(self, p: int) -> int:
-        return len(self.basis.get(p, ()))
-
     def universe_size(self, p: int) -> int:
         return len(self.universe.get(p, ()))
 
-    def row_of(self, p: int, label) -> int:
-        return self._row[p][label]
+    def basis_rows(self, p: int) -> np.ndarray:
+        """Universe rows of the dimension-p basis generators, in basis order."""
+        return self._basis_rows.get(p, _NONE)
 
-    def is_listed(self, p: int, label) -> bool:
-        return label in self._row.get(p, ())
+    def boundary_csr(self, p: int):
+        """Boundary of dimension p as (indptr, faces, coeffs) over the dimension-(p-1) universe rows.
+
+        One column per dimension-p universe row.  In a store that has not
+        passed ``validate``, a negative face stands for an unlisted one.
+        """
+        csr = self._csr.get(p)
+        return csr if csr is not None else _csr([0] * (self.universe_size(p) + 1), [], [])
+
+    def _locate(self, label):
+        """(dimension, universe row, basis position or -1) of a listed label; KeyError otherwise."""
+        if self._where is None:
+            self._where = {}
+            for p in self.dims():
+                position = np.full(self.universe_size(p), -1, dtype=np.int64)
+                position[self._basis_rows[p]] = np.arange(len(self.basis[p]))
+                for r, (label_r, k) in enumerate(zip(self.universe[p], position.tolist())):
+                    self._where[label_r] = (p, r, k)
+        return self._where[label]
+
+    def row_of(self, p: int, label) -> int:
+        dim, row, _ = self._locate(label)
+        if dim != p:
+            raise KeyError(label)
+        return row
+
+    def _face_label(self, p: int, face: int):
+        """The label of a face in the CSR arrays of dimension p (a negative face is unlisted)."""
+        return self.universe[p - 1][face] if face >= 0 else self._strays[-1 - face]
 
     def boundary_dict(self, label) -> dict:
-        """Boundary of a generator as {face: nonzero coeff mod q}; shared, do not mutate."""
-        return self._faces.get(label, {})
+        """Boundary of a listed generator as {face: nonzero coeff mod q}, derived from the arrays."""
+        p, row, _ = self._locate(label)
+        indptr, faces, coeffs = self._csr[p]
+        lo, hi = indptr[row], indptr[row + 1]
+        return {self._face_label(p, f): c for f, c in zip(faces[lo:hi].tolist(), coeffs[lo:hi].tolist())}
 
     def validate(self) -> None:
         """Check closure (all referenced faces listed) and d∘d = 0.
@@ -144,72 +261,212 @@ class GradedSubgroup:
         again on later calls.
         """
         if self._problems is None:
-            self._problems = "; ".join(self._closure_problems())
+            self._problems = "; ".join(self._store_problems())
         if self._problems:
             raise GradedValidationError(self._problems)
 
-    def _closure_problems(self) -> list:
-        problems = []
-        for label in self._faces:
-            if not any(label in row for row in self._row.values()):
-                problems.append(f"boundary given for unlisted generator {label!r}")
-        faces_of, empty = self._faces, {}
+    def _store_problems(self) -> list:
+        problems = [f"boundary given for unlisted generator {label!r}" for label in self._unlisted]
         for p in self.dims():
-            row_prev = self._row.get(p - 1, empty)
-            for label in self.universe[p]:
-                faces = faces_of.get(label, empty)
-                if p == 0 and faces:
-                    problems.append(f"dimension-0 generator {label!r} has a nonzero boundary")
-                elif not faces.keys() <= row_prev.keys():
-                    face = next(f for f in faces if f not in row_prev)
-                    problems.append(f"boundary of {label!r} references unlisted generator {face!r}")
+            indptr, faces, _ = self._csr[p]
+            if p == 0:
+                for k in np.flatnonzero(np.diff(indptr)).tolist():
+                    problems.append(f"dimension-0 generator {self.universe[0][k]!r} has a nonzero boundary")
+                continue
+            at = np.flatnonzero(faces < 0)
+            cols, first = np.unique(np.searchsorted(indptr, at, side="right") - 1, return_index=True)
+            for k, e in zip(cols.tolist(), at[first].tolist()):
+                face = self._face_label(p, int(faces[e]))
+                problems.append(f"boundary of {self.universe[p][k]!r} references unlisted generator {face!r}")
         if problems:
             return problems
-        q = self.field.q
         for p in range(2, self.max_dim + 1):
-            for label in self.universe[p]:
-                acc: dict = {}
-                for face, c in faces_of.get(label, empty).items():
-                    for face2, c2 in faces_of.get(face, empty).items():
-                        if face2 in acc:
-                            acc[face2] += c * c2
-                        else:
-                            acc[face2] = c * c2
-                if any(v % q for v in acc.values()):
-                    problems.append(f"boundary of boundary of {label!r} is nonzero")
-                    break
+            k = self._first_nonzero_square(p)
+            if k is not None:
+                problems.append(f"boundary of boundary of {self.universe[p][k]!r} is nonzero")
         return problems
+
+    def _first_nonzero_square(self, p: int):
+        """The first dimension-p universe row whose boundary's boundary is nonzero mod q, or None.
+
+        d_{p-1} d_p as a product of two COO blocks: every entry (column j,
+        face i, c) of d_p meets every entry (i, k, c') of d_{p-1}, and the
+        products c c' are summed by the key (j, k).
+        """
+        q = self.q
+        indptr, faces, coeffs = self._csr[p]
+        inner_ptr, inner_faces, inner_coeffs = take_columns(self._csr[p - 1], faces)
+        if not len(inner_faces):
+            return None
+        fan = np.diff(inner_ptr)
+        outer = np.repeat(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), fan)
+        n_low = self.universe_size(p - 2)
+        keys = outer * n_low + inner_faces
+        values = (np.repeat(coeffs, fan) * inner_coeffs) % q
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        bad = keys[starts[np.add.reduceat(values, starts) % q != 0]]
+        return int(bad.min() // n_low) if len(bad) else None
+
+
+def _lex_ranks(rows: np.ndarray, n: int) -> np.ndarray:
+    """Ranks of the rows of an (m, k) array of ids below n, equal rows equal, in lexicographic order.
+
+    Column by column, the ranks of the prefixes are combined with the next
+    column as rank * n + id and re-ranked densely, so no key exceeds m * n
+    whatever k is.
+    """
+    rank = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        rank = np.unique(rank * n + rows[:, j], return_inverse=True)[1].reshape(-1)
+    return rank
+
+
+def _faces(cells: np.ndarray, q: int, regular: bool):
+    """Codimension-one faces of vertex-id rows, as (face rows, their column, their coefficient).
+
+    Deleting column i gives coefficient (-1)^i.  With ``regular``, an
+    inner deletion that would put one vertex twice in a row is dropped:
+    only the seam around the removed vertex can break regularity.
+    """
+    m, k = cells.shape
+    parts = []
+    for i in range(k):
+        keep = np.arange(m) if not regular or i in (0, k - 1) else np.flatnonzero(cells[:, i - 1] != cells[:, i + 1])
+        parts.append((keep, np.delete(cells[keep], i, axis=1), 1 if i % 2 == 0 else q - 1))
+    cols = np.concatenate([keep for keep, _, _ in parts])
+    order = np.argsort(cols, kind="stable")  # by column, and by i within a column
+    face_rows = np.concatenate([rows for _, rows, _ in parts])[order]
+    coeffs = np.concatenate([np.full(len(keep), c, dtype=np.int64) for keep, _, c in parts])[order]
+    return face_rows, cols[order], coeffs
+
+
+def cell_store(names, basis_cells, q: int = 2, regular: bool = False) -> GradedSubgroup:
+    """The store of vertex-id rows: a basis, its faces as the extension, their boundaries.
+
+    ``names`` are the vertex names by id; ``basis_cells[p]`` holds the
+    dimension-p basis as an (n_p, p+1) array of vertex ids in
+    lexicographic order, and a label is the tuple of its vertex names.
+    The extension is closed top-down: the faces of dimension p-1 of every
+    dimension-p generator that are not basis rows, in lexicographic order.
+    With ``regular``, faces repeating a vertex in adjacent columns are
+    dropped (path complexes); otherwise every face is kept (simplices).
+    """
+    names = np.array(names, dtype=object)
+    n, top = len(names), max(basis_cells)
+    extension = {top: np.zeros((0, top + 1), dtype=np.int64)}
+    boundaries = {}
+    for p in range(top, 0, -1):
+        universe = np.vstack([basis_cells[p], extension[p]])
+        face_rows, cols, coeffs = _faces(universe, q, regular)
+        below = basis_cells[p - 1]
+        ranks = _lex_ranks(np.vstack([below, face_rows]), n)
+        nb, face_ranks = len(below), ranks[len(below):]
+        row_of_rank = np.full(int(ranks.max(initial=-1)) + 1, -1, dtype=np.int64)
+        row_of_rank[ranks[:nb]] = np.arange(nb)
+        appears = np.zeros(len(row_of_rank), dtype=bool)
+        appears[face_ranks] = True
+        new = np.flatnonzero(appears & (row_of_rank < 0))  # ranks follow lexicographic order
+        row_of_rank[new] = nb + np.arange(len(new))
+        example = np.empty(len(row_of_rank), dtype=np.int64)
+        example[face_ranks] = np.arange(len(face_ranks))
+        extension[p - 1] = face_rows[example[new]]
+        indptr = np.zeros(len(universe) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=len(universe)), out=indptr[1:])
+        boundaries[p] = (indptr, row_of_rank[face_ranks], coeffs)
+
+    def labels(rows):
+        return list(map(tuple, names[rows].tolist()))
+
+    return GradedSubgroup.from_arrays(
+        {p: labels(basis_cells[p]) for p in basis_cells},
+        {p: labels(extension[p]) for p in extension},
+        boundaries,
+        q=q,
+        cells=basis_cells,
+    )
+
+
+def stage_heights(graded: GradedSubgroup, heights) -> dict:
+    """Heights per dimension, aligned with ``graded.basis``, from a map of each basis generator to its stage.
+
+    Raises GradedValidationError for a basis generator with no height or
+    with a height that is not an integer.
+    """
+    out = {}
+    for p in graded.dims():
+        out[p] = []
+        for label in graded.basis[p]:
+            if label not in heights:
+                raise GradedValidationError(f"generator {label!r} has no height")
+            h = heights[label]
+            if not isinstance(h, Integral):
+                raise GradedValidationError(f"height {h!r} of generator {label!r} is not an integer")
+            out[p].append(h)
+    return out
+
+
+def _checked_heights(labels, given, p: int, num_stages: int) -> np.ndarray:
+    """The heights of one dimension as int64, checked against the basis labels they belong to."""
+    h = np.asarray(given)
+    if len(h) < len(labels):
+        raise GradedValidationError(f"generator {labels[len(h)]!r} has no height")
+    if len(h) > len(labels):
+        raise GradedValidationError(f"dimension {p}: {len(h)} heights for {len(labels)} basis generators")
+    if h.dtype.kind not in "iu":
+        for label, x in zip(labels, given):
+            if not isinstance(x, Integral):
+                raise GradedValidationError(f"height {x!r} of generator {label!r} is not an integer")
+        h = h.astype(np.int64)
+    outside = np.flatnonzero((h < 1) | (h > num_stages))
+    if len(outside):
+        i = outside[0]
+        raise GradedValidationError(
+            f"dimension {p}: height {int(h[i])} of generator {labels[i]!r} outside [1, {num_stages}]"
+        )
+    return h
+
+
+class Layout(NamedTuple):
+    """Rows and columns of one boundary matrix, over integer ids below ``size``.
+
+    ``rows`` are the ids of the basis rows in compatible order;
+    ``columns`` is a CSR block (indptr, faces, coeffs) with one column per
+    generator one dimension up, its faces given as ids.
+    """
+
+    size: int
+    rows: np.ndarray
+    columns: tuple
 
 
 class FilteredGradedSubgroup:
     """A graded subgroup with a stage height per basis generator.
 
     ``graded`` is the generator store itself, checked by its ``validate``.
-    ``heights`` maps each basis generator to an integer stage in
-    [1, num_stages].  ``basis[p]`` is the store's dimension-p basis sorted
-    stably by height, ``heights[p]`` the heights along it: a compatible
-    basis for the stage filtration, whose stage i is spanned by a prefix.
+    ``heights[p]`` is a sequence of integer stages in [1, num_stages],
+    aligned with ``graded.basis[p]`` (``stage_heights`` makes it from a
+    map).  ``order[p]`` is the stable argsort of those heights, and
+    ``basis[p]`` and ``heights[p]`` are the store's basis and its heights
+    in that order: a compatible basis for the stage filtration, whose
+    stage i is spanned by a prefix.
     """
 
     def __init__(self, graded: GradedSubgroup, heights, num_stages: int):
         graded.validate()
         self.graded = graded
         self.num_stages = int(num_stages)
-        self.basis, self.heights, self._height_of = {}, {}, {}
+        self.order, self.basis, self.heights = {}, {}, {}
+        self._given, self._rows = {}, {}
         for p in graded.dims():
-            for label in graded.basis[p]:
-                if label not in heights:
-                    raise GradedValidationError(f"generator {label!r} has no height")
-                h = heights[label]
-                if not isinstance(h, Integral):
-                    raise GradedValidationError(f"height {h!r} of generator {label!r} is not an integer")
-                if not 1 <= h <= self.num_stages:
-                    raise GradedValidationError(
-                        f"dimension {p}: height {h} of generator {label!r} outside [1, {self.num_stages}]"
-                    )
-                self._height_of[label] = int(h)
-            self.basis[p] = sorted(graded.basis[p], key=self._height_of.__getitem__)
-            self.heights[p] = [self._height_of[label] for label in self.basis[p]]
+            labels = graded.basis[p]
+            h = _checked_heights(labels, heights.get(p, ()), p, self.num_stages)
+            order = np.argsort(h, kind="stable")
+            self._given[p], self.order[p] = h, order
+            self._rows[p] = graded.basis_rows(p)[order]
+            self.basis[p] = [labels[k] for k in order.tolist()]
+            self.heights[p] = h[order].tolist()
 
     @property
     def field(self):
@@ -219,21 +476,28 @@ class FilteredGradedSubgroup:
     def q(self) -> int:
         return self.graded.q
 
+    def rows(self, p: int) -> np.ndarray:
+        """Universe rows of the dimension-p basis in compatible order."""
+        return self._rows.get(p, _NONE)
+
     def height_of(self, label) -> int:
-        return self._height_of[label]
+        p, _, k = self.graded._locate(label)
+        if k < 0:
+            raise KeyError(label)
+        return int(self._given[p][k])
 
     def stage_prefix(self, p: int, stage: int) -> int:
         """Number of dimension-p basis generators present at a stage."""
         return bisect_right(self.heights.get(p, []), stage)
 
-    def layout(self, p: int):
+    def layout(self, p: int) -> Layout:
         """Rows and columns of boundary matrix p, for ``build_matrices``.
 
-        The rows are the dimension-p basis; the columns are the
-        dimension-(p+1) basis generators with their boundaries.
+        Ids are dimension-p universe rows.  The rows are the dimension-p
+        basis; the columns are the boundaries of the dimension-(p+1) basis.
         """
         g = self.graded
-        return self.basis.get(p, []), ((label, g.boundary_dict(label)) for label in self.basis.get(p + 1, ()))
+        return Layout(g.universe_size(p), self.rows(p), take_columns(g.boundary_csr(p + 1), self.rows(p + 1)))
 
 
 class ChainComplexSlice(NamedTuple):
@@ -261,24 +525,30 @@ class ChainComplexSlice(NamedTuple):
         return np.zeros((self.dim(p - 1), self.dim(p)), dtype=np.int64) if mat is None else mat
 
 
-def unit_matrix(graded: GradedSubgroup, p: int, labels) -> np.ndarray:
-    """The dimension-p generators ``labels`` as unit columns over their universe."""
-    out = np.zeros((graded.universe_size(p), len(labels)), dtype=np.int64)
-    for k, label in enumerate(labels):
-        out[graded.row_of(p, label), k] = 1
+def unit_matrix(graded: GradedSubgroup, p: int, rows) -> np.ndarray:
+    """The dimension-p universe rows ``rows`` as unit columns."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.zeros((graded.universe_size(p), len(rows)), dtype=np.int64)
+    out[rows, np.arange(len(rows))] = 1
     return out
 
 
-def image_matrix(graded: GradedSubgroup, p: int, labels) -> np.ndarray:
-    """Boundaries of the dimension-p ``labels`` as columns over the dimension-(p-1) universe."""
-    out = np.zeros((graded.universe_size(p - 1), len(labels)), dtype=np.int64)
-    for k, label in enumerate(labels):
-        for face, c in graded.boundary_dict(label).items():
-            if p == 0:
-                raise GradedValidationError(f"dimension-0 generator {label!r} was given a nonzero boundary")
-            if not graded.is_listed(p - 1, face):
-                raise GradedValidationError(f"boundary of {label!r} references unlisted generator {face!r}")
-            out[graded.row_of(p - 1, face), k] = c
+def image_matrix(graded: GradedSubgroup, p: int, rows) -> np.ndarray:
+    """Boundaries of the dimension-p universe rows ``rows`` as columns over the dimension-(p-1) universe."""
+    rows = np.asarray(rows, dtype=np.int64)
+    indptr, faces, coeffs = take_columns(graded.boundary_csr(p), rows)
+    if p == 0 and len(faces):
+        k = np.flatnonzero(np.diff(indptr))[0]
+        label = graded.universe[0][rows[k]]
+        raise GradedValidationError(f"dimension-0 generator {label!r} was given a nonzero boundary")
+    unlisted = np.flatnonzero(faces < 0)
+    if len(unlisted):
+        e = unlisted[0]
+        label = graded.universe[p][rows[np.searchsorted(indptr, e, side="right") - 1]]
+        face = graded._face_label(p, int(faces[e]))
+        raise GradedValidationError(f"boundary of {label!r} references unlisted generator {face!r}")
+    out = np.zeros((graded.universe_size(p - 1), len(rows)), dtype=np.int64)
+    out[faces, np.repeat(np.arange(len(rows)), np.diff(indptr))] = coeffs
     return out
 
 
@@ -293,10 +563,10 @@ def sup_complex(graded: GradedSubgroup, p_max: int) -> ChainComplexSlice:
     """
     q = graded.q
     # images[0] has no rows; building it rejects a boundary on a dimension-0 generator
-    images = {p: image_matrix(graded, p, graded.basis.get(p, [])) for p in range(p_max + 2)}
+    images = {p: image_matrix(graded, p, graded.basis_rows(p)) for p in range(p_max + 2)}
     vectors, boundaries = {}, {}
     for p in range(p_max + 2):
-        both = unit_matrix(graded, p, graded.basis.get(p, []))
+        both = unit_matrix(graded, p, graded.basis_rows(p))
         if p <= p_max:
             both = np.hstack([both, images[p + 1]])
         vectors[p] = both[:, pivot_columns(both, q)]

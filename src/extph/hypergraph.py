@@ -11,15 +11,22 @@ File format (one hyperedge per line, consumed by the CLI)::
     value<TAB>v1,v2,...,vk
     # comment lines start with '#'
 
-Simplices are oriented by the sorted order of their vertices.
+Simplices are oriented by the sorted order of their vertices.  The input
+is built on integer rows: each hyperedge is the row of its vertex ids in
+sorted order (ids follow the sorted vertex names), and ``cell_store``
+closes those rows under faces.  ``simplicial_closure`` and
+``simplicial_boundary`` are the same objects at the level of labels; the
+demos use them and the tests check the array store against them.
 """
 
 import math
 from itertools import combinations
 
+import numpy as np
+
 from .errors import InputFormatError
 from .extended import ExtendedInput
-from .graded import GradedSubgroup, homology_dims, sup_complex
+from .graded import GradedSubgroup, cell_store, homology_dims, sup_complex
 
 __all__ = [
     "FilteredHypergraph",
@@ -91,26 +98,6 @@ def simplicial_boundary(simplex: tuple) -> dict:
     return out
 
 
-def _hyperedge_universe(hyperedges, p_max: int):
-    """Hyperedges up to dimension p_max + 1, their non-hyperedge faces, boundaries."""
-    edges = [e for e in hyperedges if len(e) - 1 <= p_max + 1]
-    edge_set = set(edges)
-    basis = {p: [] for p in range(p_max + 2)}
-    for e in edges:
-        basis[len(e) - 1].append(e)
-    eps = {p: set() for p in range(p_max + 2)}
-    for e in edges:
-        for k in range(1, len(e)):
-            for face in combinations(e, k):
-                if face not in edge_set:
-                    eps[len(face) - 1].add(face)
-    boundary = {}
-    for p in range(1, p_max + 2):
-        for simplex in basis[p] + sorted(eps[p]):
-            boundary[simplex] = simplicial_boundary(simplex)
-    return basis, {p: sorted(eps[p]) for p in eps}, boundary
-
-
 def embedded_homology(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> list[int]:
     """Embedded homology dimensions of the hypergraph (values ignored)."""
     return homology_dims(sup_complex(hyper_store(h, p_max, q), p_max), p_max)
@@ -122,10 +109,17 @@ def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubg
     Hyperedges of dimension at most p_max + 1 are the basis (higher ones
     cannot affect homology up to p_max).  The extension generators are the
     proper faces of hyperedges that are not hyperedges themselves, a
-    face-closed set, so boundaries never leave the listing.
+    face-closed set, so boundaries never leave the listing.  Each
+    hyperedge is a row of vertex ids in sorted order, and rows in
+    lexicographic order are labels in lexicographic order.
     """
-    basis, eps, boundary = _hyperedge_universe(h.hyperedges, p_max)
-    return GradedSubgroup(basis, eps, boundary, q=q)
+    vid = {v: i for i, v in enumerate(h.vertices)}
+    by_dim = {p: [] for p in range(p_max + 2)}
+    for e in h.hyperedges:
+        if len(e) - 1 <= p_max + 1:
+            by_dim[len(e) - 1].append([vid[v] for v in e])
+    cells = {p: np.array(rows, dtype=np.int64).reshape(len(rows), p + 1) for p, rows in by_dim.items()}
+    return cell_store(h.vertices, cells, q)
 
 
 def hyper_input(h: FilteredHypergraph, store: GradedSubgroup):
@@ -136,16 +130,13 @@ def hyper_input(h: FilteredHypergraph, store: GradedSubgroup):
     here.  Returns (ExtendedInput, ascending values, descending values);
     the stage grids are the distinct values of the hyperedges in the store.
     """
-    edges = [e for p in store.dims() for e in store.basis[p]]
-    values = sorted({h.values[e] for e in edges})
-    asc_stage = {v: i + 1 for i, v in enumerate(values)}
-    desc_values = values[::-1]
-    desc_stage = {v: i + 1 for i, v in enumerate(desc_values)}
-
-    asc_h = {e: asc_stage[h.values[e]] for e in edges}
-    desc_h = {e: desc_stage[h.values[e]] for e in edges}
-    x = ExtendedInput(store, asc_h, desc_h, len(values), len(desc_values))
-    return x, values, desc_values
+    value = {p: np.array([h.values[e] for e in store.basis[p]], dtype=float) for p in store.dims()}
+    values = sorted({v for column in value.values() for v in column.tolist()})
+    grid = np.array(values)
+    asc_h = {p: np.searchsorted(grid, column) + 1 for p, column in value.items()}
+    desc_h = {p: len(values) - np.searchsorted(grid, column) for p, column in value.items()}
+    x = ExtendedInput(store, asc_h, desc_h, len(values), len(values))
+    return x, values, values[::-1]
 
 
 def build_hyper_input(h: FilteredHypergraph, p_max: int = 2, q: int = 2):

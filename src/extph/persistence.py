@@ -19,6 +19,8 @@ involved, and is the ground truth the pairing route is tested against.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .field import SparseColumn, SparseMatrix, reduce
 from .graded import FilteredGradedSubgroup, image_matrix, stage_cycles, unit_matrix, window_ranks
 
@@ -75,7 +77,8 @@ class BoundaryMatrices:
     """mats[p] is the boundary matrix of dimension p+1 basis generators.
 
     Rows of mats[p]: the dimension-p basis generators in compatible order,
-    then the appearing extension generators in first-appearance order.
+    then the extension generators that appear, in id order (the order of
+    their universe rows).
     ``basis_counts[p]`` is the number of dimension-p basis generators, i.e.
     the size of the basis row block.
     """
@@ -88,26 +91,29 @@ def build_matrices(f, p_max: int) -> BoundaryMatrices:
     """Boundary matrices 0..p_max of a filtration, read from ``f.layout(p)``.
 
     ``f`` is a ``FilteredGradedSubgroup`` or an ``ExtendedInput``, whose
-    layout is the cone.  ``f.layout(p)`` gives the basis rows of matrix p in
-    compatible order, and its columns as (generator, {face: coeff}) pairs.
-    A face outside the basis rows becomes an extension row, in the order
-    the faces first appear.  Both kinds of ``f`` hold a validated store, so
-    every such face is listed one dimension below the column's generator.
+    layout is the cone.  ``f.layout(p)`` gives the ids of the basis rows of
+    matrix p in compatible order, and its columns as CSR arrays over the
+    same ids.  One position array places every row: the basis rows first,
+    then every other id that appears, in id order, as an extension row.
+    Both kinds of ``f`` hold a validated store, so every such id is a
+    generator listed one dimension below the column's generator.
     """
     mats, basis_counts = [], []
     for p in range(p_max + 1):
-        rows, columns = f.layout(p)
-        row = {label: i for i, label in enumerate(rows)}
-        cols = []
-        for label, faces in columns:
-            entries = []
-            for face, c in faces.items():
-                i = row.get(face)
-                if i is None:
-                    i = row[face] = len(row)  # next extension row
-                entries.append((i, c))
-            cols.append(SparseColumn(sorted(entries)))
-        mats.append(SparseMatrix(len(row), cols, f.graded.field))
+        size, rows, (indptr, faces, coeffs) = f.layout(p)
+        position = np.full(size, -1, dtype=np.int64)
+        position[rows] = np.arange(len(rows))
+        appears = np.zeros(size, dtype=bool)
+        appears[faces] = True
+        extension = np.flatnonzero(appears & (position < 0))
+        position[extension] = len(rows) + np.arange(len(extension))
+        at = position[faces]
+        column = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        order = np.lexsort((at, column))  # by column, then by row within it
+        entries = list(zip(at[order].tolist(), coeffs[order].tolist()))
+        bounds = indptr.tolist()
+        cols = [SparseColumn(entries[a:b]) for a, b in zip(bounds, bounds[1:])]
+        mats.append(SparseMatrix(len(rows) + len(extension), cols, f.graded.field))
         basis_counts.append(len(rows))
     basis_counts.append(len(cols))  # the columns of the last matrix are the next basis
     return BoundaryMatrices(tuple(mats), tuple(basis_counts))
@@ -171,10 +177,10 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     stages = range(1, f.num_stages + 1)
     table: dict = {}
     for p in range(p_max + 1):
-        labels = f.basis.get(p, [])
-        units, images = unit_matrix(g, p, labels), image_matrix(g, p, labels)
+        rows = f.rows(p)
+        units, images = unit_matrix(g, p, rows), image_matrix(g, p, rows)
         cycles = stage_cycles(units, images, [f.stage_prefix(p, i) for i in stages], q)
-        bound = image_matrix(g, p + 1, f.basis.get(p + 1, []))
+        bound = image_matrix(g, p + 1, f.rows(p + 1))
         ends = [f.stage_prefix(p + 1, j) for j in stages]
         for i, row in enumerate(window_ranks(cycles, bound, ends, q), start=1):
             for j, r in enumerate(row, start=i):

@@ -24,6 +24,7 @@ from extph import (
     GradedSubgroup,
     WeightedDigraph,
     FilteredHypergraph,
+    stage_heights,
 )
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,7 @@ def random_filtered(rng, q, p_max=2, max_per_dim=8, max_stages=5, basis_prob=0.7
     for p in g.dims():
         # sorted along the basis order, so the compatible order is the store's own
         heights.update(zip(g.basis[p], sorted(int(rng.integers(1, num_stages + 1)) for _ in g.basis[p])))
-    return FilteredGradedSubgroup(g, heights, num_stages)
+    return FilteredGradedSubgroup(g, stage_heights(g, heights), num_stages)
 
 
 def random_extended_input(rng, q, p_max=2, max_per_dim=5, max_asc=3, max_desc=3, basis_prob=0.7):
@@ -269,7 +270,7 @@ def fgs_from_filtered_complex(filtered_simplices, q, p_max):
             boundary[s] = faces
     g = GradedSubgroup(basis, {}, boundary, q=q)
     n_stages = max((stage for _, stage in chosen), default=0)
-    return FilteredGradedSubgroup(g, heights, max(n_stages, 1))
+    return FilteredGradedSubgroup(g, stage_heights(g, heights), max(n_stages, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ The pipeline never builds these objects; the tests use them to check the
 identities that extended persistence rests on (Cohen-Steiner, Edelsbrunner,
 Harer, "Extending persistence using Poincaré and Lefschetz duality", 2009):
 
+* ``same_store``: asserts that two stores list the same generators in the
+  same order with the same boundaries, the check between the front ends'
+  array stores and their label-level references;
 * ``restricted``: the subgroup spanned by some of a store's basis
   generators, over the store's universe, the stages and sub-pairs the
   identities are stated for;
@@ -36,6 +39,19 @@ def _vectors(c: ChainComplexSlice, p: int) -> np.ndarray:
     return c.vectors.get(p, _EMPTY)
 
 
+def same_store(got: GradedSubgroup, want: GradedSubgroup) -> None:
+    """Assert equal label lists per dimension and equal boundaries, as arrays and as dicts."""
+    assert got.max_dim == want.max_dim and got.q == want.q
+    for p in want.dims():
+        assert got.basis[p] == want.basis[p]
+        assert got.extension[p] == want.extension[p]
+        assert got.universe[p] == want.universe[p]
+        for a, b in zip(got.boundary_csr(p), want.boundary_csr(p)):
+            assert np.array_equal(a, b)
+    for label in (l for p in want.dims() for l in want.universe[p][:50]):
+        assert got.boundary_dict(label) == want.boundary_dict(label)
+
+
 def restricted(graded: GradedSubgroup, keep) -> GradedSubgroup:
     """Subgroup spanned by the basis generators ``keep[p]``, in basis order.
 
@@ -59,21 +75,20 @@ def inf_complex(graded, p_max: int) -> ChainComplexSlice:
     q = graded.q
     vectors, coeffs = {}, {}
     for p in range(p_max + 2):
-        labels = graded.basis.get(p, [])
+        rows = graded.basis_rows(p)
         if p == 0:
             # the boundary vanishes on dimension 0, so I_0 = D_0
-            ker = np.eye(len(labels), dtype=np.int64)
+            ker = np.eye(len(rows), dtype=np.int64)
         else:
-            basis_rows_prev = {graded.row_of(p - 1, l) for l in graded.basis.get(p - 1, ())}
-            outside = [r for r in range(graded.universe_size(p - 1)) if r not in basis_rows_prev]
-            ker = dense_kernel(image_matrix(graded, p, labels)[outside, :], q)
-        vectors[p] = unit_matrix(graded, p, labels) @ ker
+            outside = np.setdiff1d(np.arange(graded.universe_size(p - 1)), graded.basis_rows(p - 1))
+            ker = dense_kernel(image_matrix(graded, p, rows)[outside, :], q)
+        vectors[p] = unit_matrix(graded, p, rows) @ ker
         coeffs[p] = ker
 
     # boundary of an I_p vector is a combination of basis-generator columns
     boundaries = {}
     for p in range(1, p_max + 2):
-        images = (image_matrix(graded, p, graded.basis.get(p, [])) @ coeffs[p]) % q
+        images = (image_matrix(graded, p, graded.basis_rows(p)) @ coeffs[p]) % q
         boundaries[p] = dense_solve_many(vectors[p - 1], images, q)
         if boundaries[p] is None:
             raise GradedValidationError(

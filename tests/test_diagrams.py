@@ -341,13 +341,13 @@ def test_one_stability_run_validates_its_store_once(monkeypatch, tmp_path):
     from extph.graded import GradedSubgroup
 
     checked = []
-    original = GradedSubgroup._closure_problems
+    original = GradedSubgroup._store_problems
 
     def counted(self):
         checked.append(self)
         return original(self)
 
-    monkeypatch.setattr(GradedSubgroup, "_closure_problems", counted)
+    monkeypatch.setattr(GradedSubgroup, "_store_problems", counted)
     for name, text in (("g.tsv", "a\tb\t1\nb\tc\t2\nc\ta\t3\n"), ("h.tsv", "1\ta,b\n2\tb,c\n3\ta,b,c\n")):
         checked.clear()
         src = tmp_path / name
@@ -372,15 +372,16 @@ def test_a_new_store_is_checked_and_each_trial_checks_its_heights():
     assert x.graded is store is x.ascending.graded is x.descending.graded
 
     bad = GradedSubgroup({0: ["a", "b"], 1: ["e"], 2: ["T"]}, {}, {"e": {"a": 1, "b": 1}, "T": {"e": 1}})
-    ones = dict.fromkeys(["a", "b", "e", "T"], 1)
+    ones = {0: [1, 1], 1: [1], 2: [1]}
     for _ in range(2):  # the kept report still rejects the store
         with pytest.raises(GradedValidationError, match="boundary of boundary"):
             ExtendedInput(bad, ones, ones, 1, 1)
 
-    heights = {l: x.ascending.height_of(l) for p in store.dims() for l in store.basis[p]}
+    heights = {p: [x.ascending.height_of(l) for l in store.basis[p]] for p in store.dims()}
+    assert store.basis[1][0] == ("a", "b")
     for wrong in (0, x.M + 1):
         with pytest.raises(GradedValidationError, match="outside"):
-            ExtendedInput(store, {**heights, ("a", "b"): wrong}, heights, x.M, x.N)
+            ExtendedInput(store, {**heights, 1: [wrong] + heights[1][1:]}, heights, x.M, x.N)
 
 
 # ---------------------------------------------------------------------------

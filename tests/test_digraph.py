@@ -13,14 +13,17 @@ from extph import (
     homology_dims,
     interval_rank_table,
     parse_digraph,
+    pph_store,
     regular_boundary,
     sublevel,
     sup_complex,
     superlevel,
 )
 from extph.extended import EXTENDED
+from extph.graded import GradedSubgroup
 
 from oracles import gf_rank, random_digraph
+from references import same_store
 
 
 def unit_cycle():
@@ -97,6 +100,38 @@ def test_boundary_squares_to_zero_on_all_short_paths(q):
 # ---------------------------------------------------------------------------
 # filtrations
 # ---------------------------------------------------------------------------
+
+
+def label_store(g, p_max, q):
+    """``pph_store`` at the label level: allowed paths, regular boundaries, faces closed top-down."""
+    paths = allowed_paths(g, p_max + 1)
+    listed = {path for level in paths.values() for path in level}
+    extension = {p: set() for p in paths}
+    boundary = {}
+    for p in range(p_max + 1, 0, -1):
+        for path in paths[p] + sorted(extension[p]):
+            boundary[path] = regular_boundary(path)
+            extension[p - 1].update(face for face in boundary[path] if face not in listed)
+    return GradedSubgroup(paths, {p: sorted(e) for p, e in extension.items()}, boundary, q=q)
+
+
+def test_the_array_store_matches_the_label_level_reference():
+    rng = np.random.default_rng(191)
+    for q in (2, 3):
+        for p_max in (0, 1, 2, 3):
+            for _ in range(6):
+                g = random_digraph(rng, max_vertices=7, edge_prob=0.4)
+                same_store(pph_store(g, p_max, q), label_store(g, p_max, q))
+
+
+def test_the_array_store_needs_no_code_that_fits_in_int64():
+    # base-100 codes of the 10-vertex rows would pass 2**63; the rows are ranked a column at a time
+    names = [f"v{i:03d}" for i in range(100)]
+    g = WeightedDigraph(names, {(a, b): 1.0 for a, b in zip(names, names[1:])})
+    assert 100**10 > 2**63
+    store = pph_store(g, 8, 3)
+    same_store(store, label_store(g, 8, 3))
+    store.validate()
 
 
 def test_sublevel_and_superlevel_filter_edges():

@@ -355,17 +355,18 @@ def test_from_heights_rejects_a_missing_or_non_integer_height(ascending, descend
 @pytest.mark.parametrize(
     "ascending, descending, message",
     [
-        ({"u": 1, "v": 2}, None, "ascending: generator 'uv' has no height"),
-        ({"u": 1.5, "v": 2, "uv": 2}, None, "ascending: height 1.5 of generator 'u' is not an integer"),
-        (None, {"v": 1, "u": 2}, "descending: generator 'uv' has no height"),
-        (None, {"v": 1, "u": 2, "uv": 2.0}, "descending: height 2.0 of generator 'uv' is not an integer"),
+        ({0: [1, 2]}, None, "ascending: generator 'uv' has no height"),
+        ({0: [1.5, 2], 1: [2]}, None, "ascending: height 1.5 of generator 'u' is not an integer"),
+        (None, {0: [2, 1]}, "descending: generator 'uv' has no height"),
+        (None, {0: [2, 1], 1: [2.0]}, "descending: height 2.0 of generator 'uv' is not an integer"),
+        ({0: [1, 2], 1: [2, 2]}, None, "ascending: dimension 1: 2 heights for 1 basis generators"),
     ],
-    ids=["missing", "non_integer", "missing_descending", "float_descending"],
+    ids=["missing", "non_integer", "missing_descending", "float_descending", "too_many"],
 )
 def test_constructor_rejects_a_missing_or_non_integer_height(ascending, descending, message):
-    # the front ends call the constructor directly; from_heights goes through it too
-    ascending = ascending or {"u": 1, "v": 2, "uv": 2}
-    descending = descending or {"v": 1, "u": 2, "uv": 2}
+    # the front ends call the constructor directly, with heights aligned with the store's basis
+    ascending = ascending or {0: [1, 2], 1: [2]}
+    descending = descending or {0: [2, 1], 1: [2]}
     with pytest.raises(GradedValidationError) as err:
         ExtendedInput(edge_graded(), ascending, descending, 2, 2)
     assert str(err.value) == message

@@ -9,6 +9,7 @@ from extph import (
     GradedValidationError,
     homology_dims,
     persistent_betti_oracle,
+    stage_heights,
     sup_complex,
 )
 
@@ -51,7 +52,7 @@ def span_rows(slice_, p, q):
 
 def test_validate_accepts_monotone_heights():
     g = GradedSubgroup(basis={0: ["a", "b", "c", "d"]}, q=2)
-    f = FilteredGradedSubgroup(g, {"a": 1, "b": 1, "c": 2, "d": 3}, 3)
+    f = FilteredGradedSubgroup(g, stage_heights(g, {"a": 1, "b": 1, "c": 2, "d": 3}), 3)
     assert f.basis[0] == g.basis[0] and f.heights[0] == [1, 1, 2, 3]
     assert [f.stage_prefix(0, i) for i in (1, 2, 3)] == [2, 3, 4]
 
@@ -90,7 +91,7 @@ def test_validate_reports_out_of_range_heights():
     for h in (0, 4):
         message = f"dimension 0: height {h} of generator 'a' outside [1, 3]"
         with pytest.raises(GradedValidationError, match=re.escape(message)):
-            FilteredGradedSubgroup(g, {"a": h}, 3)
+            FilteredGradedSubgroup(g, stage_heights(g, {"a": h}), 3)
 
 
 def test_validate_reports_unlisted_boundary_generators():
@@ -117,21 +118,21 @@ def test_validate_reports_broken_d_squared():
         g.validate()
     # a plain filtration checks its store when it is built
     with pytest.raises(GradedValidationError, match="boundary of boundary of 'T'"):
-        FilteredGradedSubgroup(g, dict.fromkeys(["a", "b", "e", "f", "T"], 1), 1)
+        FilteredGradedSubgroup(g, stage_heights(g, dict.fromkeys(["a", "b", "e", "f", "T"], 1)), 1)
 
 
 def test_validate_checks_a_store_once_and_keeps_its_report(monkeypatch):
     g = GradedSubgroup(basis={0: ["a"], 1: ["e"]}, boundary={"e": {"a": 1, "ghost": 1}, "x": {}}, q=2)
     calls = []
-    original = GradedSubgroup._closure_problems
-    monkeypatch.setattr(GradedSubgroup, "_closure_problems", lambda self: calls.append(1) or original(self))
+    original = GradedSubgroup._store_problems
+    monkeypatch.setattr(GradedSubgroup, "_store_problems", lambda self: calls.append(1) or original(self))
     want = "boundary given for unlisted generator 'x'; boundary of 'e' references unlisted generator 'ghost'"
     for _ in range(2):
         with pytest.raises(GradedValidationError) as err:
             g.validate()
         assert str(err.value) == want
     with pytest.raises(GradedValidationError, match="ghost"):
-        FilteredGradedSubgroup(g, {"a": 1, "e": 1}, 1)
+        FilteredGradedSubgroup(g, stage_heights(g, {"a": 1, "e": 1}), 1)
     assert len(calls) == 1
 
 
@@ -212,7 +213,7 @@ def test_oracles_reject_an_unvalidated_store(boundary, message, store_message):
             run()
     # a filtration validates its store, so persistent_betti_oracle never sees this one
     with pytest.raises(GradedValidationError, match=re.escape(store_message)):
-        FilteredGradedSubgroup(g, {"u": 1, "v": 1, "uv": 1}, 1)
+        FilteredGradedSubgroup(g, stage_heights(g, {"u": 1, "v": 1, "uv": 1}), 1)
 
 
 def test_sup_inf_equal_homology_on_random_subgroups():

@@ -18,6 +18,7 @@ from extph import (
     extended_barcode,
     extended_module_oracle,
     homology_dims,
+    hyper_store,
     interval_rank_table,
     parse_hypergraph,
     simplicial_boundary,
@@ -27,7 +28,7 @@ from extph import (
 from extph.diagrams import DiagramPoint
 
 from oracles import classical_barcode, random_hypergraph
-from references import inf_complex, restricted
+from references import inf_complex, restricted, same_store
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,39 @@ def test_embedded_homology_ignores_ambient_enlargement():
     assert homology_dims(sup_complex(g, 2), 2) == homology_dims(sup_complex(enlarged, 2), 2)
 
 
+def label_store(h, p_max, q):
+    """``hyper_store`` at the label level: the simplicial closure and simplicial boundaries."""
+    edges = [e for e in h.hyperedges if len(e) - 1 <= p_max + 1]
+    listed = set(edges)
+    basis, extension = {}, {}
+    for e in edges:
+        basis.setdefault(len(e) - 1, []).append(e)
+    for face in sorted(simplicial_closure(edges) - listed):
+        extension.setdefault(len(face) - 1, []).append(face)
+    boundary = {s: simplicial_boundary(s) for s in simplicial_closure(edges) if len(s) > 1}
+    return GradedSubgroup(basis, extension, boundary, q=q)
+
+
+def test_the_array_store_matches_the_label_level_reference():
+    rng = np.random.default_rng(193)
+    for q in (2, 3):
+        for p_max in (0, 1, 2, 3):
+            for _ in range(6):
+                h = random_hypergraph(rng, max_vertices=7, max_arity=5)
+                same_store(hyper_store(h, p_max, q), label_store(h, p_max, q))
+
+
+def test_the_array_store_needs_no_code_that_fits_in_int64():
+    # base-40 codes of the 12-vertex rows would pass 2**63; the rows are ranked a column at a time
+    names = [f"u{i:02d}" for i in range(40)]
+    h = FilteredHypergraph(names, {tuple(names[::3][:12]): 1.0})
+    assert 40**12 > 2**63
+    store = hyper_store(h, 10, 3)
+    assert [len(store.universe[p]) for p in store.dims()] == [math.comb(12, p + 1) for p in range(12)]
+    same_store(store, label_store(h, 10, 3))
+    store.validate()
+
+
 def test_oversized_hyperedges_are_ignored():
     h = FilteredHypergraph(
         ["a", "b", "c", "d", "e"],
@@ -184,7 +218,7 @@ def _induced_map_ranks(big, keep, p_max, q):
         vecs = small_s.vectors[p]
         if p:
             vecs = (vecs @ dense_kernel(small_s.boundary_matrix(p), q)) % q
-        bnd = image_matrix(big, p + 1, big.basis.get(p + 1, ()))
+        bnd = image_matrix(big, p + 1, big.basis_rows(p + 1))
         out.append(dense_rank(np.hstack([vecs, bnd]), q) - dense_rank(bnd, q))
     return out
 

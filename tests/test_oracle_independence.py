@@ -91,7 +91,7 @@ def test_the_oracles_never_reach_the_pivot_route():
     assert not hits, "; ".join(_route(reached, name) for name in hits)
     # the walk did follow the oracles into the dense helpers and the store
     dense = {"pivot_columns", "dense_kernel", "prefix_ranks", "dense_solve_many", "window_ranks"}
-    assert dense | {"GradedSubgroup.boundary_dict"} <= reached.keys()
+    assert dense | {"GradedSubgroup.boundary_csr"} <= reached.keys()
 
 
 def test_the_oracles_are_dense_end_to_end():

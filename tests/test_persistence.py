@@ -12,6 +12,7 @@ from extph import (
     build_matrices,
     compute_pairings,
     persistent_betti_oracle,
+    stage_heights,
 )
 
 from oracles import (
@@ -34,7 +35,7 @@ def filtered_triangle(q=2):
         q=q,
     )
     heights = {"a": 1, "b": 1, "c": 1, "ab": 2, "bc": 2, "ac": 3}
-    return FilteredGradedSubgroup(g, heights, 3)
+    return FilteredGradedSubgroup(g, stage_heights(g, heights), 3)
 
 
 def lone_triangle_hyperedge(q=2):
@@ -50,7 +51,7 @@ def lone_triangle_hyperedge(q=2):
         },
         q=q,
     )
-    return FilteredGradedSubgroup(g, {("a", "b", "c"): 1}, 1)
+    return FilteredGradedSubgroup(g, stage_heights(g, {("a", "b", "c"): 1}), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +78,7 @@ def test_lone_hyperedge_matrix_is_one_column_with_three_extension_rows():
 
 def test_empty_dimension_gives_zero_columns():
     g = GradedSubgroup(basis={0: ["a"]}, q=2)
-    f = FilteredGradedSubgroup(g, {"a": 1}, 1)
+    f = FilteredGradedSubgroup(g, stage_heights(g, {"a": 1}), 1)
     bm = build_matrices(f, 2)
     assert [m.num_cols for m in bm.mats] == [0, 0, 0]
 
@@ -108,7 +109,7 @@ def test_lone_hyperedge_pivot_falls_in_the_extension_block():
 
 def test_all_zero_boundaries_make_every_generator_a_cycle():
     g = GradedSubgroup(basis={0: ["a", "b"], 1: ["e"]}, q=2)
-    f = FilteredGradedSubgroup(g, {"a": 1, "b": 2, "e": 2}, 2)
+    f = FilteredGradedSubgroup(g, stage_heights(g, {"a": 1, "b": 2, "e": 2}), 2)
     pairings = compute_pairings(build_matrices(f, 1))
     assert pairings[0].unpaired_cycles == frozenset({0, 1})
     assert pairings[1].unpaired_cycles == frozenset({0})
@@ -140,7 +141,7 @@ def test_triangle_barcode():
 
 def test_single_vertex_barcode():
     g = GradedSubgroup(basis={0: ["x"]}, q=2)
-    f = FilteredGradedSubgroup(g, {"x": 1}, 1)
+    f = FilteredGradedSubgroup(g, stage_heights(g, {"x": 1}), 1)
     bc = barcode(compute_pairings(build_matrices(f, 0)), f)
     assert bc.intervals == ((0, 1, math.inf),)
 
@@ -148,7 +149,7 @@ def test_single_vertex_barcode():
 def test_pair_with_reversed_heights_contributes_nothing():
     # the edge arrives before its vertex: a pair with height 2 -> 1
     g = GradedSubgroup(basis={0: ["v"], 1: ["e"]}, boundary={"e": {"v": 1}}, q=2)
-    f = FilteredGradedSubgroup(g, {"v": 2, "e": 1}, 2)
+    f = FilteredGradedSubgroup(g, stage_heights(g, {"v": 2, "e": 1}), 2)
     pairings = compute_pairings(build_matrices(f, 1))
     assert pairings[0].pairs == frozenset({(0, 0)})
     bc = barcode(pairings, f)
@@ -159,7 +160,7 @@ def test_pair_with_reversed_heights_contributes_nothing():
 def test_a_basis_listed_out_of_height_order_is_sorted_by_height():
     # b enters before a; the store's own order is not compatible
     g = GradedSubgroup(basis={0: ["a", "b"], 1: ["ab"]}, boundary={"ab": {"b": 1, "a": -1}}, q=2)
-    f = FilteredGradedSubgroup(g, {"a": 2, "b": 1, "ab": 3}, 3)
+    f = FilteredGradedSubgroup(g, stage_heights(g, {"a": 2, "b": 1, "ab": 3}), 3)
     assert f.basis[0] == ["b", "a"] and f.heights[0] == [1, 2]
     bc = barcode(compute_pairings(build_matrices(f, 1)), f)
     assert bc.intervals == ((0, 1, math.inf), (0, 2, 3))
@@ -168,7 +169,7 @@ def test_a_basis_listed_out_of_height_order_is_sorted_by_height():
 
 def test_empty_filtration_is_legal():
     g = GradedSubgroup(basis={}, q=2)
-    f = FilteredGradedSubgroup(g, {}, 0)
+    f = FilteredGradedSubgroup(g, stage_heights(g, {}), 0)
     bc = barcode(compute_pairings(build_matrices(f, 2)), f)
     assert bc.intervals == ()
     assert persistent_betti_oracle(f, 2) == {}
@@ -224,7 +225,7 @@ def test_extension_row_order_never_matters():
             q=g.field,
         )
         heights = {l: f.height_of(l) for p in g.dims() for l in g.basis[p]}
-        f2 = FilteredGradedSubgroup(shuffled, heights, f.num_stages)
+        f2 = FilteredGradedSubgroup(shuffled, stage_heights(shuffled, heights), f.num_stages)
         bc2 = barcode(compute_pairings(build_matrices(f2, 2)), f2)
         assert bc == bc2
 
