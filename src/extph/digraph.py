@@ -144,8 +144,7 @@ def _path_cells(src, tgt, n: int, top: int) -> dict:
     for p in range(1, top + 1):
         last = cells[p - 1][:, -1]
         degree = first[last + 1] - first[last]
-        ends = np.cumsum(degree)
-        edge = np.repeat(first[last] - ends + degree, degree) + np.arange(ends[-1] if len(ends) else 0)
+        edge = np.repeat(first[last] - np.cumsum(degree) + degree, degree) + np.arange(degree.sum())
         cells[p] = np.hstack([np.repeat(cells[p - 1], degree, axis=0), tgt[edge][:, None]])
     return cells
 

@@ -102,6 +102,13 @@ def take_columns(csr, cols):
     return out, faces[at], coeffs[at]
 
 
+def _per_dim(basis, extension):
+    """Basis and extension as lists for each dimension up to the highest one that lists a generator."""
+    dims = [p for p in set(basis) | set(extension) if len(basis.get(p, ())) or len(extension.get(p, ()))]
+    n = max(dims) + 1 if dims else 0
+    return {p: list(basis.get(p, ())) for p in range(n)}, {p: list(extension.get(p, ())) for p in range(n)}
+
+
 class GradedSubgroup:
     """Per-dimension basis/extension generator lists plus boundary arrays.
 
@@ -116,12 +123,8 @@ class GradedSubgroup:
     """
 
     def __init__(self, basis, extension=None, boundary=None, q=2, universe=None):
-        extension = extension or {}
-        dims = {p for p, labels in basis.items() if labels}
-        dims |= {p for p, labels in extension.items() if labels}
-        n = max(dims) + 1 if dims else 0
-        basis = {p: list(basis.get(p, ())) for p in range(n)}
-        extension = {p: list(extension.get(p, ())) for p in range(n)}
+        basis, extension = _per_dim(basis, extension or {})
+        n = len(basis)
         if universe is None:
             universe = {p: basis[p] + extension[p] for p in range(n)}
         else:
@@ -171,10 +174,8 @@ class GradedSubgroup:
         the basis was built from, for the front end that computes heights.
         """
         self = cls.__new__(cls)
-        dims = [p for p in set(basis) | set(extension) if len(basis.get(p, ())) or len(extension.get(p, ()))]
-        n = max(dims) + 1 if dims else 0
-        basis = {p: list(basis.get(p, ())) for p in range(n)}
-        extension = {p: list(extension.get(p, ())) for p in range(n)}
+        basis, extension = _per_dim(basis, extension)
+        n = len(basis)
         universe = {p: basis[p] + extension[p] for p in range(n)}
         csr = {}
         for p in range(n):
