@@ -8,6 +8,18 @@ reduced matrix do not depend on the order in which admissible additions
 are performed, which is what makes pairings read off the pivots well
 defined.
 
+Over F_2 (the default field) ``reduce`` takes an XOR route, chosen once
+per matrix.  A column there is the set of its rows, and a Python int with
+bit r set for each row r holds that set: its low is ``bit_length() - 1``
+and adding a column is ``^``.  The conversion is lazy.  A column stays the
+``SparseColumn`` it came in as until its low collides with a pivot; only
+then do it and the pivot columns it meets become ints, and each pivot's
+int is kept for its next use.  Extension rows sit at the bottom of the
+cone's matrices, so an int is as wide as the matrix is tall; converting
+every column would hold thousands of such ints at once.  At the end only
+the columns that changed are decoded, so both routes return the same
+``SparseMatrix`` of ``SparseColumn``s.
+
 The dense helpers at the end back the homology rank oracles.  They all
 run one row echelon form on numpy int arrays mod q, and every rank is
 read from its pivot list, ``pivot_columns``.  They share no code with
@@ -206,7 +218,15 @@ def reduce(matrix: SparseMatrix, skip_columns=()):
     Returns (reduced, pivots), where pivots is a dict {row: column}: each
     nonzero reduced column under the row of its low, so rows and columns
     are pairwise distinct.
+
+    Over F_2 the additions are XORs of int bitsets (see the module
+    docstring), and a column that took part in no addition comes back as
+    the very ``SparseColumn`` it went in as.  The return value is the same
+    on both routes, because the pairing code and the tests read the
+    reduced columns as ``SparseColumn``s.
     """
+    if matrix.field.q == 2:
+        return _reduce_f2(matrix, skip_columns)
     field = matrix.field
     skip = set(skip_columns)
     working = list(matrix.columns)
@@ -227,6 +247,59 @@ def reduce(matrix: SparseMatrix, skip_columns=()):
             col = col.plus_scaled(pivot_col, factor, field)
         working[j] = col
     return SparseMatrix(matrix.num_rows, working, field), owner
+
+
+def _reduce_f2(matrix: SparseMatrix, skip_columns):
+    """``reduce`` over F_2: columns become int bitsets when they first collide."""
+    skip = set(skip_columns)
+    working = list(matrix.columns)
+    owner: dict[int, int] = {}  # pivot row -> column that claimed it
+    bits: dict[int, int] = {}  # pivot column -> its bitset, from its first use
+    changed: dict[int, int] = {}  # column that received additions -> its bitset
+    for j, col in enumerate(matrix.columns):
+        if j in skip:
+            working[j] = SparseColumn()
+            continue
+        if col.is_zero:
+            continue
+        low = col.entries[-1][0]
+        i = owner.get(low)
+        if i is None:
+            owner[low] = j
+            continue
+        x = _f2_bits(col)
+        while True:
+            y = bits.get(i)
+            if y is None:
+                y = bits[i] = _f2_bits(working[i])
+            x ^= y
+            if not x:
+                break
+            low = x.bit_length() - 1
+            i = owner.get(low)
+            if i is None:
+                owner[low] = j
+                bits[j] = x
+                break
+        changed[j] = x
+    for j, x in changed.items():
+        working[j] = _f2_column(x)
+    return SparseMatrix(matrix.num_rows, working, matrix.field), owner
+
+
+def _f2_bits(col: SparseColumn) -> int:
+    """An F_2 column as an int with bit r set for each of its rows r."""
+    return sum(1 << r for r, _ in col.entries)
+
+
+def _f2_column(x: int) -> SparseColumn:
+    """The F_2 column whose rows are the set bits of ``x``."""
+    entries = []
+    while x:
+        bit = x & -x
+        entries.append((bit.bit_length() - 1, 1))
+        x ^= bit
+    return SparseColumn(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,80 @@ def test_recorded_transition_replays_the_reduction():
 
 
 # ---------------------------------------------------------------------------
+# the XOR route over F_2, on tall matrices
+# ---------------------------------------------------------------------------
+
+
+def _tall_f2_columns(rng):
+    """A 0/1 matrix shaped like a cone matrix: a basis block over a taller extension block.
+
+    Its 100 to 400 rows span many machine words as int bitsets.  About a
+    third of the columns are sums of earlier ones, so they reduce to zero.
+    """
+    n_basis = int(rng.integers(20, 80))
+    n_rows = n_basis + int(rng.integers(80, 320))
+    n_cols = int(rng.integers(40, 160))
+    a = np.zeros((n_rows, n_cols), dtype=np.int64)
+    for j in range(n_cols):
+        if j >= 2 and rng.random() < 0.3:
+            picks = rng.choice(j, size=int(rng.integers(1, min(j, 4) + 1)), replace=False)
+            a[:, j] = a[:, picks].sum(axis=1) % 2
+            continue
+        a[:n_basis, j] = rng.random(n_basis) < 0.08
+        a[n_basis + rng.choice(n_rows - n_basis, size=int(rng.integers(0, 4)), replace=False), j] = 1
+    return a
+
+
+def _dense_f2_reduce(a, skip=()):
+    """Plain left-to-right reduction of a dense 0/1 matrix.
+
+    Returns (reduced, pivots {row: column}, the columns that received an addition).
+    """
+    a = a.copy()
+    owner, added = {}, set()
+    for j in range(a.shape[1]):
+        if j in skip:
+            a[:, j] = 0
+            continue
+        while a[:, j].any():
+            low = int(np.flatnonzero(a[:, j])[-1])
+            if low not in owner:
+                owner[low] = j
+                break
+            a[:, j] ^= a[:, owner[low]]
+            added.add(j)
+    return a, owner, added
+
+
+def _f2_matrix(a) -> SparseMatrix:
+    cols = [SparseColumn([(int(r), 1) for r in np.flatnonzero(a[:, j])]) for j in range(a.shape[1])]
+    return SparseMatrix(a.shape[0], cols, PrimeField(2))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_f2_route_matches_a_dense_reduction_on_tall_matrices(seed):
+    rng = np.random.default_rng(1000 + seed)
+    a = _tall_f2_columns(rng)
+    zeros = np.flatnonzero(~_dense_f2_reduce(a)[0].any(axis=0))
+    # the clearing contract: only columns known to reduce to zero are skipped
+    skip = {int(j) for j in zeros if rng.random() < 0.5}
+    want, want_pivots, added = _dense_f2_reduce(a, skip)
+    m = _f2_matrix(a)
+    before = [col.entries for col in m.columns]
+
+    red, pivots = reduce(m, skip_columns=skip)
+
+    assert pivots == want_pivots
+    assert red == _f2_matrix(want)  # equal columns, so equal zero columns too
+    assert [col.entries for col in m.columns] == before
+    again, pivots_again = reduce(red)
+    assert again == red and pivots_again == pivots
+    for j in set(range(m.num_cols)) - added - skip:
+        assert red.column(j) is m.column(j), j
+    assert added and skip  # the seeds exercise both additions and clearing
+
+
+# ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
 

@@ -23,7 +23,15 @@ from pathlib import Path
 import extph
 
 ORACLES = ("homology_dims", "sup_complex", "persistent_betti_oracle", "extended_module_oracle")
-PIVOT_ROUTE = {"reduce", "compute_pairings", "build_matrices", "plus_scaled"}
+PIVOT_ROUTE = {
+    "reduce",
+    "compute_pairings",
+    "build_matrices",
+    "plus_scaled",
+    "_reduce_f2",
+    "_f2_bits",
+    "_f2_column",
+}
 
 
 def _definitions(package_dir):
