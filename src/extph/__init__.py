@@ -57,7 +57,7 @@ from .extended import (
     extended_module_oracle,
     interval_rank_table,
 )
-from .field import PrimeField, SparseColumn, SparseMatrix, reduce
+from .field import SparseColumn, SparseMatrix, modulus, reduce
 from .graded import (
     BASIS,
     EXTENSION,

@@ -24,15 +24,22 @@ __all__ = ["main"]
 _TOLERANCE = 1e-9
 
 
-def _add_common(sub):
+def _add_homology(sub):
     sub.add_argument("--pmax", type=int, default=2, help="largest homology dimension (default 2)")
     sub.add_argument("--field", type=int, default=2, help="prime field modulus (default 2)")
+
+
+def _add_barcode(sub):
+    _add_homology(sub)
     sub.add_argument("--no-clearing", action="store_true", help="disable the clearing optimization")
     sub.add_argument(
         "--oracle-check",
         action="store_true",
         help="verify the barcode against the rank oracle; exit 1 on mismatch",
     )
+
+
+def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomness (default 0)")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -43,10 +50,12 @@ def _build_parser():
 
     pph = commands.add_parser("pph", help="extended persistent path homology of a weighted digraph")
     pph.add_argument("input", help="digraph file: source<TAB>target<TAB>weight per line")
+    _add_barcode(pph)
     _add_common(pph)
 
     hyper = commands.add_parser("hyper", help="extended persistent embedded homology of a hypergraph")
     hyper.add_argument("input", help="hypergraph file: value<TAB>v1,v2,... per line")
+    _add_barcode(hyper)
     _add_common(hyper)
 
     distance = commands.add_parser("distance", help="bottleneck distance between two diagram files")
@@ -58,6 +67,7 @@ def _build_parser():
     stability.add_argument("input", help="digraph or hypergraph file (detected from the line shape)")
     stability.add_argument("--delta", type=float, default=0.1, help="perturbation bound (default 0.1)")
     stability.add_argument("--trials", type=int, default=100, help="number of trials (default 100)")
+    _add_homology(stability)
     _add_common(stability)
     return parser
 
@@ -72,7 +82,7 @@ def _emit(text: str, out_path) -> None:
 
 def _validate_config(args) -> None:
     """Reject a bad flag; the message names the flag, not a line of any file."""
-    if args.pmax < 0:
+    if getattr(args, "pmax", 0) < 0:
         raise ValueError("--pmax must be nonnegative")
     if args.seed < 0:
         raise ValueError("--seed must be nonnegative")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .digraph import WeightedDigraph, build_pph_input, pph_input
 from .errors import ConsistencyError, InputFormatError
-from .extended import ORDINARY, RELATIVE, ExtendedBarcode, extended_barcode
+from .extended import EXTENDED, ORDINARY, RELATIVE, ExtendedBarcode, extended_barcode
 from .graded import GradedSubgroup
 from .hypergraph import build_hyper_input, hyper_input
 
@@ -115,18 +115,14 @@ def diagrams(bc: ExtendedBarcode, ascending_values, descending_values) -> Extend
     a, b = list(ascending_values), list(descending_values)
     if len(a) != bc.num_ascending or len(b) != bc.num_descending:
         raise ValueError("value grids do not match the barcode's stage counts")
-    ordinary, relative, extended = [], [], []
+    grids = {ORDINARY: (a, a), RELATIVE: (b, b), EXTENDED: (a, b)}
+    points = {kind: [] for kind in grids}
     for iv in bc:
-        try:
-            if iv.kind == ORDINARY:
-                ordinary.append(DiagramPoint(iv.dim, a[iv.birth - 1], a[iv.death - 1]))
-            elif iv.kind == RELATIVE:
-                relative.append(DiagramPoint(iv.dim, b[iv.birth - 1], b[iv.death - 1]))
-            else:
-                extended.append(DiagramPoint(iv.dim, a[iv.birth - 1], b[iv.death - 1]))
-        except IndexError:
-            raise ValueError(f"interval {iv} indexes outside the value grids") from None
-    return ExtendedDiagram(ordinary, relative, extended)
+        births, deaths = grids[iv.kind]
+        if not (0 < iv.birth <= len(births) and 0 < iv.death <= len(deaths)):
+            raise ValueError(f"interval {iv} indexes outside the value grids")
+        points[iv.kind].append(DiagramPoint(iv.dim, births[iv.birth - 1], deaths[iv.death - 1]))
+    return ExtendedDiagram(points[ORDINARY], points[RELATIVE], points[EXTENDED])
 
 
 # ---------------------------------------------------------------------------

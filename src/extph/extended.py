@@ -282,7 +282,7 @@ def cone_graded(graded: GradedSubgroup, small, big, max_dim=None) -> GradedSubgr
             for f, c in graded.boundary_dict(u).items():
                 faces[ConeGenerator(CONE, f, p - 1)] = (-c) % q
             boundary[ConeGenerator(CONE, u, p)] = faces
-    return GradedSubgroup(basis, extension, boundary, q=graded.field, universe=universe)
+    return GradedSubgroup(basis, extension, boundary, q=graded.q, universe=universe)
 
 
 def build_extended_filtration(x: ExtendedInput, p_max: int) -> FilteredGradedSubgroup:
@@ -303,28 +303,16 @@ def build_extended_filtration(x: ExtendedInput, p_max: int) -> FilteredGradedSub
     return FilteredGradedSubgroup(cone, stage_heights(cone, heights), x.M + x.N)
 
 
-def extended_barcode(
-    x: ExtendedInput,
-    p_max: int,
-    clearing: bool = True,
-    case_iii_reading: str = "corresponding",
-) -> ExtendedBarcode:
+def extended_barcode(x: ExtendedInput, p_max: int, clearing: bool = True) -> ExtendedBarcode:
     """Run the pairing algorithm on the cone filtration and type the intervals.
 
-    ``case_iii_reading`` selects how the endpoints of an extended pair
-    (base row, cone column) are read:
-
-    * "corresponding": heights of the paired generators themselves: the
-      ascending height of the row generator, the descending height of the
-      column generator;
-    * "positional": heights looked up by swapping each generator for the
-      one sitting at its position in the *other* side's compatible order.
-
-    The readings agree whenever the two orders coincide; the rank oracle
-    singles out "corresponding" as the correct one, which is the default.
+    A pair of a base row with a base column is an ordinary interval, and a
+    cone row with a cone column a relative one.  A base row paired with a
+    cone column is an extended interval, read from the paired generators
+    themselves: the ascending height of the row generator and the
+    descending height of the column generator.  ``extended_module_oracle``
+    confirms this reading against the module's ranks.
     """
-    if case_iii_reading not in ("corresponding", "positional"):
-        raise ValueError(f"unknown case_iii_reading {case_iii_reading!r}")
     pairings = compute_pairings(build_matrices(x, p_max), clearing=clearing)
     asc, desc = x.ascending.basis, x.descending.basis
     ah, dh = x.ascending.heights, x.descending.heights
@@ -343,9 +331,6 @@ def extended_barcode(
                 f"dimension {p}: generator {generator(p, i)} opens an interval that never closes;"
                 " the ascending and descending tops do not span the same space"
             )
-        if case_iii_reading == "positional":
-            a_order, d_order = (f.order.get(p, np.zeros(0, dtype=np.int64)) for f in (x.ascending, x.descending))
-            a_rank, d_rank = np.argsort(a_order), np.argsort(d_order)  # store position -> position in order
         for i, j in sorted(pairing.pairs):
             if j < a_up:
                 if i >= a_p:
@@ -360,12 +345,8 @@ def extended_barcode(
                 b, d = dh[p - 1][i - a_p], dh[p][j - a_up]
                 if b < d:
                     intervals.append(ExtendedInterval(p, RELATIVE, b, d))
-            elif case_iii_reading == "corresponding":
-                intervals.append(ExtendedInterval(p, EXTENDED, ah[p][i], dh[p][j - a_up]))
             else:
-                b = ah[p][d_rank[a_order[i]]]
-                d = dh[p][a_rank[d_order[j - a_up]]]
-                intervals.append(ExtendedInterval(p, EXTENDED, b, d))
+                intervals.append(ExtendedInterval(p, EXTENDED, ah[p][i], dh[p][j - a_up]))
     return ExtendedBarcode(intervals, x.M, x.N)
 
 

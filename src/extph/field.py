@@ -1,12 +1,14 @@
 """Exact sparse linear algebra over a prime field F_q.
 
-Scalars are plain ints reduced mod q.  A sparse column keeps its nonzero
+A field is its modulus: a prime int q, checked once by ``modulus``, and
+scalars are plain ints reduced mod q.  A sparse column keeps its nonzero
 entries sorted by row index, so the bottom nonzero entry (its *low*) is
 always the last one.  ``reduce`` brings a column-major matrix to reduced
-form using left-to-right column additions only; the pivot positions of the
-reduced matrix do not depend on the order in which admissible additions
-are performed, which is what makes pairings read off the pivots well
-defined.
+form using left-to-right column additions only and returns the pivots
+{row: column}; the pivot positions do not depend on the order in which
+admissible additions are performed, which is what makes pairings read off
+the pivots well defined.  Those pivots are all its callers need: a column
+that claims no row is one that reduces to zero.
 
 Over F_2 (the default field) ``reduce`` takes an XOR route, chosen once
 per matrix.  A column there is the set of its rows, and a Python int with
@@ -16,9 +18,7 @@ and adding a column is ``^``.  The conversion is lazy.  A column stays the
 then do it and the pivot columns it meets become ints, and each pivot's
 int is kept for its next use.  Extension rows sit at the bottom of the
 cone's matrices, so an int is as wide as the matrix is tall; converting
-every column would hold thousands of such ints at once.  At the end only
-the columns that changed are decoded, so both routes return the same
-``SparseMatrix`` of ``SparseColumn``s.
+every column would hold thousands of such ints at once.
 
 The dense helpers at the end back the homology rank oracles.  They all
 run one row echelon form on numpy int arrays mod q, and every rank is
@@ -35,10 +35,9 @@ import numpy as np
 
 __all__ = [
     "MAX_MODULUS",
-    "PrimeField",
+    "modulus",
     "SparseColumn",
     "SparseMatrix",
-    "as_field",
     "reduce",
     "dense_rank",
     "prefix_ranks",
@@ -64,51 +63,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """Arithmetic in the integers mod a prime q <= MAX_MODULUS."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int = 2):
-        if not isinstance(q, int) or isinstance(q, bool):
-            raise ValueError(f"field modulus must be a prime integer, got {q!r}")
-        if q > MAX_MODULUS:
-            raise ValueError(f"field modulus {q} exceeds the largest supported modulus {MAX_MODULUS}")
-        if not _is_prime(q):
-            raise ValueError(f"field modulus must be a prime integer, got {q!r}")
-        self.q = q
-
-    def normalize(self, a: int) -> int:
-        return a % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return pow(a, self.q - 2, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self):
-        return f"PrimeField({self.q})"
-
-
-def as_field(q) -> PrimeField:
-    """Coerce an int modulus (or pass a PrimeField through)."""
-    return q if isinstance(q, PrimeField) else PrimeField(q)
+def modulus(q) -> int:
+    """``q`` itself, once checked to be a prime int no larger than MAX_MODULUS."""
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise ValueError(f"field modulus must be a prime integer, got {q!r}")
+    if q > MAX_MODULUS:
+        raise ValueError(f"field modulus {q} exceeds the largest supported modulus {MAX_MODULUS}")
+    if not _is_prime(q):
+        raise ValueError(f"field modulus must be a prime integer, got {q!r}")
+    return q
 
 
 class SparseColumn:
@@ -130,9 +93,9 @@ class SparseColumn:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def plus_scaled(self, other: "SparseColumn", c: int, field: PrimeField) -> "SparseColumn":
-        """self + c * other, merging the two sorted entry lists."""
-        c = field.normalize(c)
+    def plus_scaled(self, other: "SparseColumn", c: int, q: int) -> "SparseColumn":
+        """self + c * other mod q, merging the two sorted entry lists."""
+        c %= q
         if c == 0:
             return self
         out = []
@@ -144,19 +107,19 @@ class SparseColumn:
                 out.append(a[i])
                 i += 1
             elif rb < ra:
-                v = field.mul(b[j][1], c)
+                v = b[j][1] * c % q
                 if v:
                     out.append((rb, v))
                 j += 1
             else:
-                v = (a[i][1] + b[j][1] * c) % field.q
+                v = (a[i][1] + b[j][1] * c) % q
                 if v:
                     out.append((ra, v))
                 i += 1
                 j += 1
         out.extend(a[i:])
         for rb, vb in b[j:]:
-            v = field.mul(vb, c)
+            v = vb * c % q
             if v:
                 out.append((rb, v))
         return SparseColumn(out)
@@ -174,10 +137,10 @@ class SparseColumn:
 class SparseMatrix:
     """Column-major sparse matrix over F_q."""
 
-    __slots__ = ("num_rows", "columns", "field")
+    __slots__ = ("num_rows", "columns", "q")
 
-    def __init__(self, num_rows: int, columns=(), field=2):
-        self.field = as_field(field)
+    def __init__(self, num_rows: int, columns=(), q: int = 2):
+        self.q = modulus(q)
         self.num_rows = int(num_rows)
         self.columns = tuple(columns)
         for j, col in enumerate(self.columns):
@@ -193,20 +156,12 @@ class SparseMatrix:
     def column(self, j: int) -> SparseColumn:
         return self.columns[j]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and other.num_rows == self.num_rows
-            and other.columns == self.columns
-            and other.field == self.field
-        )
-
     def __repr__(self):
-        return f"SparseMatrix({self.num_rows}x{self.num_cols} over F_{self.field.q})"
+        return f"SparseMatrix({self.num_rows}x{self.num_cols} over F_{self.q})"
 
 
-def reduce(matrix: SparseMatrix, skip_columns=()):
-    """Left-to-right column reduction.
+def reduce(matrix: SparseMatrix, skip_columns=()) -> dict[int, int]:
+    """Left-to-right column reduction; returns its pivots {row: column}.
 
     Column j only ever receives multiples of columns i < j.  While the low
     of column j collides with the low of an earlier pivot column, the
@@ -215,52 +170,39 @@ def reduce(matrix: SparseMatrix, skip_columns=()):
     work; callers may only pass columns already known to reduce to zero
     (the clearing optimization).
 
-    Returns (reduced, pivots), where pivots is a dict {row: column}: each
-    nonzero reduced column under the row of its low, so rows and columns
-    are pairwise distinct.
-
-    Over F_2 the additions are XORs of int bitsets (see the module
-    docstring), and a column that took part in no addition comes back as
-    the very ``SparseColumn`` it went in as.  The return value is the same
-    on both routes, because the pairing code and the tests read the
-    reduced columns as ``SparseColumn``s.
+    Each column that does not vanish is listed under the row of its low,
+    so rows and columns are pairwise distinct, and the columns that claim
+    no row are exactly those that reduce to zero.  Of the reduced columns
+    only the pivots are kept, for the later columns that meet them; over
+    F_2 they are int bitsets (see the module docstring).
     """
-    if matrix.field.q == 2:
+    if matrix.q == 2:
         return _reduce_f2(matrix, skip_columns)
-    field = matrix.field
+    q = matrix.q
     skip = set(skip_columns)
-    working = list(matrix.columns)
     owner: dict[int, int] = {}  # pivot row -> column that claimed it
-    for j in range(len(working)):
-        if j in skip:
-            working[j] = SparseColumn()
-            continue
-        col = working[j]
-        while not col.is_zero:
-            r, v = col.entries[-1]
-            i = owner.get(r)
-            if i is None:
-                owner[r] = j
-                break
-            pivot_col = working[i]
-            factor = field.neg(field.div(v, pivot_col.entries[-1][1]))
-            col = col.plus_scaled(pivot_col, factor, field)
-        working[j] = col
-    return SparseMatrix(matrix.num_rows, working, field), owner
-
-
-def _reduce_f2(matrix: SparseMatrix, skip_columns):
-    """``reduce`` over F_2: columns become int bitsets when they first collide."""
-    skip = set(skip_columns)
-    working = list(matrix.columns)
-    owner: dict[int, int] = {}  # pivot row -> column that claimed it
-    bits: dict[int, int] = {}  # pivot column -> its bitset, from its first use
-    changed: dict[int, int] = {}  # column that received additions -> its bitset
+    pivot_of: dict[int, SparseColumn] = {}  # pivot row -> that column, reduced
     for j, col in enumerate(matrix.columns):
         if j in skip:
-            working[j] = SparseColumn()
             continue
-        if col.is_zero:
+        while col.entries:
+            r, v = col.entries[-1]
+            pivot = pivot_of.get(r)
+            if pivot is None:
+                owner[r], pivot_of[r] = j, col
+                break
+            col = col.plus_scaled(pivot, -v * pow(pivot.entries[-1][1], q - 2, q), q)
+    return owner
+
+
+def _reduce_f2(matrix: SparseMatrix, skip_columns) -> dict[int, int]:
+    """``reduce`` over F_2: columns become int bitsets when they first collide."""
+    skip = set(skip_columns)
+    columns = matrix.columns
+    owner: dict[int, int] = {}  # pivot row -> column that claimed it
+    bits: dict[int, int] = {}  # pivot column -> its reduced bitset, from its first use
+    for j, col in enumerate(columns):
+        if j in skip or not col.entries:
             continue
         low = col.entries[-1][0]
         i = owner.get(low)
@@ -270,8 +212,8 @@ def _reduce_f2(matrix: SparseMatrix, skip_columns):
         x = _f2_bits(col)
         while True:
             y = bits.get(i)
-            if y is None:
-                y = bits[i] = _f2_bits(working[i])
+            if y is None:  # a pivot that received no addition is its input column
+                y = bits[i] = _f2_bits(columns[i])
             x ^= y
             if not x:
                 break
@@ -281,25 +223,12 @@ def _reduce_f2(matrix: SparseMatrix, skip_columns):
                 owner[low] = j
                 bits[j] = x
                 break
-        changed[j] = x
-    for j, x in changed.items():
-        working[j] = _f2_column(x)
-    return SparseMatrix(matrix.num_rows, working, matrix.field), owner
+    return owner
 
 
 def _f2_bits(col: SparseColumn) -> int:
     """An F_2 column as an int with bit r set for each of its rows r."""
     return sum(1 << r for r, _ in col.entries)
-
-
-def _f2_column(x: int) -> SparseColumn:
-    """The F_2 column whose rows are the set bits of ``x``."""
-    entries = []
-    while x:
-        bit = x & -x
-        entries.append((bit.bit_length() - 1, 1))
-        x ^= bit
-    return SparseColumn(entries)
 
 
 # ---------------------------------------------------------------------------

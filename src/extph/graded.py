@@ -40,14 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GradedValidationError
-from .field import (
-    as_field,
-    dense_kernel,
-    dense_rank,
-    dense_solve_many,
-    pivot_columns,
-    prefix_ranks,
-)
+from .field import dense_kernel, dense_rank, dense_solve_many, modulus, pivot_columns, prefix_ranks
 
 __all__ = [
     "BASIS",
@@ -141,7 +134,7 @@ class GradedSubgroup:
                         raise ValueError(f"dimension {p}: duplicate generator labels")
                     raise ValueError(f"generator label {label!r} listed in two dimensions")
                 where[label] = (p, r)
-        q = as_field(q).q
+        q = modulus(q)
         boundary = boundary or {}
         strays, csr = [], {}
         for p in range(n):
@@ -186,13 +179,13 @@ class GradedSubgroup:
                 raise ValueError(f"dimension {p}: boundary arrays do not fit the universe")
             csr[p] = _csr(indptr, faces, coeffs)
         rows = {p: np.arange(len(basis[p]), dtype=np.int64) for p in range(n)}
-        self._setup(as_field(q).q, basis, extension, universe, rows, csr)
+        self._setup(modulus(q), basis, extension, universe, rows, csr)
         self._strays, self._unlisted = [], []
         self.cells = cells
         return self
 
     def _setup(self, q, basis, extension, universe, rows, csr):
-        self.field = as_field(q)
+        self.q = q
         self.max_dim = len(universe) - 1
         self.basis, self.extension, self.universe = basis, extension, universe
         self._basis_rows, self._csr = rows, csr
@@ -201,10 +194,6 @@ class GradedSubgroup:
         self._problems = None  # the memoised outcome of validate()
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def q(self) -> int:
-        return self.field.q
 
     def dims(self):
         return range(self.max_dim + 1)
@@ -448,30 +437,25 @@ class FilteredGradedSubgroup:
     ``graded`` is the generator store itself, checked by its ``validate``.
     ``heights[p]`` is a sequence of integer stages in [1, num_stages],
     aligned with ``graded.basis[p]`` (``stage_heights`` makes it from a
-    map).  ``order[p]`` is the stable argsort of those heights, and
-    ``basis[p]`` and ``heights[p]`` are the store's basis and its heights
-    in that order: a compatible basis for the stage filtration, whose
-    stage i is spanned by a prefix.
+    map).  ``basis[p]`` and ``heights[p]`` are the store's basis and its
+    heights sorted stably by height: a compatible basis for the stage
+    filtration, whose stage i is spanned by a prefix.
     """
 
     def __init__(self, graded: GradedSubgroup, heights, num_stages: int):
         graded.validate()
         self.graded = graded
         self.num_stages = int(num_stages)
-        self.order, self.basis, self.heights = {}, {}, {}
+        self.basis, self.heights = {}, {}
         self._given, self._rows = {}, {}
         for p in graded.dims():
             labels = graded.basis[p]
             h = _checked_heights(labels, heights.get(p, ()), p, self.num_stages)
             order = np.argsort(h, kind="stable")
-            self._given[p], self.order[p] = h, order
+            self._given[p] = h
             self._rows[p] = graded.basis_rows(p)[order]
             self.basis[p] = [labels[k] for k in order.tolist()]
             self.heights[p] = h[order].tolist()
-
-    @property
-    def field(self):
-        return self.graded.field
 
     @property
     def q(self) -> int:

@@ -113,7 +113,7 @@ def build_matrices(f, p_max: int) -> BoundaryMatrices:
         entries = list(zip(at[order].tolist(), coeffs[order].tolist()))
         bounds = indptr.tolist()
         cols = [SparseColumn(entries[a:b]) for a, b in zip(bounds, bounds[1:])]
-        mats.append(SparseMatrix(len(rows) + len(extension), cols, f.graded.field))
+        mats.append(SparseMatrix(len(rows) + len(extension), cols, f.graded.q))
         basis_counts.append(len(rows))
     basis_counts.append(len(cols))  # the columns of the last matrix are the next basis
     return BoundaryMatrices(tuple(mats), tuple(basis_counts))
@@ -124,24 +124,23 @@ def compute_pairings(bm: BoundaryMatrices, clearing: bool = True) -> list[Pairin
 
     Matrices are processed in decreasing dimension.  With clearing on, a
     column whose generator was already paired one dimension up is zeroed
-    without reduction; the output is identical either way.
+    without reduction; the output is identical either way.  The cycles of
+    dimension p are the columns of matrix p - 1 that claimed no pivot row
+    (all of them for p = 0), less the rows that matrix p pairs.
     """
     mats = bm.mats
-    reduced: dict[int, SparseMatrix] = {}
     pairs_at: dict[int, set] = {}
+    claimed: dict[int, set] = {-1: set()}  # per matrix, the columns that do not vanish
     skip: set = set()
     for p in range(len(mats) - 1, -1, -1):
-        reduced[p], pivots = reduce(mats[p], skip_columns=skip)
+        pivots = reduce(mats[p], skip_columns=skip)
         pairs_at[p] = {(r, c) for r, c in pivots.items() if r < bm.basis_counts[p]}
+        claimed[p] = set(pivots.values())
         if clearing:
             skip = {r for r, _ in pairs_at[p]}
     out = []
     for p in range(len(mats)):
-        if p == 0:
-            zero_cols = set(range(bm.basis_counts[0]))
-        else:
-            zero_cols = {j for j, col in enumerate(reduced[p - 1].columns) if col.is_zero}
-        cycles = zero_cols - {r for r, _ in pairs_at[p]}
+        cycles = set(range(bm.basis_counts[p])) - claimed[p - 1] - {r for r, _ in pairs_at[p]}
         out.append(Pairing(p, frozenset(pairs_at[p]), frozenset(cycles)))
     return out
 

@@ -17,7 +17,9 @@ Harer, "Extending persistence using Poincaré and Lefschetz duality", 2009):
   quotient boundary ranks;
 * ``mapping_cone``: the cone of an inclusion of slices, whose homology is
   the relative homology and whose supremum complex is that of
-  ``cone_graded``.
+  ``cone_graded``;
+* ``positional_barcode``: the extended barcode under a plausible but wrong
+  reading of extended pairs, which the tests show the rank oracle rejects.
 
 Unlike ``oracles.py`` these use the package's numpy elimination helpers
 (``dense_kernel``, ``dense_rank``, ``dense_solve_many``, ``pivot_columns``)
@@ -28,8 +30,10 @@ package objects, not the helpers themselves.
 import numpy as np
 
 from extph.errors import ConsistencyError, GradedValidationError
+from extph.extended import EXTENDED, ExtendedBarcode, ExtendedInterval, extended_barcode
 from extph.field import dense_kernel, dense_rank, dense_solve_many, pivot_columns
 from extph.graded import ChainComplexSlice, GradedSubgroup, image_matrix, unit_matrix
+from extph.persistence import build_matrices, compute_pairings
 
 _EMPTY = np.zeros((0, 0), dtype=np.int64)
 
@@ -67,7 +71,7 @@ def restricted(graded: GradedSubgroup, keep) -> GradedSubgroup:
         basis[p] = [l for l in graded.basis[p] if l in wanted]
         extension[p] = [l for l in graded.universe[p] if l not in wanted]
     boundary = {l: graded.boundary_dict(l) for p in graded.dims() for l in graded.universe[p]}
-    return GradedSubgroup(basis, extension, boundary, q=graded.field, universe=graded.universe)
+    return GradedSubgroup(basis, extension, boundary, q=graded.q, universe=graded.universe)
 
 
 def inf_complex(graded, p_max: int) -> ChainComplexSlice:
@@ -173,3 +177,31 @@ def mapping_cone(small: ChainComplexSlice, big: ChainComplexSlice) -> ChainCompl
         if ((cone.boundary_matrix(p) @ cone.boundary_matrix(p + 1)) % q).any():
             raise ConsistencyError("cone boundary does not square to zero")
     return cone
+
+
+def positional_barcode(x, p_max: int, clearing: bool = True) -> ExtendedBarcode:
+    """``extended_barcode`` with its extended intervals read positionally.
+
+    An extended pair joins the ascending basis generator at row i with the
+    descending basis generator at column j of the same dimension.  The
+    positional reading takes the ascending height at the position that the
+    row generator holds in the descending order, and the descending height
+    at the position that the column generator holds in the ascending order.
+    It agrees with the correct reading whenever the two orders coincide and
+    fails ``extended_module_oracle`` on some inputs where they do not.
+    Ordinary and relative intervals are those of ``extended_barcode``.
+    """
+    kept = [iv for iv in extended_barcode(x, p_max, clearing) if iv.kind != EXTENDED]
+    asc, desc = x.ascending.basis, x.descending.basis
+    ah, dh = x.ascending.heights, x.descending.heights
+    for pairing in compute_pairings(build_matrices(x, p_max), clearing):
+        p = pairing.dim
+        a_p, a_up = len(asc.get(p, ())), len(asc.get(p + 1, ()))
+        a_pos = {g: k for k, g in enumerate(asc.get(p, ()))}
+        d_pos = {g: k for k, g in enumerate(desc.get(p, ()))}
+        for i, j in pairing.pairs:
+            if i < a_p and j >= a_up:
+                b = ah[p][d_pos[asc[p][i]]]
+                d = dh[p][a_pos[desc[p][j - a_up]]]
+                kept.append(ExtendedInterval(p, EXTENDED, b, d))
+    return ExtendedBarcode(kept, x.M, x.N)

@@ -45,7 +45,7 @@ from oracles import (
     random_graded,
     random_hypergraph,
 )
-from references import inf_complex, mapping_cone, relative_homology_dims, restricted
+from references import inf_complex, mapping_cone, positional_barcode, relative_homology_dims, restricted
 from test_diagrams import random_diagram
 
 TOL = 1e-9
@@ -169,10 +169,10 @@ def test_criterion_5_extended_barcode_matches_module_oracle():
     positional_failures = 0
     for x in _suite5_instances():
         want = extended_module_oracle(x, 2)
-        got = interval_rank_table(extended_barcode(x, 2, case_iii_reading="corresponding"), 2)
+        got = interval_rank_table(extended_barcode(x, 2), 2)
         if got != want:
             _report(5, False, f"'corresponding' reading diverges from the oracle on instance {checked}")
-        alt = interval_rank_table(extended_barcode(x, 2, case_iii_reading="positional"), 2)
+        alt = interval_rank_table(positional_barcode(x, 2), 2)
         if alt != want:
             positional_failures += 1
         checked += 1

@@ -318,6 +318,22 @@ def test_an_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeyp
     assert err == "internal error: RuntimeError: boom at two lines\n"
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("stability", "--oracle-check"), ("stability", "--no-clearing")]
+    + [("distance", flag) for flag in ("--oracle-check", "--no-clearing", "--pmax=1", "--field=3")],
+)
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    src = tmp_path / "g.tsv"
+    src.write_text(TWO_STAGE)
+    files = [str(src), str(src)] if command == "distance" else [str(src)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag.split("=")[0] in captured.err
+
+
 def test_argparse_exits_pass_through_the_internal_error_handler(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pph"])

@@ -80,6 +80,23 @@ def test_value_grid_must_match_stage_counts():
         diagrams(bc, [1.0], [1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "interval",
+    [
+        ExtendedInterval(0, ORDINARY, 0, 2),  # stage 0 would wrap to the last value
+        ExtendedInterval(0, ORDINARY, -1, 2),
+        ExtendedInterval(0, ORDINARY, 1, 3),
+        ExtendedInterval(0, RELATIVE, 0, 1),
+        ExtendedInterval(0, EXTENDED, 1, 0),
+        ExtendedInterval(0, EXTENDED, 3, 1),
+    ],
+)
+def test_a_stage_index_outside_the_grid_raises(interval):
+    bc = ExtendedBarcode([interval], 2, 2)
+    with pytest.raises(ValueError, match="indexes outside the value grids"):
+        diagrams(bc, [1.0, 2.0], [4.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # bottleneck distance
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from extph import (
 )
 
 from oracles import gf_rank, random_extended_input, random_graded
-from references import mapping_cone, relative_homology_dims, restricted
+from references import mapping_cone, positional_barcode, relative_homology_dims, restricted
 
 
 def edge_uv_input(q=2, ascending=None, descending=None):
@@ -250,8 +250,8 @@ def test_positional_reading_fails_somewhere():
     # deterministic witness: the two dim-0 orders of edge_uv differ
     x = edge_uv_input()
     want = extended_module_oracle(x, 1)
-    good = extended_barcode(x, 1, case_iii_reading="corresponding")
-    bad = extended_barcode(x, 1, case_iii_reading="positional")
+    good = extended_barcode(x, 1)
+    bad = positional_barcode(x, 1)
     assert interval_rank_table(good, 1) == want
     assert interval_rank_table(bad, 1) != want
 

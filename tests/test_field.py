@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from extph.field import (
-    PrimeField,
     SparseColumn,
     SparseMatrix,
     dense_kernel,
     dense_rank,
     dense_solve_many,
+    modulus,
     pivot_columns,
     prefix_ranks,
     reduce,
@@ -34,30 +34,14 @@ def from_pairs(pairs, q: int) -> SparseColumn:
 
 
 # ---------------------------------------------------------------------------
-# field axioms
+# the modulus
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, -3, 2.0, "2"])
 def test_modulus_must_be_prime(bad):
-    with pytest.raises((ValueError, TypeError)):
-        PrimeField(bad)
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_every_nonzero_scalar_has_an_inverse(q):
-    f = PrimeField(q)
-    for a in range(1, q):
-        assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
-
-def test_field_ops_reduce_mod_q():
-    f = PrimeField(5)
-    assert f.neg(2) == 3
-    assert f.mul(3, 4) == 2
-    assert f.div(1, 2) == 3
+    with pytest.raises(ValueError, match="must be a prime integer"):
+        modulus(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +65,11 @@ def test_from_pairs_merges_and_drops_zeros():
 
 def test_plus_scaled_matches_dense():
     rng = np.random.default_rng(7)
-    f = PrimeField(5)
     for _ in range(50):
         a = from_pairs([(int(r), int(c)) for r, c in rng.integers(0, 8, (4, 2))], 5)
         b = from_pairs([(int(r), int(c)) for r, c in rng.integers(0, 8, (4, 2))], 5)
         c = int(rng.integers(0, 5))
-        got = dense_matrix([a.plus_scaled(b, c, f)], 8, 5)
+        got = dense_matrix([a.plus_scaled(b, c, 5)], 8, 5)
         want = (dense_matrix([a], 8, 5) + c * dense_matrix([b], 8, 5)) % 5
         assert (got == want).all()
 
@@ -97,7 +80,6 @@ def test_plus_scaled_matches_dense():
 
 
 def _random_matrix(rng, q, n_rows=8, n_cols=8, density=0.4):
-    f = PrimeField(q)
     cols = []
     for _ in range(n_cols):
         pairs = [
@@ -106,24 +88,19 @@ def _random_matrix(rng, q, n_rows=8, n_cols=8, density=0.4):
             if rng.random() < density
         ]
         cols.append(from_pairs(pairs, q))
-    return SparseMatrix(n_rows, cols, f)
+    return SparseMatrix(n_rows, cols, q)
 
 
 def test_reduce_identity_pattern_is_fixed():
-    f = PrimeField(2)
-    m = SparseMatrix(3, [SparseColumn(((j, 1),)) for j in range(3)], f)
-    red, pivots = reduce(m)
-    assert red == m
-    assert pivots == {0: 0, 1: 1, 2: 2}
+    m = SparseMatrix(3, [SparseColumn(((j, 1),)) for j in range(3)], 2)
+    assert reduce(m) == {0: 0, 1: 1, 2: 2}
 
 
 def test_reduce_equal_columns_over_f2():
-    f = PrimeField(2)
     col = SparseColumn(((0, 1), (1, 1)))
-    m = SparseMatrix(2, [col, col], f)
-    red, pivots = reduce(m)
-    assert red.column(1).is_zero
-    assert pivots == {1: 0}
+    m = SparseMatrix(2, [col, col], 2)
+    pivots = reduce(m)
+    assert pivots == {1: 0}  # column 1 vanished, so it claimed no row
     assert len(pivots) == 1 == gf_rank(columns_to_rows(m.columns, 2), 2)
 
 
@@ -132,32 +109,21 @@ def test_pivot_count_equals_dense_rank(q):
     rng = np.random.default_rng(11 + q)
     for _ in range(30):
         m = _random_matrix(rng, q)
-        assert len(reduce(m)[1]) == gf_rank(columns_to_rows(m.columns, m.num_rows), q)
-
-
-def test_reduction_is_idempotent():
-    rng = np.random.default_rng(3)
-    for q in (2, 3):
-        for _ in range(20):
-            m = _random_matrix(rng, q)
-            red, pivots = reduce(m)
-            again, pivots2 = reduce(red)
-            assert again == red
-            assert pivots2 == pivots
+        assert len(reduce(m)) == gf_rank(columns_to_rows(m.columns, m.num_rows), q)
 
 
 def _scramble(m, rng):
     """Apply random valid left-to-right additions."""
-    f = m.field
+    q = m.q
     cols = list(m.columns)
     for _ in range(int(rng.integers(1, 12))):
         if m.num_cols < 2:
             break
         j = int(rng.integers(1, m.num_cols))
         i = int(rng.integers(0, j))
-        c = int(rng.integers(1, f.q))
-        cols[j] = cols[j].plus_scaled(cols[i], c, f)
-    return SparseMatrix(m.num_rows, cols, f)
+        c = int(rng.integers(1, q))
+        cols[j] = cols[j].plus_scaled(cols[i], c, q)
+    return SparseMatrix(m.num_rows, cols, q)
 
 
 def test_pivots_survive_left_to_right_scrambles():
@@ -165,9 +131,9 @@ def test_pivots_survive_left_to_right_scrambles():
     for q in (2, 3):
         for _ in range(5):
             m = _random_matrix(rng, q)
-            _, pivots = reduce(m)
+            pivots = reduce(m)
             for _ in range(100):
-                assert reduce(_scramble(m, rng))[1] == pivots
+                assert reduce(_scramble(m, rng)) == pivots
 
 
 def test_left_to_right_additions_preserve_prefix_spans():
@@ -181,43 +147,22 @@ def test_left_to_right_additions_preserve_prefix_spans():
 
 
 def test_skip_columns_zeroes_without_reducing():
-    f = PrimeField(2)
-    col = SparseColumn(((0, 1), (1, 1)))
-    m = SparseMatrix(2, [col, col], f)
-    red, pivots = reduce(m, skip_columns={1})
-    assert red.column(1).is_zero
-    assert pivots == {1: 0}
-
-
-def test_recorded_transition_replays_the_reduction():
-    # reduced = matrix @ an upper unitriangular transition: each reduced
-    # column is its original plus a combination of earlier original columns
-    rng = np.random.default_rng(19)
-    for q in (2, 5):
-        f = PrimeField(q)
-        for _ in range(15):
-            m = _random_matrix(rng, q, n_rows=7, n_cols=6)
-            red, pivots = reduce(m)
-            for j in range(m.num_cols):
-                added = red.column(j).plus_scaled(m.column(j), -1, f)
-                earlier = columns_to_rows(m.columns[:j], m.num_rows)
-                with_added = columns_to_rows(m.columns[:j] + (added,), m.num_rows)
-                assert gf_rank(with_added, q) == gf_rank(earlier, q)
-            lows = {col.low: j for j, col in enumerate(red.columns) if not col.is_zero}
-            assert pivots == lows
-            assert len(lows) == sum(not col.is_zero for col in red.columns)
+    # column 1 would claim row 2; skipped, it claims nothing
+    m = SparseMatrix(3, [SparseColumn(((0, 1), (1, 1))), SparseColumn(((2, 1),))], 2)
+    assert reduce(m) == {1: 0, 2: 1}
+    assert reduce(m, skip_columns={1}) == {1: 0}
 
 
 # ---------------------------------------------------------------------------
-# the XOR route over F_2, on tall matrices
+# both routes, F_2 by XOR and mod q by sparse columns, on tall matrices
 # ---------------------------------------------------------------------------
 
 
-def _tall_f2_columns(rng):
-    """A 0/1 matrix shaped like a cone matrix: a basis block over a taller extension block.
+def _tall_columns(rng, q):
+    """A matrix mod q shaped like a cone matrix: a basis block over a taller extension block.
 
     Its 100 to 400 rows span many machine words as int bitsets.  About a
-    third of the columns are sums of earlier ones, so they reduce to zero.
+    third of the columns are combinations of earlier ones, so they reduce to zero.
     """
     n_basis = int(rng.integers(20, 80))
     n_rows = n_basis + int(rng.integers(80, 320))
@@ -226,15 +171,16 @@ def _tall_f2_columns(rng):
     for j in range(n_cols):
         if j >= 2 and rng.random() < 0.3:
             picks = rng.choice(j, size=int(rng.integers(1, min(j, 4) + 1)), replace=False)
-            a[:, j] = a[:, picks].sum(axis=1) % 2
+            a[:, j] = a[:, picks] @ rng.integers(1, q, len(picks)) % q
             continue
-        a[:n_basis, j] = rng.random(n_basis) < 0.08
-        a[n_basis + rng.choice(n_rows - n_basis, size=int(rng.integers(0, 4)), replace=False), j] = 1
+        a[:n_basis, j] = (rng.random(n_basis) < 0.08) * rng.integers(1, q, n_basis)
+        ext = n_basis + rng.choice(n_rows - n_basis, size=int(rng.integers(0, 4)), replace=False)
+        a[ext, j] = rng.integers(1, q, len(ext))
     return a
 
 
-def _dense_f2_reduce(a, skip=()):
-    """Plain left-to-right reduction of a dense 0/1 matrix.
+def _dense_reduce(a, q, skip=()):
+    """Plain left-to-right reduction of a dense matrix mod q.
 
     Returns (reduced, pivots {row: column}, the columns that received an addition).
     """
@@ -246,40 +192,39 @@ def _dense_f2_reduce(a, skip=()):
             continue
         while a[:, j].any():
             low = int(np.flatnonzero(a[:, j])[-1])
-            if low not in owner:
+            i = owner.get(low)
+            if i is None:
                 owner[low] = j
                 break
-            a[:, j] ^= a[:, owner[low]]
+            a[:, j] = (a[:, j] - a[low, j] * pow(int(a[low, i]), q - 2, q) * a[:, i]) % q
             added.add(j)
     return a, owner, added
 
 
-def _f2_matrix(a) -> SparseMatrix:
-    cols = [SparseColumn([(int(r), 1) for r in np.flatnonzero(a[:, j])]) for j in range(a.shape[1])]
-    return SparseMatrix(a.shape[0], cols, PrimeField(2))
+def _check_tall_reduction(q, seed):
+    rng = np.random.default_rng(1000 + seed)
+    a = _tall_columns(rng, q)
+    zeros = np.flatnonzero(~_dense_reduce(a, q)[0].any(axis=0))
+    # the clearing contract: only columns known to reduce to zero are skipped
+    skip = {int(j) for j in zeros if rng.random() < 0.5}
+    _, want, added = _dense_reduce(a, q, skip)
+    cols = [SparseColumn([(int(r), int(a[r, j])) for r in np.flatnonzero(a[:, j])]) for j in range(a.shape[1])]
+    m = SparseMatrix(a.shape[0], cols, q)
+
+    assert reduce(m, skip_columns=skip) == want
+    assert m.columns == tuple(cols)  # the input is left as it was
+    assert added and skip  # the seeds exercise both additions and clearing
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_the_f2_route_matches_a_dense_reduction_on_tall_matrices(seed):
-    rng = np.random.default_rng(1000 + seed)
-    a = _tall_f2_columns(rng)
-    zeros = np.flatnonzero(~_dense_f2_reduce(a)[0].any(axis=0))
-    # the clearing contract: only columns known to reduce to zero are skipped
-    skip = {int(j) for j in zeros if rng.random() < 0.5}
-    want, want_pivots, added = _dense_f2_reduce(a, skip)
-    m = _f2_matrix(a)
-    before = [col.entries for col in m.columns]
+    _check_tall_reduction(2, seed)
 
-    red, pivots = reduce(m, skip_columns=skip)
 
-    assert pivots == want_pivots
-    assert red == _f2_matrix(want)  # equal columns, so equal zero columns too
-    assert [col.entries for col in m.columns] == before
-    again, pivots_again = reduce(red)
-    assert again == red and pivots_again == pivots
-    for j in set(range(m.num_cols)) - added - skip:
-        assert red.column(j) is m.column(j), j
-    assert added and skip  # the seeds exercise both additions and clearing
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("seed", range(6))
+def test_the_mod_q_route_matches_a_dense_reduction_on_tall_matrices(seed, q):
+    _check_tall_reduction(q, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -289,44 +234,41 @@ def test_the_f2_route_matches_a_dense_reduction_on_tall_matrices(seed):
 
 def _solve(target: SparseColumn, basis: SparseMatrix):
     """Coefficients of ``target`` over the columns of ``basis``, or None outside their span."""
-    q, rows = basis.field.q, basis.num_rows
+    q, rows = basis.q, basis.num_rows
     x = dense_solve_many(dense_matrix(basis.columns, rows, q), dense_matrix([target], rows, q), q)
     return None if x is None else [int(v) for v in x[:, 0]]
 
 
 def test_solve_zero_target_gives_zero_coefficients():
-    f = PrimeField(3)
-    basis = SparseMatrix(4, [SparseColumn(((0, 1),)), SparseColumn(((2, 1),))], f)
+    basis = SparseMatrix(4, [SparseColumn(((0, 1),)), SparseColumn(((2, 1),))], 3)
     assert _solve(SparseColumn(), basis) == [0, 0]
 
 
 def test_solve_recovers_a_basis_column():
-    f = PrimeField(5)
     cols = [SparseColumn(((0, 1),)), SparseColumn(((1, 2),)), SparseColumn(((2, 1), (3, 4)))]
-    basis = SparseMatrix(4, cols, f)
+    basis = SparseMatrix(4, cols, 5)
     assert _solve(cols[2], basis) == [0, 0, 1]
 
 
 def test_solve_random_in_span_combinations_reproduce_target():
     rng = np.random.default_rng(31)
-    f = PrimeField(5)
+    q = 5
     for _ in range(40):
-        basis = _random_matrix(rng, 5, n_rows=7, n_cols=4)
-        coeffs = [int(c) for c in rng.integers(0, 5, 4)]
+        basis = _random_matrix(rng, q, n_rows=7, n_cols=4)
+        coeffs = [int(c) for c in rng.integers(0, q, 4)]
         target = SparseColumn()
         for c, col in zip(coeffs, basis.columns):
-            target = target.plus_scaled(col, c, f)
+            target = target.plus_scaled(col, c, q)
         x = _solve(target, basis)
         assert x is not None
         rebuilt = SparseColumn()
         for c, col in zip(x, basis.columns):
-            rebuilt = rebuilt.plus_scaled(col, c, f)
+            rebuilt = rebuilt.plus_scaled(col, c, q)
         assert rebuilt == target
 
 
 def test_solve_detects_out_of_span_targets():
-    f = PrimeField(2)
-    basis = SparseMatrix(3, [SparseColumn(((0, 1),))], f)
+    basis = SparseMatrix(3, [SparseColumn(((0, 1),))], 2)
     assert _solve(SparseColumn(((2, 1),)), basis) is None
 
 
@@ -371,7 +313,6 @@ def test_pivot_columns_track_rank():
 
 
 def test_dense_matrix_matches_entries():
-    f = PrimeField(3)
     cols = [SparseColumn(((1, 2),)), SparseColumn(((0, 1), (2, 2)))]
     a = dense_matrix(cols, 3, 3)
     assert a.tolist() == [[0, 1], [2, 0], [0, 2]]

@@ -30,6 +30,7 @@ from extph import (
 )
 
 from oracles import random_digraph, random_extended_input, random_filtered, random_graded, random_hypergraph
+from references import positional_barcode
 
 DIGESTS = {
     "extended_barcodes": "e756ece90a9799f1c3a41a07d818038fdba1360c96a80f0993559e6e4a0d996f",
@@ -66,8 +67,8 @@ def _extended_barcodes():
     out = []
     for x, p_max in _extended_inputs():
         for clearing in (True, False):
-            for reading in ("corresponding", "positional"):
-                bc = extended_barcode(x, p_max, clearing=clearing, case_iii_reading=reading)
+            for reading, read in (("corresponding", extended_barcode), ("positional", positional_barcode)):
+                bc = read(x, p_max, clearing)
                 out.append((p_max, clearing, reading, _plain(bc.intervals), bc.num_ascending, bc.num_descending))
     return out
 

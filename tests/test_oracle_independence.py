@@ -30,7 +30,6 @@ PIVOT_ROUTE = {
     "plus_scaled",
     "_reduce_f2",
     "_f2_bits",
-    "_f2_column",
 }
 
 

@@ -222,7 +222,7 @@ def test_extension_row_order_never_matters():
             {p: list(g.basis[p]) for p in g.dims()},
             perm_ext,
             {l: g.boundary_dict(l) for p in g.dims() for l in g.universe[p]},
-            q=g.field,
+            q=g.q,
         )
         heights = {l: f.height_of(l) for p in g.dims() for l in g.basis[p]}
         f2 = FilteredGradedSubgroup(shuffled, stage_heights(shuffled, heights), f.num_stages)
