@@ -20,13 +20,20 @@ int is kept for its next use.  Extension rows sit at the bottom of the
 cone's matrices, so an int is as wide as the matrix is tall; converting
 every column would hold thousands of such ints at once.
 
-The dense helpers at the end back the homology rank oracles.  They all
-run one row echelon form on numpy int arrays mod q, and every rank is
-read from its pivot list, ``pivot_columns``.  They share no code with
-the sparse reduction, so the two routes can be played against each
-other in tests.  They compute in int64, which is why the modulus is
-bounded by ``MAX_MODULUS``: every product of two residues is below 2**32,
-and sums of up to 2**31 such products stay below 2**63.
+The dense helpers at the end back the homology rank oracles.  They take
+numpy int arrays, and every rank is read from a pivot list, the columns
+outside the span of those before them (``pivot_columns``).  Over F_2 they
+all run one elimination, ``_f2_eliminate``: the matrix's columns are
+packed into Python ints, one bit per row, and eliminated left to right by
+XOR against a {low: column} basis, each column carrying its combination
+of input columns in its low bits.  A column's expression over the earlier
+pivot columns is unique, so the kernels and solutions read from those
+combinations are the ones a reduced row echelon form gives.  For q > 2
+they run a reduced row echelon form on int64 arrays mod q, which is why
+the modulus is bounded by ``MAX_MODULUS``: every product of two residues
+is below 2**32, and sums of up to 2**31 such products stay below 2**63.
+The dense helpers share no code with the sparse reduction, so the two
+routes can be played against each other in tests.
 """
 
 from bisect import bisect_left
@@ -262,6 +269,53 @@ def _row_echelon(a: np.ndarray, q: int):
     return a, pivots
 
 
+def _f2_eliminate(a) -> tuple[list[int], list[int]]:
+    """(pivot columns, kernel combinations) of ``a`` mod 2, by XOR on packed columns.
+
+    Column j of an n-column ``a`` becomes an int with bit n + r set where
+    a[r, j] is odd; its low n bits hold its combination of the input
+    columns, at first bit j alone, and take every XOR the column takes.
+    Left to right, each column is XORed against the basis column of its
+    low until its rows vanish or it claims a fresh low, which makes it a
+    pivot column.  A column whose rows vanish leaves its combination: its
+    own bit and those of the earlier pivot columns that sum to it, a
+    kernel vector.  They are listed in column order.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[1]
+    # a row of bytes per column of a, packed along it; `& 1` is the parity of negatives too
+    bits = np.zeros((n, n + a.shape[0]), dtype=np.uint8)
+    np.fill_diagonal(bits, 1)
+    bits[:, n:] = a.T & 1
+    n_bytes = (bits.shape[1] + 7) // 8
+    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    top = 1 << n  # a column at or above it has rows left
+    basis: dict[int, int] = {}  # low -> the pivot column that claimed it, reduced
+    pivots, kernel = [], []
+    for j in range(n):
+        x = int.from_bytes(packed[j * n_bytes : (j + 1) * n_bytes], "little")
+        while x >= top:
+            low = x.bit_length() - 1
+            y = basis.get(low)
+            if y is None:
+                basis[low] = x
+                pivots.append(j)
+                break
+            x ^= y
+        else:
+            kernel.append(x)
+    return pivots, kernel
+
+
+def _f2_unpack(combinations, n: int) -> np.ndarray:
+    """An (n x len(combinations)) 0/1 int64 matrix whose column k has bit i of combinations[k] in row i."""
+    n_bytes = (n + 7) // 8
+    mask = (1 << n) - 1
+    packed = b"".join((c & mask).to_bytes(n_bytes, "little") for c in combinations)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(len(combinations), n_bytes)
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little").T.astype(np.int64)
+
+
 def pivot_columns(a, q: int) -> list[int]:
     """The columns of ``a`` outside the span of the columns before them, in order.
 
@@ -269,6 +323,8 @@ def pivot_columns(a, q: int) -> list[int]:
     columns left to right.  Every dense rank on the oracle side is read
     from this list.
     """
+    if q == 2:
+        return _f2_eliminate(a)[0]
     return _row_echelon(a, q)[1]
 
 
@@ -290,6 +346,8 @@ def dense_kernel(a, q: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     if a.shape[0] == 0:
         return np.eye(n, dtype=np.int64)
+    if q == 2:
+        return _f2_unpack(_f2_eliminate(a)[1], n)
     r, pivots = _row_echelon(a, q)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
@@ -309,6 +367,10 @@ def dense_solve_many(a, b, q: int):
     m = b.shape[1]
     if m == 0:
         return np.zeros((n, 0), dtype=np.int64)
+    if q == 2:
+        # consistent iff no column of b is a pivot; then b's columns are the last m that vanish
+        pivots, kernel = _f2_eliminate(np.hstack([a, b]))
+        return None if pivots and pivots[-1] >= n else _f2_unpack(kernel[-m:], n)
     aug = np.hstack([a % q, b % q])
     r, pivots = _row_echelon(aug, q)
     if pivots and pivots[-1] >= n:

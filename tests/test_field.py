@@ -4,6 +4,7 @@ import pytest
 from extph.field import (
     SparseColumn,
     SparseMatrix,
+    _row_echelon,
     dense_kernel,
     dense_rank,
     dense_solve_many,
@@ -13,7 +14,7 @@ from extph.field import (
     reduce,
 )
 
-from oracles import columns_to_rows, gf_rank
+from oracles import columns_to_rows, gf_echelon, gf_kernel, gf_rank
 
 
 def dense_matrix(columns, num_rows: int, q: int) -> np.ndarray:
@@ -337,3 +338,104 @@ def test_prefix_ranks_of_empty_and_zero_matrices():
     assert prefix_ranks(np.zeros((3, 0), dtype=np.int64), [0], 3) == [0]
     assert prefix_ranks(np.zeros((3, 4), dtype=np.int64), [0, 4], 2) == [0, 0]
     assert prefix_ranks(np.eye(3, dtype=np.int64), [3, 0, 2], 5) == [3, 0, 2]
+
+
+# ---------------------------------------------------------------------------
+# the dense helpers over F_2 (packed ints) against the row echelon form
+# ---------------------------------------------------------------------------
+
+
+def _f2_cases():
+    """Seeded int64 matrices with entries in -4..4, which must reduce mod 2.
+
+    Empty shapes, all-zero and full-rank matrices, and up to 150 rows and
+    columns, so the packed columns and their combinations span several
+    64-bit words.
+    """
+    rng = np.random.default_rng(59)
+    cases = [np.zeros(shape, dtype=np.int64) for shape in [(0, 0), (0, 5), (5, 0), (6, 9), (70, 3)]]
+    for shape in [(4, 4), (9, 13), (70, 30), (30, 70), (130, 40)]:
+        for density in (0.05, 0.3, 0.8):
+            cases.append(rng.integers(-4, 5, shape) * (rng.random(shape) < density))
+    for n in (1, 8, 65):
+        # an odd diagonal under an upper triangle is invertible mod 2; shuffled rows, taller below
+        square = np.triu(rng.integers(-4, 5, (n, n)), 1) + np.diag(rng.choice([-3, -1, 1, 3], n))
+        cases.append(square[rng.permutation(n)])
+        cases.append(np.vstack([square, rng.integers(-4, 5, (n, n))]))
+    # 150 columns on 100 rows, the last 80 combinations of earlier ones with even and odd weights
+    a = rng.integers(-4, 5, (100, 150)) * (rng.random((100, 150)) < 0.1)
+    a[:, 70:] = a[:, :70] @ (rng.integers(-3, 4, (70, 80)) * (rng.random((70, 80)) < 0.05))
+    cases.append(a)
+    return cases
+
+
+def _rref_kernel(a):
+    """The kernel a reduced row echelon form gives: one column per free column."""
+    n = a.shape[1]
+    r, pivots = _row_echelon(a, 2)
+    free = [c for c in range(n) if c not in pivots]
+    out = np.zeros((n, len(free)), dtype=np.int64)
+    for k, fc in enumerate(free):
+        out[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            out[pc, k] = r[i, fc]  # -r mod 2 is r
+    return out
+
+
+def _rref_solve(a, b):
+    """The solution a reduced row echelon form of [a | b] gives, or None if it is inconsistent."""
+    n = a.shape[1]
+    r, pivots = _row_echelon(np.hstack([a, b]), 2)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, n:]
+    return x
+
+
+def test_f2_ranks_match_the_row_echelon_form():
+    for a in _f2_cases():
+        pivots = _row_echelon(a, 2)[1]
+        ends = list(range(a.shape[1] + 1))
+        assert pivot_columns(a, 2) == pivots
+        assert dense_rank(a, 2) == len(pivots)
+        assert prefix_ranks(a, ends, 2) == [sum(p < e for p in pivots) for e in ends]
+        if a.shape[0]:  # a list of rows cannot hold a matrix without rows
+            assert pivot_columns(a, 2) == gf_echelon(a.tolist(), 2)[1]
+            assert dense_rank(a, 2) == gf_rank(a.tolist(), 2)
+
+
+def test_f2_kernels_match_the_row_echelon_form_entry_for_entry():
+    wide = 0
+    for a in _f2_cases():
+        got = dense_kernel(a, 2)
+        assert got.dtype == np.int64
+        if a.shape[1]:
+            assert np.array_equal(got, _rref_kernel(a))
+        if a.shape[0]:
+            assert got.T.tolist() == gf_kernel(a.tolist(), 2)
+        assert not ((a @ got) % 2).any()
+        wide += got.shape[1] > 64
+    assert wide  # some kernel has more columns than a machine word has bits
+
+
+def test_f2_solutions_match_the_row_echelon_form():
+    rng = np.random.default_rng(61)
+    outcomes = set()
+    for a in _f2_cases():
+        x = rng.integers(-3, 4, (a.shape[1], 4))
+        solvable = np.hstack([a @ x, np.zeros((a.shape[0], 1), dtype=np.int64)])
+        got = dense_solve_many(a, solvable, 2)
+        assert got is not None and got.dtype == np.int64
+        assert np.array_equal(got, _rref_solve(a, solvable))
+        assert np.array_equal((a @ got) % 2, solvable % 2)
+        # a random column is mostly outside the span when a has fewer pivots than rows
+        b = np.hstack([solvable, rng.integers(-4, 5, (a.shape[0], 1))])
+        want = _rref_solve(a, b)
+        got = dense_solve_many(a, b, 2)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}

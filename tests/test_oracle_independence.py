@@ -98,6 +98,7 @@ def test_the_oracles_never_reach_the_pivot_route():
     assert not hits, "; ".join(_route(reached, name) for name in hits)
     # the walk did follow the oracles into the dense helpers and the store
     dense = {"pivot_columns", "dense_kernel", "prefix_ranks", "dense_solve_many", "window_ranks"}
+    dense |= {"_f2_eliminate"}  # the F_2 elimination of all the dense helpers
     assert dense | {"GradedSubgroup.boundary_csr"} <= reached.keys()
 
 
@@ -119,3 +120,5 @@ def test_the_walk_finds_the_pivot_route_from_the_barcode():
     reached = _walk(["extended_barcode"])
     assert {name.rsplit(".", 1)[-1] for name in _pivot_names(reached)} == PIVOT_ROUTE
     assert "ExtendedInput.layout" in reached  # the cone is a layout of build_matrices
+    # the F_2 XOR eliminations are two: the pivot route's and the oracles' own
+    assert "_f2_eliminate" not in reached
