@@ -10,12 +10,13 @@ byte-reproducible.
 """
 
 import argparse
+import functools
 import math
 import sys
 
 from .diagrams import _diagram, bottleneck, diagrams, format_diagram, read_diagram, stability_trial
 from .digraph import load_digraph, parse_digraph
-from .errors import ConsistencyError, GradedValidationError, InputFormatError
+from .errors import ConsistencyError
 from .extended import extended_barcode, extended_module_oracle, interval_rank_table
 from .hypergraph import load_hypergraph, parse_hypergraph
 
@@ -44,6 +45,7 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache  # one tree per process, built on the first call; parse_args leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(prog="extph", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -183,10 +185,7 @@ def main(argv=None) -> int:
     try:
         _validate_config(args)
         return handler(args)
-    except (InputFormatError, GradedValidationError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InputFormatError and GradedValidationError are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ConsistencyError as exc:

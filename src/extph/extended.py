@@ -120,7 +120,7 @@ class ExtendedInput:
         self.N = self.descending.num_stages
 
     def validate(self) -> None:
-        """Closure and d∘d = 0 of the store, checked once per store; raises GradedValidationError."""
+        """d∘d = 0 of the store, checked once per store; raises GradedValidationError."""
         self.graded.validate()
 
     def layout(self, p: int) -> Layout:

@@ -15,8 +15,10 @@ the label lists (for messages and the hand-built API; any hashable works)
 and the boundary of dimension p as CSR arrays: ``indptr``, the faces as
 dimension-(p-1) universe rows, and coefficients nonzero mod q.  The front
 ends build these arrays directly from vertex-id rows (``cell_store``);
-the dict constructor converts hand-built boundaries once.  Closure and
-d∘d = 0 are checked on the arrays, once per store.
+the dict constructor converts hand-built boundaries once.  A store is
+closed once it is built: both constructors reject a face that is not a
+universe row one dimension down, so only d∘d = 0 is left to check, on
+the arrays, once per store.
 
 A filtration is a store plus a height per basis generator, given per
 dimension as integers aligned with the store's basis: its compatible
@@ -109,10 +111,12 @@ class GradedSubgroup:
     describing its boundary one dimension down; omitted labels have zero
     boundary (dimension-0 generators always do).  The *universe* order,
     which defaults to basis followed by extension, gives each generator
-    its row.  The dicts are converted once: a face that is not listed one
-    dimension down, and a boundary given for an unlisted generator, are
-    recorded for ``validate`` to report.  ``from_arrays`` builds a store
-    from CSR arrays without hashing any label.
+    its row.  The dicts are converted once, and construction raises
+    GradedValidationError naming every boundary given for an unlisted
+    generator, coefficient that is not an integer, nonzero boundary of a
+    dimension-0 generator and face not listed one dimension down, joined
+    by "; ".  ``from_arrays`` builds a store from CSR arrays without
+    hashing any label.
     """
 
     def __init__(self, basis, extension=None, boundary=None, q=2, universe=None):
@@ -136,25 +140,32 @@ class GradedSubgroup:
                 where[label] = (p, r)
         q = modulus(q)
         boundary = boundary or {}
-        strays, csr = [], {}
+        problems = [f"boundary given for unlisted generator {label!r}" for label in boundary if label not in where]
+        csr = {}
         for p in range(n):
             indptr, faces, coeffs = [0], [], []
             for label in universe[p]:
+                outside = []  # nonzero faces that are not listed one dimension down
                 for face, c in boundary.get(label, {}).items():
-                    if c % q:
+                    if not isinstance(c, Integral):
+                        problems.append(f"boundary of {label!r}: coefficient {c!r} of {face!r} is not an integer")
+                    elif c % q:
                         at = where.get(face)
                         if p and at is not None and at[0] == p - 1:
                             faces.append(at[1])
-                        else:  # an unlisted face: -1 - its index in strays
-                            faces.append(-1 - len(strays))
-                            strays.append(face)
-                        coeffs.append(c % q)
+                            coeffs.append(c % q)
+                        else:
+                            outside.append(face)
+                if outside and p == 0:
+                    problems.append(f"dimension-0 generator {label!r} has a nonzero boundary")
+                elif outside:
+                    problems.append(f"boundary of {label!r} references unlisted generator {outside[0]!r}")
                 indptr.append(len(faces))
             csr[p] = _csr(indptr, faces, coeffs)
+        if problems:
+            raise GradedValidationError("; ".join(problems))
         rows = {p: np.array([where[label][1] for label in basis[p]], dtype=np.int64) for p in range(n)}
         self._setup(q, basis, extension, universe, rows, csr)
-        self._strays = strays
-        self._unlisted = [label for label in boundary if label not in where]
 
     @classmethod
     def from_arrays(cls, basis, extension, boundaries, q=2, cells=None) -> "GradedSubgroup":
@@ -162,25 +173,27 @@ class GradedSubgroup:
 
         ``boundaries[p]`` is (indptr, faces, coeffs): column k is the
         boundary of the k-th dimension-p universe generator, its faces are
-        dimension-(p-1) universe rows and its coefficients are nonzero mod
-        q.  ``cells``, when given, holds per dimension the vertex-id rows
-        the basis was built from, for the front end that computes heights.
+        dimension-(p-1) universe rows and its coefficients are integers
+        nonzero mod q; arrays that break this are rejected.  ``cells``,
+        when given, holds per dimension the vertex-id rows the basis was
+        built from, for the front end that computes heights.
         """
         self = cls.__new__(cls)
         basis, extension = _per_dim(basis, extension)
         n = len(basis)
         universe = {p: basis[p] + extension[p] for p in range(n)}
-        csr = {}
+        q, csr = modulus(q), {}
         for p in range(n):
             indptr, faces, coeffs = boundaries.get(p) or _csr([0] * (len(universe[p]) + 1), [], [])
             if len(indptr) != len(universe[p]) + 1 or (
                 len(faces) and (p == 0 or faces.min() < 0 or faces.max() >= len(universe[p - 1]))
             ):
                 raise ValueError(f"dimension {p}: boundary arrays do not fit the universe")
+            if coeffs.dtype.kind not in "iu" or not (coeffs % q).all():
+                raise GradedValidationError(f"dimension {p}: boundary coefficients are not integers nonzero mod {q}")
             csr[p] = _csr(indptr, faces, coeffs)
         rows = {p: np.arange(len(basis[p]), dtype=np.int64) for p in range(n)}
-        self._setup(modulus(q), basis, extension, universe, rows, csr)
-        self._strays, self._unlisted = [], []
+        self._setup(q, basis, extension, universe, rows, csr)
         self.cells = cells
         return self
 
@@ -208,8 +221,7 @@ class GradedSubgroup:
     def boundary_csr(self, p: int):
         """Boundary of dimension p as (indptr, faces, coeffs) over the dimension-(p-1) universe rows.
 
-        One column per dimension-p universe row.  In a store that has not
-        passed ``validate``, a negative face stands for an unlisted one.
+        One column per dimension-p universe row.
         """
         csr = self._csr.get(p)
         return csr if csr is not None else _csr([0] * (self.universe_size(p) + 1), [], [])
@@ -231,19 +243,15 @@ class GradedSubgroup:
             raise KeyError(label)
         return row
 
-    def _face_label(self, p: int, face: int):
-        """The label of a face in the CSR arrays of dimension p (a negative face is unlisted)."""
-        return self.universe[p - 1][face] if face >= 0 else self._strays[-1 - face]
-
     def boundary_dict(self, label) -> dict:
         """Boundary of a listed generator as {face: nonzero coeff mod q}, derived from the arrays."""
         p, row, _ = self._locate(label)
         indptr, faces, coeffs = self._csr[p]
         lo, hi = indptr[row], indptr[row + 1]
-        return {self._face_label(p, f): c for f, c in zip(faces[lo:hi].tolist(), coeffs[lo:hi].tolist())}
+        return {self.universe[p - 1][f]: c for f, c in zip(faces[lo:hi].tolist(), coeffs[lo:hi].tolist())}
 
     def validate(self) -> None:
-        """Check closure (all referenced faces listed) and d∘d = 0.
+        """Check d∘d = 0; closure was checked when the store was built.
 
         Raises GradedValidationError naming every problem found, joined by
         "; ".  The universe and boundaries never change after construction,
@@ -256,20 +264,7 @@ class GradedSubgroup:
             raise GradedValidationError(self._problems)
 
     def _store_problems(self) -> list:
-        problems = [f"boundary given for unlisted generator {label!r}" for label in self._unlisted]
-        for p in self.dims():
-            indptr, faces, _ = self._csr[p]
-            if p == 0:
-                for k in np.flatnonzero(np.diff(indptr)).tolist():
-                    problems.append(f"dimension-0 generator {self.universe[0][k]!r} has a nonzero boundary")
-                continue
-            at = np.flatnonzero(faces < 0)
-            cols, first = np.unique(np.searchsorted(indptr, at, side="right") - 1, return_index=True)
-            for k, e in zip(cols.tolist(), at[first].tolist()):
-                face = self._face_label(p, int(faces[e]))
-                problems.append(f"boundary of {self.universe[p][k]!r} references unlisted generator {face!r}")
-        if problems:
-            return problems
+        problems = []
         for p in range(2, self.max_dim + 1):
             k = self._first_nonzero_square(p)
             if k is not None:
@@ -522,16 +517,6 @@ def image_matrix(graded: GradedSubgroup, p: int, rows) -> np.ndarray:
     """Boundaries of the dimension-p universe rows ``rows`` as columns over the dimension-(p-1) universe."""
     rows = np.asarray(rows, dtype=np.int64)
     indptr, faces, coeffs = take_columns(graded.boundary_csr(p), rows)
-    if p == 0 and len(faces):
-        k = np.flatnonzero(np.diff(indptr))[0]
-        label = graded.universe[0][rows[k]]
-        raise GradedValidationError(f"dimension-0 generator {label!r} was given a nonzero boundary")
-    unlisted = np.flatnonzero(faces < 0)
-    if len(unlisted):
-        e = unlisted[0]
-        label = graded.universe[p][rows[np.searchsorted(indptr, e, side="right") - 1]]
-        face = graded._face_label(p, int(faces[e]))
-        raise GradedValidationError(f"boundary of {label!r} references unlisted generator {face!r}")
     out = np.zeros((graded.universe_size(p - 1), len(rows)), dtype=np.int64)
     out[faces, np.repeat(np.arange(len(rows)), np.diff(indptr))] = coeffs
     return out
@@ -547,8 +532,7 @@ def sup_complex(graded: GradedSubgroup, p_max: int) -> ChainComplexSlice:
     the span of what precedes them.
     """
     q = graded.q
-    # images[0] has no rows; building it rejects a boundary on a dimension-0 generator
-    images = {p: image_matrix(graded, p, graded.basis_rows(p)) for p in range(p_max + 2)}
+    images = {p: image_matrix(graded, p, graded.basis_rows(p)) for p in range(1, p_max + 2)}
     vectors, boundaries = {}, {}
     for p in range(p_max + 2):
         both = unit_matrix(graded, p, graded.basis_rows(p))

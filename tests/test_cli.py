@@ -343,6 +343,32 @@ def test_argparse_exits_pass_through_the_internal_error_handler(capsys):
     assert exc.value.code == 0
 
 
+def test_consecutive_calls_share_one_parser_and_act_like_fresh_ones(tmp_path, capsys):
+    from extph.cli import _build_parser
+
+    src = tmp_path / "g.tsv"
+    src.write_text(CYCLE)
+    calls = [
+        ["stability", str(src), "--trials", "2"],
+        ["pph", str(src), "--field", "3"],
+        ["pph", str(src)],
+        ["stability", str(src), "--trials", "-1"],
+    ]
+
+    def call(argv):
+        return run(argv, capsys), vars(_build_parser().parse_args(argv))
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    _build_parser.cache_clear()
+    parser = _build_parser()
+    assert [call(argv) for argv in calls] == fresh and _build_parser() is parser
+    assert [code for (code, _, _), _ in fresh] == [0, 0, 0, 2]
+    assert fresh[2][1]["field"] == 2 and "trials" not in fresh[2][1]
+
+
 def test_console_module_entry_point(tmp_path):
     src = tmp_path / "g.tsv"
     src.write_text(CYCLE)

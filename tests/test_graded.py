@@ -13,7 +13,7 @@ from extph import (
     sup_complex,
 )
 
-from oracles import gf_rank, random_filtered, random_graded
+from oracles import gf_rank, random_boundary_data, random_filtered, random_graded
 from references import inf_complex, relative_homology_dims, restricted
 
 
@@ -95,13 +95,13 @@ def test_validate_reports_out_of_range_heights():
 
 
 def test_validate_reports_unlisted_boundary_generators():
-    g = GradedSubgroup(
-        basis={0: ["a"], 1: ["e"]},
-        boundary={"e": {"a": 1, "ghost": 1}},
-        q=2,
-    )
+    # a store is closed once it is built, so the constructor reports the unlisted face
     with pytest.raises(GradedValidationError, match="references unlisted generator 'ghost'"):
-        g.validate()
+        GradedSubgroup(
+            basis={0: ["a"], 1: ["e"]},
+            boundary={"e": {"a": 1, "ghost": 1}},
+            q=2,
+        )
 
 
 def test_validate_reports_broken_d_squared():
@@ -122,24 +122,107 @@ def test_validate_reports_broken_d_squared():
 
 
 def test_validate_checks_a_store_once_and_keeps_its_report(monkeypatch):
-    g = GradedSubgroup(basis={0: ["a"], 1: ["e"]}, boundary={"e": {"a": 1, "ghost": 1}, "x": {}}, q=2)
+    # closure faults are all reported, in order, by the constructor
+    want = "boundary given for unlisted generator 'x'; boundary of 'e' references unlisted generator 'ghost'"
+    with pytest.raises(GradedValidationError) as err:
+        GradedSubgroup(basis={0: ["a"], 1: ["e"]}, boundary={"e": {"a": 1, "ghost": 1}, "x": {}}, q=2)
+    assert str(err.value) == want
+    # d∘d = 0 is the one check left for later, and it runs once per store
+    g = GradedSubgroup(
+        basis={0: ["a", "b"], 1: ["e", "f"], 2: ["T"]},
+        boundary={"e": {"a": 1}, "f": {"b": 1}, "T": {"e": 1}},
+        q=2,
+    )
     calls = []
     original = GradedSubgroup._store_problems
     monkeypatch.setattr(GradedSubgroup, "_store_problems", lambda self: calls.append(1) or original(self))
-    want = "boundary given for unlisted generator 'x'; boundary of 'e' references unlisted generator 'ghost'"
     for _ in range(2):
         with pytest.raises(GradedValidationError) as err:
             g.validate()
-        assert str(err.value) == want
-    with pytest.raises(GradedValidationError, match="ghost"):
-        FilteredGradedSubgroup(g, stage_heights(g, {"a": 1, "e": 1}), 1)
+        assert str(err.value) == "boundary of boundary of 'T' is nonzero"
+    with pytest.raises(GradedValidationError, match="boundary of boundary of 'T'"):
+        FilteredGradedSubgroup(g, stage_heights(g, dict.fromkeys(["a", "b", "e", "f", "T"], 1)), 1)
     assert len(calls) == 1
 
 
 def test_dimension_zero_generators_must_have_zero_boundary():
-    g = GradedSubgroup(basis={0: ["a", "b"]}, boundary={"a": {"b": 1}}, q=2)
     with pytest.raises(GradedValidationError, match="dimension-0 generator 'a' has a nonzero boundary"):
-        g.validate()
+        GradedSubgroup(basis={0: ["a", "b"]}, boundary={"a": {"b": 1}}, q=2)
+    # a coefficient that vanishes mod q is no boundary at all
+    assert GradedSubgroup(basis={0: ["a", "b"]}, boundary={"a": {"b": 2}}, q=2).boundary_dict("a") == {}
+
+
+@pytest.mark.parametrize("coeff", [0.5, "1", 1.0, None])
+def test_a_coefficient_that_is_not_an_integer_is_rejected_when_the_store_is_built(coeff):
+    # 0.5 % 3 would have been stored as a zero entry, on which the reduction of
+    # these two edges never ends; "1" % 3 would have raised a TypeError
+    edges = {"e": {"a": 1, "b": coeff}, "f": {"a": 1, "b": coeff}}
+    with pytest.raises(GradedValidationError) as err:
+        GradedSubgroup(basis={0: ["a", "b"], 1: ["e", "f"]}, boundary=edges, q=3)
+    want = [f"boundary of {e!r}: coefficient {coeff!r} of 'b' is not an integer" for e in "ef"]
+    assert str(err.value).split("; ") == want
+    g = GradedSubgroup(basis={0: ["a", "b"], 1: ["e"]}, boundary={"e": {"a": np.int64(1), "b": True}}, q=3)
+    assert g.boundary_dict("e") == {"a": 1, "b": 1}
+
+
+@pytest.mark.parametrize(
+    "faces, coeffs, error, message",
+    [
+        ([0, 1, 0, 2], [1, 2, 1, 2], ValueError, "dimension 1: boundary arrays do not fit the universe"),
+        ([0, 1, 0, 1], [1, 0.5, 1, 0.5], GradedValidationError, "not integers nonzero mod 3"),
+        ([0, 1, 0, 1], [1, 3, 1, 2], GradedValidationError, "not integers nonzero mod 3"),
+    ],
+    ids=["stray_face", "half", "zero_mod_q"],
+)
+def test_from_arrays_rejects_a_stray_face_or_a_coefficient_that_is_not_a_unit(faces, coeffs, error, message):
+    with pytest.raises(error, match=message):
+        GradedSubgroup.from_arrays(
+            {0: ["a", "b"], 1: ["e", "f"]}, {}, {1: (np.array([0, 2, 4]), np.array(faces), np.array(coeffs))}, q=3
+        )
+
+
+def test_stray_faces_unlisted_generators_and_dimension_0_boundaries_fail_construction():
+    """Faults injected into random boundary data are each named once; a store that builds is closed."""
+    rng = np.random.default_rng(16)
+    built = rejected = 0
+    for _ in range(150):
+        q = int(rng.choice([2, 3, 5]))
+        sizes = [int(rng.integers(0, 6)) for _ in range(4)]
+        labels, boundary = random_boundary_data(rng, q, sizes)
+        boundary = {label: dict(faces) for label, faces in boundary.items()}
+        faults = []
+        for p, labs in labels.items():
+            for label in labs:
+                if rng.random() >= 0.08:
+                    continue
+                c = int(rng.integers(1, q))
+                if p == 0:
+                    boundary.setdefault(label, {})[("g", 0, int(rng.integers(0, 6)))] = c
+                    faults.append(f"dimension-0 generator {label!r} has a nonzero boundary")
+                else:
+                    # a ghost, or a listed label of the wrong dimension
+                    stray = ("ghost", p, label[2]) if rng.random() < 0.5 else label
+                    boundary[label] = {stray: c, **boundary.get(label, {})}
+                    faults.append(f"boundary of {label!r} references unlisted generator {stray!r}")
+        if rng.random() < 0.2:
+            boundary["x"] = {}
+            faults.insert(0, "boundary given for unlisted generator 'x'")
+        basis = {p: labs[: len(labs) // 2 + 1] for p, labs in labels.items()}
+        extension = {p: labs[len(labs) // 2 + 1 :] for p, labs in labels.items()}
+        if faults:
+            rejected += 1
+            with pytest.raises(GradedValidationError) as err:
+                GradedSubgroup(basis, extension, boundary, q=q)
+            assert str(err.value).split("; ") == faults
+            continue
+        built += 1
+        g = GradedSubgroup(basis, extension, boundary, q=q)
+        for p in g.dims():
+            indptr, faces, coeffs = g.boundary_csr(p)
+            assert len(indptr) == g.universe_size(p) + 1 and indptr[-1] == len(faces) == len(coeffs)
+            assert ((faces >= 0) & (faces < g.universe_size(p - 1))).all()
+            assert ((coeffs >= 1) & (coeffs < q)).all()
+    assert built > 20 and rejected > 20
 
 
 # ---------------------------------------------------------------------------
@@ -190,30 +273,25 @@ def test_homology_rejects_broken_boundaries():
 
 
 @pytest.mark.parametrize(
-    "boundary, message, store_message",
+    "fault, message",
     [
-        (
-            {"uv": {"v": 1, "w": -1}},
-            "boundary of 'uv' references unlisted generator 'w'",
-            "boundary of 'uv' references unlisted generator 'w'",
-        ),
-        (
-            {"uv": {"v": 1, "u": -1}, "u": {"v": 1}},
-            "dimension-0 generator 'u' was given a nonzero boundary",
-            "dimension-0 generator 'u' has a nonzero boundary",
-        ),
+        ({"uv": {"v": 1, "w": -1}}, "boundary of 'uv' references unlisted generator 'w'"),
+        ({"u": {"v": 1}}, "dimension-0 generator 'u' has a nonzero boundary"),
     ],
     ids=["unlisted_face", "dimension_0_boundary"],
 )
-def test_oracles_reject_an_unvalidated_store(boundary, message, store_message):
-    # nothing validates this store, so the oracles' own reading of it must catch the fault
-    g = GradedSubgroup({0: ["u", "v"], 1: ["uv"]}, {}, boundary, q=3)
-    for run in (lambda: sup_complex(g, 1), lambda: homology_dims(sup_complex(g, 1), 1)):
-        with pytest.raises(GradedValidationError, match=re.escape(message)):
-            run()
+def test_oracles_reject_an_unvalidated_store(fault, message):
+    edges = {"uv": {"v": 1, "u": -1}, "T": {"uv": 1}}  # d(d(T)) = v - u
+    # a closure fault stops the store when it is built, so no oracle can read it
+    with pytest.raises(GradedValidationError, match=re.escape(message)):
+        GradedSubgroup({0: ["u", "v"], 1: ["uv"], 2: ["T"]}, {}, dict(edges, **fault), q=3)
+    # d∘d = 0 is checked later; nothing validates this store, so homology_dims must catch it
+    g = GradedSubgroup({0: ["u", "v"], 1: ["uv"], 2: ["T"]}, {}, edges, q=3)
+    with pytest.raises(GradedValidationError, match="slice boundaries do not compose to zero"):
+        homology_dims(sup_complex(g, 1), 1)
     # a filtration validates its store, so persistent_betti_oracle never sees this one
-    with pytest.raises(GradedValidationError, match=re.escape(store_message)):
-        FilteredGradedSubgroup(g, stage_heights(g, {"u": 1, "v": 1, "uv": 1}), 1)
+    with pytest.raises(GradedValidationError, match=re.escape("boundary of boundary of 'T' is nonzero")):
+        FilteredGradedSubgroup(g, stage_heights(g, dict.fromkeys(["u", "v", "uv", "T"], 1)), 1)
 
 
 def test_sup_inf_equal_homology_on_random_subgroups():
