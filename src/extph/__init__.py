@@ -31,7 +31,6 @@ from .digraph import (
     WeightedDigraph,
     allowed_paths,
     build_pph_input,
-    load_digraph,
     parse_digraph,
     path_homology,
     pph_input,
@@ -75,7 +74,6 @@ from .hypergraph import (
     embedded_homology,
     hyper_input,
     hyper_store,
-    load_hypergraph,
     parse_hypergraph,
     simplicial_boundary,
     simplicial_closure,

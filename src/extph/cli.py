@@ -15,10 +15,10 @@ import math
 import sys
 
 from .diagrams import _diagram, bottleneck, diagrams, format_diagram, read_diagram, stability_trial
-from .digraph import load_digraph, parse_digraph
-from .errors import ConsistencyError
+from .digraph import parse_digraph
+from .errors import ConsistencyError, records
 from .extended import extended_barcode, extended_module_oracle, interval_rank_table
-from .hypergraph import load_hypergraph, parse_hypergraph
+from .hypergraph import parse_hypergraph
 
 __all__ = ["main"]
 
@@ -47,7 +47,7 @@ def _add_common(sub):
 
 @functools.cache  # one tree per process, built on the first call; parse_args leaves it unchanged
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="extph", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="extph", description=__doc__.partition("\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
     pph = commands.add_parser("pph", help="extended persistent path homology of a weighted digraph")
@@ -66,12 +66,17 @@ def _build_parser():
     _add_common(distance)
 
     stability = commands.add_parser("stability", help="seeded perturbation trials of the stability bound")
-    stability.add_argument("input", help="digraph or hypergraph file (detected from the line shape)")
+    stability.add_argument("input", help="digraph or hypergraph file (told apart by its first record's field count)")
     stability.add_argument("--delta", type=float, default=0.1, help="perturbation bound (default 0.1)")
     stability.add_argument("--trials", type=int, default=100, help="number of trials (default 100)")
     _add_homology(stability)
     _add_common(stability)
     return parser
+
+
+def _read(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _emit(text: str, out_path) -> None:
@@ -96,8 +101,8 @@ def _validate_config(args) -> None:
         raise ValueError("--trials must be nonnegative")
 
 
-def _cmd_diagram(args, loader, builder) -> int:
-    front = loader(args.input)
+def _cmd_diagram(args, parse, builder) -> int:
+    front = parse(_read(args.input))
     x, asc, desc = builder(front, args.pmax, args.field)
     bc = extended_barcode(x, args.pmax, clearing=not args.no_clearing)
     if args.oracle_check:
@@ -114,20 +119,17 @@ def _cmd_diagram(args, loader, builder) -> int:
 def _cmd_pph(args) -> int:
     from .digraph import build_pph_input
 
-    return _cmd_diagram(args, load_digraph, build_pph_input)
+    return _cmd_diagram(args, parse_digraph, build_pph_input)
 
 
 def _cmd_hyper(args) -> int:
     from .hypergraph import build_hyper_input
 
-    return _cmd_diagram(args, load_hypergraph, build_hyper_input)
+    return _cmd_diagram(args, parse_hypergraph, build_hyper_input)
 
 
 def _cmd_distance(args) -> int:
-    with open(args.first, "r", encoding="utf-8") as fh:
-        d1 = read_diagram(fh.read())
-    with open(args.second, "r", encoding="utf-8") as fh:
-        d2 = read_diagram(fh.read())
+    d1, d2 = read_diagram(_read(args.first)), read_diagram(_read(args.second))
     dims = sorted(set(d1.dims()) | set(d2.dims()))
     lines = []
     overall = 0.0
@@ -140,25 +142,11 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _detect_front_end(text: str) -> str:
-    widths = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        widths.add(len(line.split("\t")))
-    if widths <= {3}:
-        return "digraph"
-    if widths == {2}:
-        return "hypergraph"
-    raise ValueError("cannot tell digraph (3 fields) from hypergraph (2 fields) input")
-
-
 def _cmd_stability(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parse = parse_digraph if _detect_front_end(text) == "digraph" else parse_hypergraph
-    subject = parse(text)
+    text = _read(args.input)
+    # a 2-field first record is a hypergraph; the parser rejects any later line of another width
+    widths = (len(fields) for _, fields in records(text))
+    subject = (parse_hypergraph if next(widths, 3) == 2 else parse_digraph)(text)
     base = _diagram(subject, args.pmax, args.field) if args.trials else None
     lines = ["trial\td_E\td_B\tstatus"]
     failures = 0

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .digraph import WeightedDigraph, build_pph_input, pph_input
-from .errors import ConsistencyError, InputFormatError
+from .errors import ConsistencyError, InputFormatError, records
 from .extended import EXTENDED, ORDINARY, RELATIVE, ExtendedBarcode, extended_barcode
 from .graded import GradedSubgroup
 from .hypergraph import build_hyper_input, hyper_input
@@ -407,22 +407,22 @@ def format_diagram(diagram: ExtendedDiagram) -> str:
 
 def read_diagram(text: str) -> ExtendedDiagram:
     buckets = {ORD: [], REL: [], EXT: []}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line == _HEADER:
+    for lineno, fields in records(text):
+        if "\t".join(fields) == _HEADER:
             continue
-        parts = line.split("\t")
-        if len(parts) != 4:
+        if len(fields) != 4:
             raise InputFormatError(lineno, "expected 'dim<TAB>type<TAB>birth<TAB>death'")
         try:
-            dim = int(parts[0])
-            birth = float(parts[2])
-            death = float(parts[3])
+            dim = int(fields[0])
+            birth = float(fields[2])
+            death = float(fields[3])
         except ValueError:
             raise InputFormatError(lineno, "bad numeric field") from None
+        if dim < 0:
+            raise InputFormatError(lineno, f"negative dimension {dim}")
         if not (math.isfinite(birth) and math.isfinite(death)):
             raise InputFormatError(lineno, "non-finite birth or death")
-        kind = parts[1].strip()
+        kind = fields[1]
         if kind not in buckets:
             raise InputFormatError(lineno, f"unknown point type {kind!r}")
         buckets[kind].append(DiagramPoint(dim, birth, death))

@@ -20,16 +20,17 @@ File format (one edge per line, consumed by the CLI)::
 
     source<TAB>target<TAB>weight
     isolated_vertex<TAB>-<TAB>-
-    # comment lines start with '#'
+    # comment lines start with '#'; blank lines are skipped
 
-Vertex names are arbitrary non-empty tokens; self-loops are rejected.
+Vertex names are arbitrary non-empty tokens.  The constructor and the
+parser check each edge with ``_edge``, so both give the same message.
 """
 
 import math
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, records
 from .extended import ExtendedInput
 from .graded import GradedSubgroup, cell_store, homology_dims, sup_complex
 
@@ -44,8 +45,17 @@ __all__ = [
     "pph_input",
     "build_pph_input",
     "parse_digraph",
-    "load_digraph",
 ]
+
+
+def _edge(x, y, weight) -> float:
+    """The weight of the edge x -> y as a float; ValueError for a self-loop or an infinite or nan weight."""
+    if x == y:
+        raise ValueError(f"self-loop on {x!r}")
+    weight = float(weight)
+    if not math.isfinite(weight):
+        raise ValueError(f"edge ({x!r}, {y!r}) has the non-finite weight {weight!r}")
+    return weight
 
 
 class WeightedDigraph:
@@ -58,13 +68,9 @@ class WeightedDigraph:
         vset = set(self.vertices)
         self.weights = {}
         for (x, y), w in weights.items():
-            if x == y:
-                raise ValueError(f"self-loop on {x!r}")
+            w = _edge(x, y, w)
             if x not in vset or y not in vset:
                 raise ValueError(f"edge ({x!r}, {y!r}) has an endpoint outside the vertex set")
-            w = float(w)
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({x!r}, {y!r}) has the non-finite weight {w!r}")
             self.weights[(x, y)] = w
 
     @property
@@ -211,38 +217,28 @@ def build_pph_input(g: WeightedDigraph, p_max: int = 2, q: int = 2):
 
 
 def parse_digraph(text: str) -> WeightedDigraph:
-    """Parse the tab-separated digraph format; raises InputFormatError."""
-    vertices = set()
-    weights = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise InputFormatError(lineno, "expected 'source<TAB>target<TAB>weight'")
-        s, t, w = (part.strip() for part in parts)
-        if not s or not t or not w:
-            raise InputFormatError(lineno, "empty field")
-        if t == "-" and w == "-":
-            vertices.add(s)
-            continue
-        if s == t:
-            raise InputFormatError(lineno, f"self-loop on {s!r}")
+    """Parse the tab-separated digraph format; InputFormatError names the first faulty line."""
+    vertices, weights = set(), {}
+    for lineno, fields in records(text):
         try:
-            wv = float(w)
-        except ValueError:
-            raise InputFormatError(lineno, f"bad weight {w!r}") from None
-        if not math.isfinite(wv):
-            raise InputFormatError(lineno, f"non-finite weight {w!r}")
-        if (s, t) in weights:
-            raise InputFormatError(lineno, f"duplicate edge {s!r} -> {t!r}")
-        weights[(s, t)] = wv
-        vertices.add(s)
-        vertices.add(t)
-    return WeightedDigraph(vertices, weights)
-
-
-def load_digraph(path) -> WeightedDigraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_digraph(fh.read())
+            if len(fields) != 3:
+                raise ValueError("expected 'source<TAB>target<TAB>weight'")
+            s, t, w = fields
+            if not (s and t and w):
+                raise ValueError("empty field")
+            vertices.add(s)
+            if t == "-" and w == "-":
+                continue
+            try:
+                weight = float(w)
+            except ValueError:
+                raise ValueError(f"bad weight {w!r}") from None
+            if (s, t) in weights:
+                raise ValueError(f"duplicate edge {s!r} -> {t!r}")
+            weights[(s, t)] = _edge(s, t, weight)
+            vertices.add(t)
+        except ValueError as exc:
+            raise InputFormatError(lineno, str(exc)) from None
+    g = WeightedDigraph.__new__(WeightedDigraph)  # every record is checked: skip the constructor's pass
+    g.vertices, g.weights = tuple(sorted(vertices)), weights
+    return g

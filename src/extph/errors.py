@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``records``, the one line reader of every input file.
 
-__all__ = ["GradedValidationError", "ConsistencyError", "InputFormatError"]
+The parsers check each record's fields once and name its line on a fault.
+"""
+
+__all__ = ["GradedValidationError", "ConsistencyError", "InputFormatError", "records"]
 
 
 class GradedValidationError(ValueError):
@@ -17,3 +20,11 @@ class InputFormatError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def records(text: str):
+    """(line number, stripped tab-separated fields) of each line that is neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, [field.strip() for field in line.split("\t")]

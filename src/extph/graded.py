@@ -171,10 +171,11 @@ class GradedSubgroup:
     def from_arrays(cls, basis, extension, boundaries, q=2, cells=None) -> "GradedSubgroup":
         """A store whose universe is basis then extension, with CSR boundary arrays.
 
-        ``boundaries[p]`` is (indptr, faces, coeffs): column k is the
-        boundary of the k-th dimension-p universe generator, its faces are
-        dimension-(p-1) universe rows and its coefficients are integers
-        nonzero mod q; arrays that break this are rejected.  ``cells``,
+        ``boundaries[p]`` is (indptr, faces, coeffs): column k, entries
+        indptr[k]:indptr[k + 1], is the boundary of the k-th dimension-p
+        universe generator, its faces are dimension-(p-1) universe rows and
+        its coefficients are integers nonzero mod q; arrays that break this
+        are rejected.  ``cells``,
         when given, holds per dimension the vertex-id rows the basis was
         built from, for the front end that computes heights.
         """
@@ -185,9 +186,9 @@ class GradedSubgroup:
         q, csr = modulus(q), {}
         for p in range(n):
             indptr, faces, coeffs = boundaries.get(p) or _csr([0] * (len(universe[p]) + 1), [], [])
-            if len(indptr) != len(universe[p]) + 1 or (
-                len(faces) and (p == 0 or faces.min() < 0 or faces.max() >= len(universe[p - 1]))
-            ):
+            below = len(universe[p - 1]) if p else 0
+            ok = len(indptr) == len(universe[p]) + 1 and indptr[0] == 0 and indptr[-1] == len(faces) == len(coeffs)
+            if not ok or (np.diff(indptr) < 0).any() or len(faces) and (faces.min() < 0 or faces.max() >= below):
                 raise ValueError(f"dimension {p}: boundary arrays do not fit the universe")
             if coeffs.dtype.kind not in "iu" or not (coeffs % q).all():
                 raise GradedValidationError(f"dimension {p}: boundary coefficients are not integers nonzero mod {q}")

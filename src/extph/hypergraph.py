@@ -9,7 +9,10 @@ sublevel and descending superlevel filtrations.
 File format (one hyperedge per line, consumed by the CLI)::
 
     value<TAB>v1,v2,...,vk
-    # comment lines start with '#'
+    # comment lines start with '#'; blank lines are skipped
+
+The constructor and the parser check each hyperedge with
+``_hyperedge``, so both give the same message.
 
 Simplices are oriented by the sorted order of their vertices.  The input
 is built on integer rows: each hyperedge is the row of its vertex ids in
@@ -24,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InputFormatError
+from .errors import InputFormatError, records
 from .extended import ExtendedInput
 from .graded import GradedSubgroup, cell_store, homology_dims, sup_complex
 
@@ -37,8 +40,23 @@ __all__ = [
     "hyper_input",
     "build_hyper_input",
     "parse_hypergraph",
-    "load_hypergraph",
 ]
+
+
+def _hyperedge(edge, value, listed):
+    """One hyperedge as (sorted vertex tuple, float value); ValueError for a fault or a key of ``listed``."""
+    edge = tuple(edge)
+    if not edge:
+        raise ValueError("empty hyperedge")
+    if len(set(edge)) != len(edge):
+        raise ValueError(f"hyperedge {edge!r} repeats a vertex")
+    key = tuple(sorted(edge))
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"hyperedge {key!r} has the non-finite value {value!r}")
+    if key in listed:
+        raise ValueError(f"duplicate hyperedge {key!r}")
+    return key, value
 
 
 class FilteredHypergraph:
@@ -51,19 +69,9 @@ class FilteredHypergraph:
         vset = set(self.vertices)
         self.values = {}
         for edge, value in values.items():
-            edge_t = tuple(edge)
-            if not edge_t:
-                raise ValueError("empty hyperedge")
-            if len(set(edge_t)) != len(edge_t):
-                raise ValueError(f"hyperedge {edge_t!r} repeats a vertex")
-            key = tuple(sorted(edge_t))
+            key, value = _hyperedge(edge, value, self.values)
             if not set(key) <= vset:
                 raise ValueError(f"hyperedge {key!r} uses vertices outside the vertex set")
-            if key in self.values:
-                raise ValueError(f"duplicate hyperedge {key!r}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"hyperedge {key!r} has the non-finite value {value!r}")
             self.values[key] = value
 
     @property
@@ -126,10 +134,15 @@ def hyper_input(h: FilteredHypergraph, store: GradedSubgroup):
     """Ascending/descending hyperedge filtrations of h's values on a store of its hyperedges.
 
     ``store`` is ``hyper_store`` of h or of any hypergraph with h's
-    vertices and hyperedges; only the stage grids and heights are computed
-    here.  Returns (ExtendedInput, ascending values, descending values);
-    the stage grids are the distinct values of the hyperedges in the store.
+    hyperedges up to the store's top dimension; only the stage grids and
+    heights are computed here.  Returns (ExtendedInput, ascending values,
+    descending values); the stage grids are the distinct values of the
+    hyperedges in the store.
     """
+    listed = [e for p in store.dims() for e in store.basis[p]]
+    top = max(store.cells)  # hyper_store drops the hyperedges above it
+    if sum(len(e) <= top + 1 for e in h.values) != len(listed) or not all(e in h.values for e in listed):
+        raise ValueError("the store was built on another hypergraph's hyperedges")
     value = {p: np.array([h.values[e] for e in store.basis[p]], dtype=float) for p in store.dims()}
     values = sorted({v for column in value.values() for v in column.tolist()})
     grid = np.array(values)
@@ -145,35 +158,24 @@ def build_hyper_input(h: FilteredHypergraph, p_max: int = 2, q: int = 2):
 
 
 def parse_hypergraph(text: str) -> FilteredHypergraph:
-    """Parse the tab-separated hypergraph format; raises InputFormatError."""
-    values = {}
-    vertices = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise InputFormatError(lineno, "expected 'value<TAB>v1,v2,...,vk'")
+    """Parse the tab-separated hypergraph format; InputFormatError names the first faulty line."""
+    vertices, values = set(), {}
+    for lineno, fields in records(text):
         try:
-            value = float(parts[0].strip())
-        except ValueError:
-            raise InputFormatError(lineno, f"bad value {parts[0]!r}") from None
-        if not math.isfinite(value):
-            raise InputFormatError(lineno, f"non-finite value {parts[0]!r}")
-        tokens = [t.strip() for t in parts[1].split(",")]
-        if not tokens or any(not t for t in tokens):
-            raise InputFormatError(lineno, "empty vertex name in hyperedge")
-        if len(set(tokens)) != len(tokens):
-            raise InputFormatError(lineno, "hyperedge repeats a vertex")
-        key = tuple(sorted(tokens))
-        if key in values:
-            raise InputFormatError(lineno, f"duplicate hyperedge {key!r}")
+            if len(fields) != 2:
+                raise ValueError("expected 'value<TAB>v1,v2,...,vk'")
+            try:
+                value = float(fields[0])
+            except ValueError:
+                raise ValueError(f"bad value {fields[0]!r}") from None
+            tokens = [t.strip() for t in fields[1].split(",")]
+            if not all(tokens):
+                raise ValueError("empty vertex name in hyperedge")
+            key, value = _hyperedge(tokens, value, values)
+        except ValueError as exc:
+            raise InputFormatError(lineno, str(exc)) from None
         values[key] = value
-        vertices.update(tokens)
-    return FilteredHypergraph(vertices, values)
-
-
-def load_hypergraph(path) -> FilteredHypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hypergraph(fh.read())
+        vertices.update(key)
+    h = FilteredHypergraph.__new__(FilteredHypergraph)  # every record is checked: skip the constructor's pass
+    h.vertices, h.values = tuple(sorted(vertices)), values
+    return h

@@ -183,6 +183,17 @@ def test_stability_detects_hypergraph_input(tmp_path, capsys):
     assert "3/3 trials" in out
 
 
+@pytest.mark.parametrize(
+    "text, line", [(TWO_STAGE + HYPER, 4), (HYPER + TWO_STAGE, 5)], ids=["digraph_first", "hypergraph_first"]
+)
+def test_stability_rejects_a_line_of_the_other_width(tmp_path, capsys, text, line):
+    src = tmp_path / "mixed.tsv"
+    src.write_text("# the first record sets the format\n" + text)
+    code, out, err = run(["stability", str(src), "--trials", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line {line}: expected '") and len(err.splitlines()) == 1
+
+
 def test_stability_digraph_run_passes(tmp_path, capsys):
     src = tmp_path / "g.tsv"
     src.write_text(CYCLE)

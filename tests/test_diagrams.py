@@ -430,6 +430,8 @@ def test_read_diagram_rejects_bad_rows():
         read_diagram("dim\ttype\tbirth\tdeath\n0\tord\tx\t1\n")
     with pytest.raises(InputFormatError):
         read_diagram("0\tweird\t1\t2\n")
+    with pytest.raises(InputFormatError, match="line 2: negative dimension -1"):
+        read_diagram("0\tord\t0.0\t1.0\n-1\tord\t0.0\t1.0\n")
 
 
 @pytest.mark.parametrize("row", ["0\tord\tnan\t1.0", "0\text\t1.0\tinf", "1\trel\t-inf\t0.5"])

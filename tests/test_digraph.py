@@ -267,6 +267,41 @@ def test_parse_digraph_rejects_malformed_lines(line, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("a\tb\t1\nb\tc\tten\nc\ta\tnan\n", 2),  # a syntax fault, then a semantic one
+        ("a\tb\t1\nb\tb\t2\nc\ta\n", 2),  # a semantic fault, then a syntax one
+        ("# head\n\na\tb\t1\nb\ta\tinf\na\tb\t2\n", 4),  # comments and blank lines are counted
+    ],
+)
+def test_parse_digraph_names_the_first_faulty_line(text, line):
+    with pytest.raises(InputFormatError) as err:
+        parse_digraph(text)
+    assert err.value.line == line and str(err.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "edge, weight",
+    [(("a", "a"), "1"), (("a", "b"), "nan"), (("a", "b"), "-inf")],
+    ids=["self_loop", "nan", "minus_inf"],
+)
+def test_parser_and_constructor_give_one_message_per_fault(edge, weight):
+    with pytest.raises(ValueError) as direct:
+        WeightedDigraph(["a", "b"], {edge: float(weight)})
+    with pytest.raises(InputFormatError) as parsed:
+        parse_digraph(f"a\t-\t-\n{edge[0]}\t{edge[1]}\t{weight}\n")
+    assert str(parsed.value) == f"line 2: {direct.value}"
+
+
+def test_parse_digraph_builds_what_the_constructor_builds():
+    text = "c\ta\t2\nloner\t-\t-\na\tb\t0.5\nb\tc\t1e-3\n"
+    g = parse_digraph(text)
+    want = WeightedDigraph(["a", "b", "c", "loner"], {("c", "a"): 2, ("a", "b"): 0.5, ("b", "c"): 0.001})
+    assert (g.vertices, g.weights) == (want.vertices, want.weights)
+    assert list(g.weights) == list(want.weights)
+
+
 def test_constructor_rejects_non_finite_weights():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="non-finite"):

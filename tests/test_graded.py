@@ -181,6 +181,23 @@ def test_from_arrays_rejects_a_stray_face_or_a_coefficient_that_is_not_a_unit(fa
         )
 
 
+@pytest.mark.parametrize(
+    "indptr, faces, coeffs",
+    [
+        ([0, 2, 5], [0, 1, 0, 1], [1, 2, 1, 2]),
+        ([0, 3, 2], [0, 1], [1, 2]),
+        ([0, 2, 4], [0, 1, 0, 1], [1, 2, 1]),
+        ([1, 2, 4], [0, 1, 0, 1], [1, 2, 1, 2]),
+    ],
+    ids=["past_the_faces", "decreasing", "short_coeffs", "not_from_0"],
+)
+def test_from_arrays_rejects_inconsistent_csr_arrays(indptr, faces, coeffs):
+    with pytest.raises(ValueError, match="dimension 1: boundary arrays do not fit the universe"):
+        GradedSubgroup.from_arrays(
+            {0: ["a", "b"], 1: ["e", "f"]}, {}, {1: (np.array(indptr), np.array(faces), np.array(coeffs))}, q=3
+        )
+
+
 def test_stray_faces_unlisted_generators_and_dimension_0_boundaries_fail_construction():
     """Faults injected into random boundary data are each named once; a store that builds is closed."""
     rng = np.random.default_rng(16)

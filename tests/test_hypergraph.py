@@ -18,6 +18,7 @@ from extph import (
     extended_barcode,
     extended_module_oracle,
     homology_dims,
+    hyper_input,
     hyper_store,
     interval_rank_table,
     parse_hypergraph,
@@ -313,6 +314,56 @@ def test_parse_hypergraph_rejects_malformed_lines(line, fragment):
     with pytest.raises(InputFormatError) as err:
         parse_hypergraph(line)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1\ta\nx\tb\n2\ta,a\n", 2),  # a syntax fault, then a semantic one
+        ("1\ta\nnan\tb\n2\ta,,b\n", 2),  # a semantic fault, then a syntax one
+        ("# head\n\n1\ta,b\n2\tb,a\n3\t\n", 4),  # comments and blank lines are counted
+    ],
+)
+def test_parse_hypergraph_names_the_first_faulty_line(text, line):
+    with pytest.raises(InputFormatError) as err:
+        parse_hypergraph(text)
+    assert err.value.line == line and str(err.value).startswith(f"line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[("1", "a,a")], [("inf", "a,b")], [("nan", "b")], [("1", "a,b"), ("2", "b,a")]],
+    ids=["repeated_vertex", "inf", "nan", "duplicate"],
+)
+def test_parser_and_constructor_give_one_message_per_fault(edges):
+    with pytest.raises(ValueError) as direct:
+        FilteredHypergraph(["a", "b"], {tuple(e.split(",")): float(v) for v, e in edges})
+    with pytest.raises(InputFormatError) as parsed:
+        parse_hypergraph("".join(f"{v}\t{e}\n" for v, e in edges))
+    assert str(parsed.value) == f"line {len(edges)}: {direct.value}"
+
+
+def test_parse_hypergraph_builds_what_the_constructor_builds():
+    text = "2\tc,a\n1\tb\n0.5\ta,b,c\n"
+    h = parse_hypergraph(text)
+    want = FilteredHypergraph("abc", {("c", "a"): 2, ("b",): 1, ("a", "b", "c"): 0.5})
+    assert (h.vertices, h.values) == (want.vertices, want.values)
+    assert list(h.values) == list(want.values)
+
+
+def test_hyper_input_rejects_a_store_of_other_hyperedges():
+    small = FilteredHypergraph("abc", {("a",): 1, ("b",): 1, ("a", "b"): 2})
+    large = FilteredHypergraph("abc", {**small.values, ("c",): 1, ("b", "c"): 3})
+    for h, store in [(large, hyper_store(small)), (small, hyper_store(large))]:
+        with pytest.raises(ValueError, match="the store was built on another hypergraph's hyperedges"):
+            hyper_input(h, store)
+
+
+def test_hyper_input_ignores_the_hyperedges_above_the_store():
+    # at p_max 1 the store stops at dimension 2, so the tetrahedron is not in it
+    h = FilteredHypergraph("abcd", {("a", "b", "c"): 1, ("a", "b", "c", "d"): 2})
+    x, asc, _ = hyper_input(h, hyper_store(h, p_max=1))
+    assert max(x.graded.dims()) == 2 and asc == [1.0]
 
 
 def test_constructor_rejects_non_finite_values():
