@@ -11,13 +11,17 @@ extended diagram, so the distance is infinite whenever the extended
 cardinalities differ.
 
 The matcher computes each type's pairwise distances and diagonal charges
-once with numpy and binary-searches the sorted candidate set (0, pairwise
+once with numpy and binary-searches the sorted candidates (0, pairwise
 distances, diagonal charges), so the returned value is exact on that set.
-Its feasibility test needs no diagonal slots: by the Mendelsohn-Dulmage
-theorem a delta-matching exists iff real pairs within delta can cover
-every point of either side whose charge exceeds delta, and an extended
-point's charge is infinite.  Augmenting paths are found iteratively, so
-no diagram size can exhaust the recursion limit.
+The neighbour work is done once per type, not once per probe: a point's
+partners are sorted by distance on first use and cut at the largest delta
+the search can probe, so a probe at delta takes them as a prefix.  Each
+probe starts from the matching of the last probe that succeeded, less its
+pairs longer than delta.  The feasibility test needs no diagonal slots:
+by the Mendelsohn-Dulmage theorem a delta-matching exists iff real pairs
+within delta can cover every point of either side whose charge exceeds
+delta, and an extended point's charge is infinite.  Augmenting paths are
+found iteratively, so no diagram size can exhaust the recursion limit.
 
 ``stability_trial`` perturbs the edge weights of a digraph or the values
 of a hypergraph and reports the achieved input distance next to the
@@ -30,6 +34,7 @@ its store as ``base`` so both are built once.
 """
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -153,17 +158,27 @@ def _kind_arrays(kind, pts1, pts2):
     return dist, np.abs(a[:, 1] - a[:, 0]) / 2.0, np.abs(b[:, 1] - b[:, 0]) / 2.0
 
 
-def _neighbours(dist, delta):
-    """Row i -> the columns within ``delta`` of it, found on first use."""
+def _partner_lists(dist, ceiling):
+    """Row i -> (its distances up to ``ceiling`` in ascending order, their columns).
+
+    Each row is sorted on first use and kept, so every probe of one
+    ``_kind_bottleneck`` takes the columns within delta <= ``ceiling`` as
+    a prefix, ties included.  Cutting at the ceiling keeps the lists short:
+    no probe looks past it.
+    """
     cache = {}
 
-    def adjacent(i):
-        nbrs = cache.get(i)
-        if nbrs is None:
-            nbrs = cache[i] = np.flatnonzero(dist[i] <= delta)
-        return nbrs
+    def partners(i):
+        found = cache.get(i)
+        if found is None:
+            row = dist[i]
+            order = row.argsort(kind="stable")
+            ordered = row[order]
+            cut = ordered.searchsorted(ceiling, "right")
+            found = cache[i] = (ordered[:cut].tolist(), order[:cut].tolist())
+        return found
 
-    return adjacent
+    return partners
 
 
 def _augment(root, adjacent, required, mate, back):
@@ -203,24 +218,50 @@ def _augment(root, adjacent, required, mate, back):
     return False
 
 
-def _match(dist, charge1, charge2, delta):
+def _match(dist, charge1, charge2, delta, partners, start=None):
     """A matching at tolerance ``delta`` as (mate1, mate2), or None.
 
     Only real pairs within ``delta`` are matched; a point left unmatched
-    pays its diagonal charge.  By the Mendelsohn-Dulmage theorem such a
-    matching exists iff one covers every side-1 point whose charge
-    exceeds ``delta`` and one covers every such side-2 point.  The first
-    is grown greedily and by augmenting paths; exchanges from side 2 then
-    extend it to the second set without uncovering the first.
+    pays its diagonal charge.  ``partners`` holds each side's
+    ``_partner_lists``, cut at a ceiling of at least ``delta``.  By the
+    Mendelsohn-Dulmage theorem such a matching exists iff one covers
+    every side-1 point whose charge exceeds ``delta`` and one covers
+    every such side-2 point.  The first is reached by augmenting from
+    each uncovered such side-1 point, after a greedy pass gives each the
+    free partner of lowest index: points are sorted by birth, so the pass
+    sweeps along the diagonal and leaves few roots to search from.
+    Exchanges from side 2 then extend it to the second set without
+    uncovering the first.
+
+    Both phases work from any starting matching, so ``start``, a
+    matching found at a larger delta, is kept less its pairs longer than
+    ``delta``.  An augmenting path keeps every vertex it passes on the
+    other side matched, and it unmatches a vertex of its own side only if
+    that vertex is not required; a required one stays covered.  A failed
+    augment from root r still proves infeasibility, whatever the current
+    matching M: if a matching N covered every required vertex of r's
+    side, the component of r in the symmetric difference of M and N
+    would be an alternating path from r.  It ends at an M-free vertex of
+    the other side or, after an M-edge, at a vertex of r's side that N
+    leaves free, which is therefore not required; the search would have
+    found either.
     """
     n1, n2 = dist.shape
     mate1, mate2 = [-1] * n1, [-1] * n2
-    for mate, back, rows, charge in ((mate1, mate2, dist, charge1), (mate2, mate1, dist.T, charge2)):
+    if start is not None:
+        for i, j in enumerate(start[0]):
+            if j != -1 and dist.item(i, j) <= delta:
+                mate1[i], mate2[j] = j, i
+    for mate, back, lists, charge in ((mate1, mate2, partners[0], charge1), (mate2, mate1, partners[1], charge2)):
         required = (charge > delta).tolist()
-        adjacent = _neighbours(rows, delta)
+
+        def adjacent(i, lists=lists):
+            dists, cols = lists(i)
+            return cols[: bisect_right(dists, delta)]
+
         roots = [i for i, need in enumerate(required) if need and mate[i] == -1]
         for i in roots:
-            for j in adjacent(i):
+            for j in sorted(adjacent(i)):
                 if back[j] == -1:
                     mate[i], back[j] = j, i
                     break
@@ -239,7 +280,9 @@ def _kind_bottleneck(dist, charge1, charge2):
     such cost succeeds.  Diagonal kinds succeed at their largest charge,
     where every point may go to the diagonal.  Extended points must all be
     matched, which needs equal counts, and matching them in the order they
-    are listed succeeds at its largest distance.
+    are listed succeeds at its largest distance.  That upper bound is the
+    ceiling of the partner lists, and each probe starts from the matching
+    of the last one that succeeded.
     """
     ceiling = max(charge1.max(initial=0.0), charge2.max(initial=0.0))
     if ceiling == math.inf:
@@ -259,14 +302,18 @@ def _kind_bottleneck(dist, charge1, charge2):
         )
     )
     ordered.sort()
+    ordered = ordered.tolist()
+    partners = _partner_lists(dist, ceiling), _partner_lists(dist.T, ceiling)
+    feasible = None
     lo, hi = 0, len(ordered) - 1  # ordered[hi] == ceiling succeeds
     while lo < hi:
         mid = (lo + hi) // 2
-        if _match(dist, charge1, charge2, ordered[mid]) is None:
+        found = _match(dist, charge1, charge2, ordered[mid], partners, feasible)
+        if found is None:
             lo = mid + 1
         else:
-            hi = mid
-    return float(ordered[hi])
+            hi, feasible = mid, found
+    return ordered[hi]
 
 
 def bottleneck(d1: ExtendedDiagram, d2: ExtendedDiagram, dim=None) -> float:
@@ -317,13 +364,15 @@ class MatchingCertificate:
 
 def bottleneck_certificate(d1: ExtendedDiagram, d2: ExtendedDiagram, dim):
     """(distance, certificate) for one dimension; certificate is None at infinity."""
-    delta = bottleneck(d1, d2, dim)
+    points = {kind: (d1.points(kind, dim), d2.points(kind, dim)) for kind in (ORD, REL, EXT)}
+    arrays = {kind: _kind_arrays(kind, *pts) for kind, pts in points.items()}
+    delta = max(_kind_bottleneck(*kind_arrays) for kind_arrays in arrays.values())
     if math.isinf(delta):
         return delta, None
     matched, unmatched = {}, {}
-    for kind in (ORD, REL, EXT):
-        pts1, pts2 = d1.points(kind, dim), d2.points(kind, dim)
-        found = _match(*_kind_arrays(kind, pts1, pts2), delta)
+    for kind, (pts1, pts2) in points.items():
+        dist = arrays[kind][0]
+        found = _match(*arrays[kind], delta, (_partner_lists(dist, delta), _partner_lists(dist.T, delta)))
         if found is None:
             raise ConsistencyError("no matching exists at the computed distance")
         mate1, mate2 = found
