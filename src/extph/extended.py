@@ -31,8 +31,8 @@ it is the reference the layout is tested against, and the benchmark's
 tracer wraps it.  ``extended_module_oracle`` recomputes every
 composite rank of the module from the stage subgroups by dense elimination
 mod q, with no cones and no pivots: the denominators are nested, so one
-elimination per source stage gives all of its ranks.  It is the ground
-truth for the barcode.
+chain of columns per dimension holds all of them, and over F_2 that
+chain is eliminated once.  It is the ground truth for the barcode.
 """
 
 from typing import Any, NamedTuple
@@ -371,9 +371,12 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
     vectors of E^j_p.  So one chain of columns, the boundaries of the
     dimension-(p+1) basis in ascending order and then the dimension-p
     units in descending order, has every B_v as a prefix, and
-    ``window_ranks`` gives the whole row u of the table from one
-    elimination of [Z_u | chain].  For u <= v <= M the sources and prefixes
-    are those of ``persistent_betti_oracle`` on the ascending filtration.
+    ``window_ranks`` gives the whole table of dimension p from it: over
+    F_2 from one elimination of the chain, against which each Z_u is
+    reduced, and for q > 2 from one elimination of [Z_u | chain] per row u.
+    The cycles of every D^u_p come from one kernel (``stage_cycles``).
+    For u <= v <= M the sources and prefixes are those of
+    ``persistent_betti_oracle`` on the ascending filtration.
     A source may leave out anything its denominators all contain.  For
     u <= M that is d(D^u_{p+1}), so Z_u is the cycles of D^u_p.  For
     u = M + j it is E^j_p: a chain of D_p whose boundary lies in

@@ -21,17 +21,19 @@ cone's matrices, so an int is as wide as the matrix is tall; converting
 every column would hold thousands of such ints at once.
 
 The dense helpers at the end back the homology rank oracles.  They take
-numpy int arrays, and every rank is read from a pivot list, the columns
+numpy int arrays, and their ranks are read from pivot lists, the columns
 outside the span of those before them (``pivot_columns``).  Over F_2 they
-all run one elimination, ``_f2_eliminate``: the matrix's columns are
-packed into Python ints, one bit per row, and eliminated left to right by
-XOR against a {low: column} basis, each column carrying its combination
-of input columns in its low bits.  A column's expression over the earlier
-pivot columns is unique, so the kernels and solutions read from those
-combinations are the ones a reduced row echelon form gives.  For q > 2
-they run a reduced row echelon form on int64 arrays mod q, which is why
-the modulus is bounded by ``MAX_MODULUS``: every product of two residues
-is below 2**32, and sums of up to 2**31 such products stay below 2**63.
+all run one elimination, ``_f2_eliminate``: ``_f2_pack`` packs the
+matrix's columns into Python ints, one bit per row above the bits of each
+column's combination of input columns, and ``_f2_sweep`` eliminates them
+left to right by XOR against a {low: column} basis.  ``graded``'s
+``window_ranks`` sweeps its sources against one such basis of its chain.
+A column's expression over the earlier pivot columns is unique, so the
+kernels and solutions read from those combinations are the ones a reduced
+row echelon form gives.  For q > 2 they run a reduced row echelon form on
+int64 arrays mod q, which is why the modulus is bounded by
+``MAX_MODULUS``: every product of two residues is below 2**32, and sums
+of up to 2**31 such products stay below 2**63.
 The dense helpers share no code with the sparse reduction, so the two
 routes can be played against each other in tests.
 """
@@ -269,6 +271,49 @@ def _row_echelon(a: np.ndarray, q: int):
     return a, pivots
 
 
+def _f2_pack(a, shift: int, unit: bool = False) -> list[int]:
+    """The columns of ``a`` mod 2 as ints, column j with bit shift + r set where a[r, j] is odd.
+
+    The ``shift`` bits below the rows are left for a column's combination
+    of input columns; with ``unit`` (and ``shift`` at least the number of
+    columns) column j starts as its own combination, bit j.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[1]
+    # a row of bytes per column of a, packed along it; `& 1` is the parity of negatives too
+    bits = np.zeros((n, shift + a.shape[0]), dtype=np.uint8)
+    if unit:
+        np.fill_diagonal(bits, 1)
+    bits[:, shift:] = a.T & 1
+    n_bytes = (bits.shape[1] + 7) // 8
+    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[j * n_bytes : (j + 1) * n_bytes], "little") for j in range(n)]
+
+
+def _f2_sweep(columns, top: int, basis: dict) -> tuple[list[int], list[int]]:
+    """(pivots, remainders) of packed columns eliminated left to right against ``basis``.
+
+    ``basis`` maps a low to the column that claimed it.  While a column is
+    at or above ``top`` it is XORed with the basis column of its low; when
+    that low is unclaimed the column claims it, joins ``basis`` and its
+    index is listed in ``pivots``.  What is left of every other column,
+    below ``top``, is listed in ``remainders``, in column order.
+    """
+    pivots, remainders = [], []
+    for j, x in enumerate(columns):
+        while x >= top:
+            low = x.bit_length() - 1
+            y = basis.get(low)
+            if y is None:
+                basis[low] = x
+                pivots.append(j)
+                break
+            x ^= y
+        else:
+            remainders.append(x)
+    return pivots, remainders
+
+
 def _f2_eliminate(a) -> tuple[list[int], list[int]]:
     """(pivot columns, kernel combinations) of ``a`` mod 2, by XOR on packed columns.
 
@@ -281,30 +326,8 @@ def _f2_eliminate(a) -> tuple[list[int], list[int]]:
     own bit and those of the earlier pivot columns that sum to it, a
     kernel vector.  They are listed in column order.
     """
-    a = np.asarray(a, dtype=np.int64)
-    n = a.shape[1]
-    # a row of bytes per column of a, packed along it; `& 1` is the parity of negatives too
-    bits = np.zeros((n, n + a.shape[0]), dtype=np.uint8)
-    np.fill_diagonal(bits, 1)
-    bits[:, n:] = a.T & 1
-    n_bytes = (bits.shape[1] + 7) // 8
-    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
-    top = 1 << n  # a column at or above it has rows left
-    basis: dict[int, int] = {}  # low -> the pivot column that claimed it, reduced
-    pivots, kernel = [], []
-    for j in range(n):
-        x = int.from_bytes(packed[j * n_bytes : (j + 1) * n_bytes], "little")
-        while x >= top:
-            low = x.bit_length() - 1
-            y = basis.get(low)
-            if y is None:
-                basis[low] = x
-                pivots.append(j)
-                break
-            x ^= y
-        else:
-            kernel.append(x)
-    return pivots, kernel
+    n = np.shape(a)[1]
+    return _f2_sweep(_f2_pack(a, n, unit=True), 1 << n, {})
 
 
 def _f2_unpack(combinations, n: int) -> np.ndarray:

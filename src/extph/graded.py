@@ -27,22 +27,35 @@ There is no view or copy of the store; building a filtration validates
 the store (once per store) and every height.
 
 The module oracles count window ranks dim(Z_u + B_v) - dim(B_v) of a
-persistence module with ``stage_cycles`` and ``window_ranks``.  This side
-is numpy int64 matrices mod q throughout: ``unit_matrix`` and
+persistence module with ``stage_cycles`` and ``window_ranks``, each of
+which eliminates its matrix once per dimension: the kernel of all of a
+dimension's boundary images gives every stage's cycles, and over F_2 one
+elimination of the denominator chain serves every source.  This side is
+numpy int64 matrices mod q throughout: ``unit_matrix`` and
 ``image_matrix`` fill them straight from universe rows and the store's
-CSR arrays, and every rank comes from ``pivot_columns``, never from the
-sparse columns and pivot reduction of the pairing algorithms, so the two
-code paths stay independent.
+CSR arrays, and every rank comes from the dense helpers of ``field``
+(their F_2 elimination on packed ints, or a row echelon form for q > 2),
+never from the sparse columns and pivot reduction of the pairing
+algorithms, so the two code paths stay independent.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import GradedValidationError
-from .field import dense_kernel, dense_rank, dense_solve_many, modulus, pivot_columns, prefix_ranks
+from .field import (
+    _f2_pack,
+    _f2_sweep,
+    dense_kernel,
+    dense_rank,
+    dense_solve_many,
+    modulus,
+    pivot_columns,
+    prefix_ranks,
+)
 
 __all__ = [
     "BASIS",
@@ -570,24 +583,53 @@ def homology_dims(c: ChainComplexSlice, p_max: int) -> list[int]:
 def stage_cycles(units, images, prefixes, q: int) -> list:
     """The kernel of images[:, :k], written over units[:, :k], for each k in ``prefixes``.
 
-    Over a compatible basis a prefix spans a stage, so these are its cycle spaces.
+    Over a compatible basis a prefix spans a stage, so these are its cycle
+    spaces.  One kernel of all of ``images`` serves every prefix: the
+    elimination runs left to right, so each kernel column is a free
+    column plus earlier pivot columns, its last nonzero row is that free
+    column, and the kernel of images[:, :k] is the leading kernel columns
+    whose free column is below k, cut to their first k rows.  Those rows
+    are all that units[:, :k] reads, so each prefix's cycles are the
+    leading columns of units @ kernel.
     """
-    out = []
-    for k in prefixes:
-        ker = dense_kernel(images[:, :k], q)
-        out.append(units[:, : ker.shape[0]] @ ker)
-    return out
+    ker = dense_kernel(images, q)
+    free = len(ker) - 1 - np.argmax(ker[::-1] != 0, axis=0) if len(ker) else _NONE
+    cycles = units[:, : len(ker)] @ ker
+    return [cycles[:, : np.searchsorted(free, k)] for k in prefixes]
 
 
 def window_ranks(sources, chain, ends, q: int):
     """Yield, for each source S_k, dim(S_k + C[:, :e]) - dim(C[:, :e]) for e in ends[k:].
 
-    The denominators are the column prefixes of one chain C, so one
-    elimination of [S_k | C] gives the whole row k, and one of C alone
-    every dim(C[:, :e]).  ``sources[k]`` is the numerator of the window
-    starting at position k + 1, and ``ends`` lists the prefix length of
-    each position's denominator.
+    ``sources[k]`` is the numerator of the window starting at position
+    k + 1, and ``ends`` lists the prefix length of each position's
+    denominator, a column prefix of the one chain C.
+
+    Over F_2 C is eliminated once.  Each of its packed columns carries its
+    combination of C's columns, so a basis column's combination uses only
+    pivot columns of C and its top bit is its own column.  Each source
+    column is then reduced against C's basis and a copy of it that also
+    holds the source's earlier columns.  A column that claims a fresh low
+    is independent modulo C.  One whose rows vanish leaves its expression
+    over C's pivot columns, unique since they are independent, and these
+    expressions span S_k ∩ C.  Eliminated by their highest bit, they leave
+    a basis with distinct tops T; a zero expression comes from a dependent
+    source column and is dropped.  S_k ∩ C[:, :e] is spanned by the basis
+    vectors whose top is below e, so the entry is
+    dim S_k - dim(S_k ∩ C[:, :e]) = fresh + #{t in T : t >= e}.
+    For q > 2 one elimination of [S_k | C] gives the whole row k, and one
+    of C alone every dim(C[:, :e]).
     """
+    if q == 2:
+        n, basis = chain.shape[1], {}
+        _f2_sweep(_f2_pack(chain, n, unit=True), 1 << n, basis)
+        for k, source in enumerate(sources):
+            fresh, inside = _f2_sweep(_f2_pack(source, n), 1 << n, dict(basis))
+            lows: dict = {}
+            _f2_sweep(inside, 1, lows)
+            tops = sorted(lows)
+            yield [len(fresh) + len(tops) - bisect_left(tops, e) for e in ends[k:]]
+        return
     base = prefix_ranks(chain, ends, q)
     for k, source in enumerate(sources):
         ranks = prefix_ranks(np.hstack([source, chain]), [source.shape[1] + e for e in ends[k:]], q)

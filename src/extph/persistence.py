@@ -167,10 +167,12 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     dim(Z_i + B_j) - dim(B_j), where Z_i is the stage-i cycle space and B_j
     the stage-j boundary space, both written in universe coordinates.
     B_j is spanned by the first stage_prefix(p+1, j) boundary columns, so
-    the table is ``window_ranks`` over those columns.  The stage-i cycles
-    of the supremum complex are the cycles of D^i_p plus d(D^i_{p+1}), and
-    every B_j with j >= i contains the latter, so Z_i may be taken as the
-    cycles of D^i_p, which ``stage_cycles`` builds.
+    the table is ``window_ranks`` over those columns, which over F_2
+    eliminates them once per dimension.  The stage-i cycles of the
+    supremum complex are the cycles of D^i_p plus d(D^i_{p+1}), and every
+    B_j with j >= i contains the latter, so Z_i may be taken as the cycles
+    of D^i_p, which ``stage_cycles`` builds for every stage from one kernel
+    of the dimension-p boundary images.
     """
     g, q = f.graded, f.q
     stages = range(1, f.num_stages + 1)

@@ -19,19 +19,22 @@ Harer, "Extending persistence using Poincaré and Lefschetz duality", 2009):
   the relative homology and whose supremum complex is that of
   ``cone_graded``;
 * ``positional_barcode``: the extended barcode under a plausible but wrong
-  reading of extended pairs, which the tests show the rank oracle rejects.
+  reading of extended pairs, which the tests show the rank oracle rejects;
+* ``stacked_window_ranks``: the window ranks dim(S_k + C_e) - dim(C_e) from
+  one elimination of [S_k | C] per source, the formulation that
+  ``window_ranks`` replaced over F_2.
 
 Unlike ``oracles.py`` these use the package's numpy elimination helpers
-(``dense_kernel``, ``dense_rank``, ``dense_solve_many``, ``pivot_columns``)
-on its dense ``ChainComplexSlice``, so they check identities between
-package objects, not the helpers themselves.
+(``dense_kernel``, ``dense_rank``, ``dense_solve_many``, ``pivot_columns``,
+``prefix_ranks``) on its dense ``ChainComplexSlice``, so they check
+identities between package objects, not the helpers themselves.
 """
 
 import numpy as np
 
 from extph.errors import ConsistencyError, GradedValidationError
 from extph.extended import EXTENDED, ExtendedBarcode, ExtendedInterval, extended_barcode
-from extph.field import dense_kernel, dense_rank, dense_solve_many, pivot_columns
+from extph.field import dense_kernel, dense_rank, dense_solve_many, pivot_columns, prefix_ranks
 from extph.graded import ChainComplexSlice, GradedSubgroup, image_matrix, unit_matrix
 from extph.persistence import build_matrices, compute_pairings
 
@@ -205,3 +208,13 @@ def positional_barcode(x, p_max: int, clearing: bool = True) -> ExtendedBarcode:
                 d = dh[p][a_pos[desc[p][j - a_up]]]
                 kept.append(ExtendedInterval(p, EXTENDED, b, d))
     return ExtendedBarcode(kept, x.M, x.N)
+
+
+def stacked_window_ranks(sources, chain, ends, q: int) -> list:
+    """``window_ranks`` as one elimination of [S_k | C] per source, minus the ranks of C's prefixes."""
+    base = prefix_ranks(chain, ends, q)
+    rows = []
+    for k, source in enumerate(sources):
+        ranks = prefix_ranks(np.hstack([source, chain]), [source.shape[1] + e for e in ends[k:]], q)
+        rows.append([r - b for r, b in zip(ranks, base[k:])])
+    return rows

@@ -12,9 +12,11 @@ from extph import (
     stage_heights,
     sup_complex,
 )
+from extph.field import dense_kernel, dense_rank
+from extph.graded import stage_cycles, window_ranks
 
 from oracles import gf_rank, random_boundary_data, random_filtered, random_graded
-from references import inf_complex, relative_homology_dims, restricted
+from references import inf_complex, relative_homology_dims, restricted, stacked_window_ranks
 
 
 def triangle_hyperedge(q=2):
@@ -414,3 +416,94 @@ def test_stage_restriction_takes_prefixes():
         for p in g.dims():
             want = [l for l in g.basis[p] if f.height_of(l) <= stage]
             assert stage_g.basis[p] == want
+
+
+# ---------------------------------------------------------------------------
+# the window kernels of the module oracles
+# ---------------------------------------------------------------------------
+
+
+def _window_cases(seed, count):
+    """Seeded (sources, chain, ends) with entries in -4..4, which must reduce mod q.
+
+    Rows run from 0 to 70 and chains to 80 columns, so packed columns
+    span several 64-bit words.  A source may be empty, random, have
+    dependent columns, lie inside the chain, or mix a chain combination
+    with a random column.  ``ends`` holds 0, the full length and repeats.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        m = int(rng.choice([0, 1, 4, 9, 20, 70]))
+        n = int(rng.choice([0, 1, 3, 8, 15, 80]))
+        chain = rng.integers(-4, 5, (m, n)) * (rng.random((m, n)) < rng.choice([0.1, 0.4, 0.9]))
+        if n > 2 and case % 3 == 0:  # a chain with dependent columns
+            chain[:, n - n // 2 :] = chain[:, : n - n // 2] @ rng.integers(-1, 2, (n - n // 2, n // 2))
+        sources = []
+        for _ in range(int(rng.integers(0, 5))):
+            s = int(rng.choice([0, 1, 3, 6]))
+            kind = rng.integers(4)
+            if kind == 0:
+                source = rng.integers(-4, 5, (m, s)) * (rng.random((m, s)) < 0.4)
+            elif kind == 1:  # dependent columns
+                head = rng.integers(-4, 5, (m, (s + 1) // 2))
+                source = np.hstack([head, head @ rng.integers(-2, 3, ((s + 1) // 2, s // 2))])
+            elif kind == 2:  # inside the chain
+                source = chain @ rng.integers(-2, 3, (n, s))
+            else:  # a chain combination plus a random column
+                source = chain @ rng.integers(-2, 3, (n, s)) + rng.integers(-1, 2, (m, s)) * (rng.random((m, s)) < 0.2)
+            sources.append(source[:, rng.permutation(s)])
+        ends = sorted([0, n] + rng.integers(0, n + 1, max(len(sources) - 1, 0)).tolist())
+        yield sources, chain, ends
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_window_ranks_match_one_stacked_elimination_per_source(q):
+    seen = set()
+    for sources, chain, ends in _window_cases(23 + q, 400):
+        got = list(window_ranks(sources, chain, ends, q))
+        assert got == stacked_window_ranks(sources, chain, ends, q)
+        seen |= {"no rows"} if not chain.shape[0] else set()
+        seen |= {"empty chain"} if not chain.shape[1] else set()
+        seen |= {"empty source" for s in sources if not s.shape[1]}
+        seen |= {"dependent source" for s in sources if 0 < dense_rank(s, q) < s.shape[1]}
+        seen |= {"a source meets a longer prefix" for row in got if len(set(row)) > 1}
+    assert seen == {"no rows", "empty chain", "empty source", "dependent source", "a source meets a longer prefix"}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_window_ranks_match_plain_python_ranks(q):
+    for sources, chain, ends in _window_cases(41 + q, 120):
+        if not chain.shape[0]:  # a list of rows cannot hold a matrix without rows
+            assert all(not any(row) for row in window_ranks(sources, chain, ends, q))
+            continue
+        for k, row in enumerate(window_ranks(sources, chain, ends, q)):
+            want = []
+            for e in ends[k:]:
+                below = chain[:, :e]
+                want.append(gf_rank(np.hstack([sources[k], below]).tolist(), q) - gf_rank(below.tolist(), q))
+            assert row == want
+
+
+def test_window_ranks_count_sources_inside_a_prefix():
+    # C = [e0, e1, e0 + e1, e2]: pivots 0, 1, 3; the source e0 + e1 lies in C[:, :2] but not C[:, :1]
+    chain = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+    source = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 0]])  # a repeated column and a zero column
+    assert list(window_ranks([source], chain, [0, 1, 2, 3, 4, 4], 2)) == [[1, 1, 0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_stage_cycles_equal_the_kernel_of_each_prefix_entry_for_entry(q):
+    rng = np.random.default_rng(67 + q)
+    shapes = [(0, 0), (0, 4), (3, 0), (5, 6), (8, 12), (70, 40), (20, 90)]
+    for m, n in shapes:
+        for density in (0.1, 0.5):
+            images = rng.integers(-4, 5, (m, n)) * (rng.random((m, n)) < density)
+            if n > 3:
+                images[:, -2:] = images[:, :2] @ rng.integers(-2, 3, (2, 2))  # dependent columns at the end
+            units = rng.integers(-1, 2, (m + 2, n))
+            prefixes = list(range(n + 1)) + [0, n]
+            got = stage_cycles(units, images, prefixes, q)
+            for k, cycles in zip(prefixes, got):
+                want = units[:, :k] @ dense_kernel(images[:, :k], q)
+                assert cycles.dtype == np.int64
+                assert cycles.shape == want.shape and np.array_equal(cycles, want), (m, n, k)
