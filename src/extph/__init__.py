@@ -8,9 +8,10 @@ runs the boundary-matrix pairing algorithm on the combined filtration and
 returns ordinary/relative/extended intervals; :func:`diagrams` maps them
 to critical-value coordinates, and :func:`bottleneck` compares diagrams
 with a perfect matching required on the extended part.  Every step has a
-rank-arithmetic oracle next to it (``homology_dims``,
-``persistent_betti_oracle``, ``extended_module_oracle``) computed without
-any pivot reduction.
+rank-arithmetic oracle next to it (``persistent_betti_oracle``,
+``extended_module_oracle``, and the homology of ``path_homology`` and
+``embedded_homology``), all read from one window-rank table and computed
+without any pivot reduction.
 """
 
 from .diagrams import (
@@ -60,13 +61,10 @@ from .field import SparseColumn, SparseMatrix, modulus, reduce
 from .graded import (
     BASIS,
     EXTENSION,
-    ChainComplexSlice,
     FilteredGradedSubgroup,
     GeneratorId,
     GradedSubgroup,
-    homology_dims,
     stage_heights,
-    sup_complex,
 )
 from .hypergraph import (
     FilteredHypergraph,

@@ -35,6 +35,7 @@ its store as ``base`` so both are built once.
 
 import math
 from bisect import bisect_right
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -334,6 +335,13 @@ def bottleneck(d1: ExtendedDiagram, d2: ExtendedDiagram, dim=None) -> float:
     return value
 
 
+def _one_dim(dim):
+    """``dim`` itself; ValueError unless it is an int, since a matching never crosses dimensions."""
+    if not isinstance(dim, Integral) or isinstance(dim, bool):
+        raise ValueError(f"a matching certificate is for one homology dimension, got dim={dim!r}")
+    return dim
+
+
 class MatchingCertificate:
     """A concrete delta-matching: matched pairs plus diagonal-charged leftovers."""
 
@@ -345,6 +353,8 @@ class MatchingCertificate:
         self.unmatched = unmatched  # kind -> list of (side, point)
 
     def verify(self, d1: ExtendedDiagram, d2: ExtendedDiagram, dim, tol: float = 1e-9) -> bool:
+        """Whether this is a delta-matching of the points of one dimension; ValueError unless ``dim`` is an int."""
+        dim = _one_dim(dim)
         linf = lambda p1, p2: max(abs(p1.birth - p2.birth), abs(p1.death - p2.death))
         for kind in (ORD, REL, EXT):
             pts1 = sorted(d1.points(kind, dim))
@@ -363,7 +373,12 @@ class MatchingCertificate:
 
 
 def bottleneck_certificate(d1: ExtendedDiagram, d2: ExtendedDiagram, dim):
-    """(distance, certificate) for one dimension; certificate is None at infinity."""
+    """(distance, certificate) for one dimension; certificate is None at infinity.
+
+    ``dim`` must be an int: ValueError otherwise, since pooling the points
+    of every dimension would match points across dimensions.
+    """
+    dim = _one_dim(dim)
     points = {kind: (d1.points(kind, dim), d2.points(kind, dim)) for kind in (ORD, REL, EXT)}
     arrays = {kind: _kind_arrays(kind, *pts) for kind, pts in points.items()}
     delta = max(_kind_bottleneck(*kind_arrays) for kind_arrays in arrays.values())

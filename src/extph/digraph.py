@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import InputFormatError, records
 from .extended import ExtendedInput
-from .graded import GradedSubgroup, cell_store, homology_dims, sup_complex
+from .graded import GradedSubgroup, cell_store
+from .persistence import _betti_numbers
 
 __all__ = [
     "WeightedDigraph",
@@ -131,10 +132,10 @@ def path_homology(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> list[int]:
     """Path homology dimensions of the digraph (weights ignored).
 
     Computed as the homology of the supremum complex of the allowed-path
-    subgroup inside the regular path complex; an edgeless graph has
-    H_0 = number of vertices and nothing above.
+    subgroup inside the regular path complex, by window ranks; an edgeless
+    graph has H_0 = number of vertices and nothing above.
     """
-    return homology_dims(sup_complex(pph_store(g, p_max, q), p_max), p_max)
+    return _betti_numbers(pph_store(g, p_max, q), p_max)
 
 
 def _path_cells(src, tgt, n: int, top: int) -> dict:

@@ -31,8 +31,10 @@ it is the reference the layout is tested against, and the benchmark's
 tracer wraps it.  ``extended_module_oracle`` recomputes every
 composite rank of the module from the stage subgroups by dense elimination
 mod q, with no cones and no pivots: the denominators are nested, so one
-chain of columns per dimension holds all of them, and over F_2 that
-chain is eliminated once.  It is the ground truth for the barcode.
+chain of columns per dimension holds all of them, and the sources, the
+ascending cycles and the relative ones alike, are the cycles of column
+prefixes of one matrix, so one kernel gives them all.  It is the ground
+truth for the barcode.
 """
 
 from typing import Any, NamedTuple
@@ -40,17 +42,15 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, GradedValidationError
-from .field import dense_kernel
 from .graded import (
     FilteredGradedSubgroup,
     GradedSubgroup,
     Layout,
     image_matrix,
-    stage_cycles,
     stage_heights,
     take_columns,
     unit_matrix,
-    window_ranks,
+    window_table,
 )
 from .persistence import betti_table_from_barcode, build_matrices, compute_pairings
 
@@ -370,18 +370,21 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
     d(E^j_{p+1}) lies in d(D_{p+1}), that is d(D_{p+1}) plus the unit
     vectors of E^j_p.  So one chain of columns, the boundaries of the
     dimension-(p+1) basis in ascending order and then the dimension-p
-    units in descending order, has every B_v as a prefix, and
-    ``window_ranks`` gives the whole table of dimension p from it: over
-    F_2 from one elimination of the chain, against which each Z_u is
-    reduced, and for q > 2 from one elimination of [Z_u | chain] per row u.
-    The cycles of every D^u_p come from one kernel (``stage_cycles``).
-    For u <= v <= M the sources and prefixes are those of
-    ``persistent_betti_oracle`` on the ascending filtration.
+    units in descending order, has every B_v as a prefix.
     A source may leave out anything its denominators all contain.  For
     u <= M that is d(D^u_{p+1}), so Z_u is the cycles of D^u_p.  For
     u = M + j it is E^j_p: a chain of D_p whose boundary lies in
     T^j_{p-1} = E^j_{p-1} + d(E^j_p) is one whose boundary lies in
-    E^j_{p-1}, plus a chain of E^j_p.
+    E^j_{p-1}, plus a chain of E^j_p.  Those chains c, with dc in the span
+    of the units U of E^j_{p-1}, are the first block of the kernel of
+    [images | U]; U's columns are independent, so the second block adds
+    nothing.  E^j_{p-1} is a prefix of the descending dimension-(p-1)
+    units, so every source is the cycles of a column prefix of one matrix,
+    the dimension-p images in ascending order and then those units, read
+    over [units of D_p | 0].  ``window_table`` gives the whole table of
+    dimension p from one kernel of that matrix and, over F_2, one
+    elimination of the chain.  For u <= v <= M the sources and prefixes
+    are those of ``persistent_betti_oracle`` on the ascending filtration.
     """
     asc, desc = x.ascending, x.descending
     g, q = x.graded, x.graded.q
@@ -389,19 +392,16 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
     table: dict = {}
     for p in range(p_max + 1):
         a_p, ups = asc.rows(p), asc.rows(p + 1)
-        d_p, d_prev = desc.rows(p), desc.rows(p - 1)
-        chain = np.hstack([image_matrix(g, p + 1, ups), unit_matrix(g, p, d_p)])
+        below = unit_matrix(g, p - 1, desc.rows(p - 1))
+        units = np.pad(unit_matrix(g, p, a_p), ((0, 0), (0, below.shape[1])))
+        images = np.hstack([image_matrix(g, p, a_p), below])
+        cuts = [asc.stage_prefix(p, u) for u in range(1, M + 1)]
+        cuts += [len(a_p) + desc.stage_prefix(p - 1, j) for j in range(1, N + 1)]
+        chain = np.hstack([image_matrix(g, p + 1, ups), unit_matrix(g, p, desc.rows(p))])
         ends = [asc.stage_prefix(p + 1, v) for v in range(1, M + 1)]
         ends += [len(ups) + desc.stage_prefix(p, j) for j in range(1, N + 1)]
-        # the cycles of D^u_p, then the chains of D_p with no boundary outside E^j_{p-1}
-        units, images = unit_matrix(g, p, a_p), image_matrix(g, p, a_p)
-        sources = stage_cycles(units, images, [asc.stage_prefix(p, u) for u in range(1, M + 1)], q)
-        for j in range(1, N + 1):
-            inside = d_prev[: desc.stage_prefix(p - 1, j)]
-            sources.append(units @ dense_kernel(np.delete(images, inside, axis=0), q))
-        for u, row in enumerate(window_ranks(sources, chain, ends, q), start=1):
-            for v, r in enumerate(row, start=u):
-                table[(p, u, v)] = r
+        ranks = window_table(units, images, cuts, chain, ends, q)
+        table.update(((p, u, v), r) for (u, v), r in ranks.items())
     return table
 
 

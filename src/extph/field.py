@@ -20,18 +20,19 @@ int is kept for its next use.  Extension rows sit at the bottom of the
 cone's matrices, so an int is as wide as the matrix is tall; converting
 every column would hold thousands of such ints at once.
 
-The dense helpers at the end back the homology rank oracles.  They take
-numpy int arrays, and their ranks are read from pivot lists, the columns
-outside the span of those before them (``pivot_columns``).  Over F_2 they
-all run one elimination, ``_f2_eliminate``: ``_f2_pack`` packs the
-matrix's columns into Python ints, one bit per row above the bits of each
-column's combination of input columns, and ``_f2_sweep`` eliminates them
-left to right by XOR against a {low: column} basis.  ``graded``'s
-``window_ranks`` sweeps its sources against one such basis of its chain.
-A column's expression over the earlier pivot columns is unique, so the
-kernels and solutions read from those combinations are the ones a reduced
-row echelon form gives.  For q > 2 they run a reduced row echelon form on
-int64 arrays mod q, which is why the modulus is bounded by
+The dense helpers at the end back the homology rank oracles: kernels
+(``dense_kernel``) and the ranks of column prefixes (``prefix_ranks``).
+They take numpy int arrays, and their ranks are read from pivot lists,
+the columns outside the span of those before them (``pivot_columns``).
+Over F_2 they all run one elimination, ``_f2_eliminate``: ``_f2_pack``
+packs the matrix's columns into Python ints, one bit per row above the
+bits of each column's combination of input columns, and ``_f2_sweep``
+eliminates them left to right by XOR against a {low: column} basis.
+``graded``'s ``window_ranks`` sweeps its sources against one such basis
+of its chain.  A column's expression over the earlier pivot columns is
+unique, so the kernels read from those combinations are the ones a
+reduced row echelon form gives.  For q > 2 they run a reduced row
+echelon form on int64 arrays mod q, which is why the modulus is bounded by
 ``MAX_MODULUS``: every product of two residues is below 2**32, and sums
 of up to 2**31 such products stay below 2**63.
 The dense helpers share no code with the sparse reduction, so the two
@@ -48,10 +49,8 @@ __all__ = [
     "SparseColumn",
     "SparseMatrix",
     "reduce",
-    "dense_rank",
     "prefix_ranks",
     "dense_kernel",
-    "dense_solve_many",
     "pivot_columns",
 ]
 
@@ -351,10 +350,6 @@ def pivot_columns(a, q: int) -> list[int]:
     return _row_echelon(a, q)[1]
 
 
-def dense_rank(a, q: int) -> int:
-    return len(pivot_columns(a, q))
-
-
 def prefix_ranks(a, ends, q: int) -> list[int]:
     """Rank of each column prefix a[:, :e] for e in ``ends``, from one elimination."""
     pivots = pivot_columns(a, q)
@@ -380,25 +375,3 @@ def dense_kernel(a, q: int) -> np.ndarray:
         for i, pc in enumerate(pivots):
             out[pc, k] = (-int(r[i, fc])) % q
     return out
-
-
-def dense_solve_many(a, b, q: int):
-    """Solve a @ X = b mod q column-wise; None if any column is unsolvable."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    n = a.shape[1]
-    m = b.shape[1]
-    if m == 0:
-        return np.zeros((n, 0), dtype=np.int64)
-    if q == 2:
-        # consistent iff no column of b is a pivot; then b's columns are the last m that vanish
-        pivots, kernel = _f2_eliminate(np.hstack([a, b]))
-        return None if pivots and pivots[-1] >= n else _f2_unpack(kernel[-m:], n)
-    aug = np.hstack([a % q, b % q])
-    r, pivots = _row_echelon(aug, q)
-    if pivots and pivots[-1] >= n:
-        return None  # a pivot inside the augmented block: inconsistent system
-    x = np.zeros((n, m), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc, :] = r[i, n:]
-    return x

@@ -7,8 +7,7 @@ to write down boundaries (the subgroup need not be closed under the
 boundary map).  All boundary data is given over the listed universe, so
 d∘d = 0 is checkable and the supremum complex S_p = D_p + d(D_{p+1}), the
 smallest subcomplex containing D_*, can be computed.  Its homology is the
-homology of the subgroup, which ``homology_dims`` counts by rank
-arithmetic on the dense ``ChainComplexSlice`` that ``sup_complex`` builds.
+homology of the subgroup.
 
 The store is arrays indexed by universe row.  Per dimension p it keeps
 the label lists (for messages and the hand-built API; any hashable works)
@@ -26,11 +25,15 @@ basis is a stable argsort of those heights, so a stage is a prefix of it.
 There is no view or copy of the store; building a filtration validates
 the store (once per store) and every height.
 
-The module oracles count window ranks dim(Z_u + B_v) - dim(B_v) of a
-persistence module with ``stage_cycles`` and ``window_ranks``, each of
-which eliminates its matrix once per dimension: the kernel of all of a
-dimension's boundary images gives every stage's cycles, and over F_2 one
-elimination of the denominator chain serves every source.  This side is
+Every homology number of the package is a window rank
+dim(Z_u + B_v) - dim(B_v) of a persistence module, and ``window_table``
+fills a dimension's table of them with ``stage_cycles`` and
+``window_ranks``, each of which eliminates its matrix once per
+dimension: the kernel of all of a dimension's boundary images gives
+every stage's cycles, and over F_2 one elimination of the denominator
+chain serves every source.  The homology of a subgroup is the one
+window of its one-stage filtration: the cycles of S_p are
+Z(D_p) + d(D_{p+1}) and its boundaries d(D_{p+1}).  This side is
 numpy int64 matrices mod q throughout: ``unit_matrix`` and
 ``image_matrix`` fill them straight from universe rows and the store's
 CSR arrays, and every rank comes from the dense helpers of ``field``
@@ -50,10 +53,7 @@ from .field import (
     _f2_pack,
     _f2_sweep,
     dense_kernel,
-    dense_rank,
-    dense_solve_many,
     modulus,
-    pivot_columns,
     prefix_ranks,
 )
 
@@ -64,16 +64,14 @@ __all__ = [
     "GradedSubgroup",
     "FilteredGradedSubgroup",
     "Layout",
-    "ChainComplexSlice",
     "cell_store",
     "stage_heights",
     "take_columns",
-    "sup_complex",
-    "homology_dims",
     "unit_matrix",
     "image_matrix",
     "stage_cycles",
     "window_ranks",
+    "window_table",
 ]
 
 BASIS = "basis"
@@ -494,31 +492,6 @@ class FilteredGradedSubgroup:
         return Layout(g.universe_size(p), self.rows(p), take_columns(g.boundary_csr(p + 1), self.rows(p + 1)))
 
 
-class ChainComplexSlice(NamedTuple):
-    """A finite chunk of a chain complex, as dense int64 matrices mod q.
-
-    ``vectors[p]`` is an (ambient rows × k_p) matrix whose columns are the
-    chosen basis chains, written in the universe coordinates of their
-    source subgroup; ``boundaries[p]`` is the (k_{p-1} × k_p) boundary
-    matrix dim p -> dim p-1 written in the slice's own bases.
-    """
-
-    q: int
-    vectors: dict
-    boundaries: dict
-
-    @property
-    def max_dim(self) -> int:
-        return max(self.vectors, default=-1)
-
-    def dim(self, p: int) -> int:
-        return self.vectors[p].shape[1] if p in self.vectors else 0
-
-    def boundary_matrix(self, p: int) -> np.ndarray:
-        mat = self.boundaries.get(p)
-        return np.zeros((self.dim(p - 1), self.dim(p)), dtype=np.int64) if mat is None else mat
-
-
 def unit_matrix(graded: GradedSubgroup, p: int, rows) -> np.ndarray:
     """The dimension-p universe rows ``rows`` as unit columns."""
     rows = np.asarray(rows, dtype=np.int64)
@@ -536,47 +509,8 @@ def image_matrix(graded: GradedSubgroup, p: int, rows) -> np.ndarray:
     return out
 
 
-def sup_complex(graded: GradedSubgroup, p_max: int) -> ChainComplexSlice:
-    """Supremum complex S_p = D_p + d(D_{p+1}) of a graded subgroup.
-
-    Dimensions are built up to p_max + 1; boundaries of dimension p_max + 2
-    generators are ignored, which leaves every homology group up to p_max
-    intact.  S_p is spanned by the pivot columns of [units of D_p |
-    boundaries of D_{p+1}]: all of the units, then the boundaries outside
-    the span of what precedes them.
-    """
-    q = graded.q
-    images = {p: image_matrix(graded, p, graded.basis_rows(p)) for p in range(1, p_max + 2)}
-    vectors, boundaries = {}, {}
-    for p in range(p_max + 2):
-        both = unit_matrix(graded, p, graded.basis_rows(p))
-        if p <= p_max:
-            both = np.hstack([both, images[p + 1]])
-        vectors[p] = both[:, pivot_columns(both, q)]
-    for p in range(1, p_max + 2):
-        # the kept boundaries follow the units and are exact: their own boundary is zero
-        img = np.zeros((vectors[p - 1].shape[0], vectors[p].shape[1]), dtype=np.int64)
-        img[:, : images[p].shape[1]] = images[p]
-        boundaries[p] = dense_solve_many(vectors[p - 1], img, q)
-        if boundaries[p] is None:
-            raise GradedValidationError(
-                "boundary image escapes the supremum complex; input boundary data is inconsistent"
-            )
-    return ChainComplexSlice(q, vectors, boundaries)
-
-
-def homology_dims(c: ChainComplexSlice, p_max: int) -> list[int]:
-    """dim H_p = dim C_p - rank d_p - rank d_{p+1} for p = 0..p_max."""
-    q = c.q
-    for p in range(1, c.max_dim):
-        if ((c.boundary_matrix(p) @ c.boundary_matrix(p + 1)) % q).any():
-            raise GradedValidationError(f"slice boundaries do not compose to zero at dimension {p + 1}")
-    ranks = [0] + [dense_rank(c.boundary_matrix(p), q) for p in range(1, p_max + 2)]
-    return [c.dim(p) - ranks[p] - ranks[p + 1] for p in range(p_max + 1)]
-
-
 # ---------------------------------------------------------------------------
-# window ranks of a persistence module (the module oracles)
+# window ranks of a persistence module (every homology number)
 # ---------------------------------------------------------------------------
 
 
@@ -634,3 +568,17 @@ def window_ranks(sources, chain, ends, q: int):
     for k, source in enumerate(sources):
         ranks = prefix_ranks(np.hstack([source, chain]), [source.shape[1] + e for e in ends[k:]], q)
         yield [r - b for r, b in zip(ranks, base[k:])]
+
+
+def window_table(units, images, cuts, chain, ends, q: int) -> dict:
+    """{(u, v): dim(Z_u + C[:, :ends[v-1]]) - dim(C[:, :ends[v-1]])} for 1 <= u <= v <= len(cuts).
+
+    Z_u is the cycle space of the prefix cuts[u-1] (``stage_cycles``) and
+    C the one chain whose prefixes are the denominators (``window_ranks``),
+    so the entry is the rank of the map from position u to position v of
+    a persistence module.  Every homology number of the package is read
+    from such a table.
+    """
+    sources = stage_cycles(units, images, cuts, q)
+    rows = window_ranks(sources, chain, ends, q)
+    return {(u, v): r for u, row in enumerate(rows, start=1) for v, r in enumerate(row, start=u)}

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import InputFormatError, records
 from .extended import ExtendedInput
-from .graded import GradedSubgroup, cell_store, homology_dims, sup_complex
+from .graded import GradedSubgroup, cell_store
+from .persistence import _betti_numbers
 
 __all__ = [
     "FilteredHypergraph",
@@ -107,8 +108,8 @@ def simplicial_boundary(simplex: tuple) -> dict:
 
 
 def embedded_homology(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> list[int]:
-    """Embedded homology dimensions of the hypergraph (values ignored)."""
-    return homology_dims(sup_complex(hyper_store(h, p_max, q), p_max), p_max)
+    """Embedded homology dimensions of the hypergraph (values ignored), by window ranks."""
+    return _betti_numbers(hyper_store(h, p_max, q), p_max)
 
 
 def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:

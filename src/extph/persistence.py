@@ -14,6 +14,9 @@ situations are impossible for subcomplex filtrations but routine here.
 ``persistent_betti_oracle`` recomputes the persistent Betti table from
 the stage cycle and boundary spaces by dense elimination, with no pivots
 involved, and is the ground truth the pairing route is tested against.
+Its one-stage table is the homology of a store, which the front ends'
+``path_homology`` and ``embedded_homology`` read through
+``_betti_numbers``.
 """
 
 import math
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import SparseColumn, SparseMatrix, reduce
-from .graded import FilteredGradedSubgroup, image_matrix, stage_cycles, unit_matrix, window_ranks
+from .graded import FilteredGradedSubgroup, image_matrix, unit_matrix, window_table
 
 __all__ = [
     "Pairing",
@@ -167,7 +170,7 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     dim(Z_i + B_j) - dim(B_j), where Z_i is the stage-i cycle space and B_j
     the stage-j boundary space, both written in universe coordinates.
     B_j is spanned by the first stage_prefix(p+1, j) boundary columns, so
-    the table is ``window_ranks`` over those columns, which over F_2
+    the table is ``window_table`` over those columns, which over F_2
     eliminates them once per dimension.  The stage-i cycles of the
     supremum complex are the cycles of D^i_p plus d(D^i_{p+1}), and every
     B_j with j >= i contains the latter, so Z_i may be taken as the cycles
@@ -178,15 +181,26 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     stages = range(1, f.num_stages + 1)
     table: dict = {}
     for p in range(p_max + 1):
-        rows = f.rows(p)
-        units, images = unit_matrix(g, p, rows), image_matrix(g, p, rows)
-        cycles = stage_cycles(units, images, [f.stage_prefix(p, i) for i in stages], q)
-        bound = image_matrix(g, p + 1, f.rows(p + 1))
+        rows, bound = f.rows(p), image_matrix(g, p + 1, f.rows(p + 1))
+        cuts = [f.stage_prefix(p, i) for i in stages]
         ends = [f.stage_prefix(p + 1, j) for j in stages]
-        for i, row in enumerate(window_ranks(cycles, bound, ends, q), start=1):
-            for j, r in enumerate(row, start=i):
-                table[(p, i, j)] = r
+        ranks = window_table(unit_matrix(g, p, rows), image_matrix(g, p, rows), cuts, bound, ends, q)
+        table.update(((p, i, j), r) for (i, j), r in ranks.items())
     return table
+
+
+def _betti_numbers(graded, p_max: int) -> list[int]:
+    """dim H_p of a store's supremum complex S for p = 0..p_max.
+
+    The cycles of S_p are Z(D_p) + d(D_{p+1}) and its boundaries
+    d(D_{p+1}), so dim H_p = dim(Z(D_p) + dD_{p+1}) - dim(dD_{p+1}): the
+    (p, 1, 1) entry of ``persistent_betti_oracle`` on the filtration that
+    puts every basis generator at stage 1.  Building that filtration
+    checks the store's d∘d = 0.
+    """
+    f = FilteredGradedSubgroup(graded, {p: np.ones(len(graded.basis[p]), dtype=np.int64) for p in graded.dims()}, 1)
+    table = persistent_betti_oracle(f, p_max)
+    return [table[(p, 1, 1)] for p in range(p_max + 1)]
 
 
 def betti_table_from_barcode(bc, p_max: int, num_stages: int) -> dict:

@@ -2,7 +2,9 @@
 
 The pipeline never builds these objects; the tests use them to check the
 identities that extended persistence rests on (Cohen-Steiner, Edelsbrunner,
-Harer, "Extending persistence using Poincaré and Lefschetz duality", 2009):
+Harer, "Extending persistence using Poincaré and Lefschetz duality", 2009),
+and to check the package's window-rank route against an elimination of its
+own:
 
 * ``same_store``: asserts that two stores list the same generators in the
   same order with the same boundaries, the check between the front ends'
@@ -10,6 +12,12 @@ Harer, "Extending persistence using Poincaré and Lefschetz duality", 2009):
 * ``restricted``: the subgroup spanned by some of a store's basis
   generators, over the store's universe, the stages and sub-pairs the
   identities are stated for;
+* ``ChainComplexSlice``, ``sup_complex`` and ``homology_dims``: the
+  supremum complex S_p = D_p + d(D_{p+1}) as dense matrices and its
+  homology from boundary ranks, the route that ``path_homology`` and
+  ``embedded_homology`` replaced by one window rank;
+* ``dense_rank`` and ``dense_solve_many``: the rank of a matrix and the
+  solutions of a @ X = b mod q, on the package's eliminations;
 * ``inf_complex``: the infimum complex I_p = D_p ∩ d^{-1}(D_{p-1}), the
   largest subcomplex inside a graded subgroup, whose homology equals that
   of the supremum complex;
@@ -22,23 +30,118 @@ Harer, "Extending persistence using Poincaré and Lefschetz duality", 2009):
   reading of extended pairs, which the tests show the rank oracle rejects;
 * ``stacked_window_ranks``: the window ranks dim(S_k + C_e) - dim(C_e) from
   one elimination of [S_k | C] per source, the formulation that
-  ``window_ranks`` replaced over F_2.
+  ``window_ranks`` replaced over F_2;
+* ``per_stage_module_oracle``: ``extended_module_oracle`` with each
+  relative source taken from its own kernel of the images less the rows of
+  E^j_{p-1}, the formulation that the one kernel of [images | U] replaced.
 
 Unlike ``oracles.py`` these use the package's numpy elimination helpers
-(``dense_kernel``, ``dense_rank``, ``dense_solve_many``, ``pivot_columns``,
-``prefix_ranks``) on its dense ``ChainComplexSlice``, so they check
-identities between package objects, not the helpers themselves.
+(``dense_kernel``, ``pivot_columns``, ``prefix_ranks`` and the F_2
+elimination behind them) on the dense ``ChainComplexSlice``, so they
+check identities between package objects, not the helpers themselves.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from extph.errors import ConsistencyError, GradedValidationError
 from extph.extended import EXTENDED, ExtendedBarcode, ExtendedInterval, extended_barcode
-from extph.field import dense_kernel, dense_rank, dense_solve_many, pivot_columns, prefix_ranks
-from extph.graded import ChainComplexSlice, GradedSubgroup, image_matrix, unit_matrix
+from extph.field import _f2_eliminate, _f2_unpack, _row_echelon, dense_kernel, pivot_columns, prefix_ranks
+from extph.graded import GradedSubgroup, image_matrix, stage_cycles, unit_matrix, window_ranks
 from extph.persistence import build_matrices, compute_pairings
 
 _EMPTY = np.zeros((0, 0), dtype=np.int64)
+
+
+class ChainComplexSlice(NamedTuple):
+    """A finite chunk of a chain complex, as dense int64 matrices mod q.
+
+    ``vectors[p]`` is an (ambient rows × k_p) matrix whose columns are the
+    chosen basis chains, written in the universe coordinates of their
+    source subgroup; ``boundaries[p]`` is the (k_{p-1} × k_p) boundary
+    matrix dim p -> dim p-1 written in the slice's own bases.
+    """
+
+    q: int
+    vectors: dict
+    boundaries: dict
+
+    @property
+    def max_dim(self) -> int:
+        return max(self.vectors, default=-1)
+
+    def dim(self, p: int) -> int:
+        return self.vectors[p].shape[1] if p in self.vectors else 0
+
+    def boundary_matrix(self, p: int) -> np.ndarray:
+        mat = self.boundaries.get(p)
+        return np.zeros((self.dim(p - 1), self.dim(p)), dtype=np.int64) if mat is None else mat
+
+
+def dense_rank(a, q: int) -> int:
+    return len(pivot_columns(a, q))
+
+
+def dense_solve_many(a, b, q: int):
+    """Solve a @ X = b mod q column-wise; None if any column is unsolvable."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    n = a.shape[1]
+    m = b.shape[1]
+    if m == 0:
+        return np.zeros((n, 0), dtype=np.int64)
+    if q == 2:
+        # consistent iff no column of b is a pivot; then b's columns are the last m that vanish
+        pivots, kernel = _f2_eliminate(np.hstack([a, b]))
+        return None if pivots and pivots[-1] >= n else _f2_unpack(kernel[-m:], n)
+    aug = np.hstack([a % q, b % q])
+    r, pivots = _row_echelon(aug, q)
+    if pivots and pivots[-1] >= n:
+        return None  # a pivot inside the augmented block: inconsistent system
+    x = np.zeros((n, m), dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc, :] = r[i, n:]
+    return x
+
+
+def sup_complex(graded: GradedSubgroup, p_max: int) -> ChainComplexSlice:
+    """Supremum complex S_p = D_p + d(D_{p+1}) of a graded subgroup.
+
+    Dimensions are built up to p_max + 1; boundaries of dimension p_max + 2
+    generators are ignored, which leaves every homology group up to p_max
+    intact.  S_p is spanned by the pivot columns of [units of D_p |
+    boundaries of D_{p+1}]: all of the units, then the boundaries outside
+    the span of what precedes them.
+    """
+    q = graded.q
+    images = {p: image_matrix(graded, p, graded.basis_rows(p)) for p in range(1, p_max + 2)}
+    vectors, boundaries = {}, {}
+    for p in range(p_max + 2):
+        both = unit_matrix(graded, p, graded.basis_rows(p))
+        if p <= p_max:
+            both = np.hstack([both, images[p + 1]])
+        vectors[p] = both[:, pivot_columns(both, q)]
+    for p in range(1, p_max + 2):
+        # the kept boundaries follow the units and are exact: their own boundary is zero
+        img = np.zeros((vectors[p - 1].shape[0], vectors[p].shape[1]), dtype=np.int64)
+        img[:, : images[p].shape[1]] = images[p]
+        boundaries[p] = dense_solve_many(vectors[p - 1], img, q)
+        if boundaries[p] is None:
+            raise GradedValidationError(
+                "boundary image escapes the supremum complex; input boundary data is inconsistent"
+            )
+    return ChainComplexSlice(q, vectors, boundaries)
+
+
+def homology_dims(c: ChainComplexSlice, p_max: int) -> list[int]:
+    """dim H_p = dim C_p - rank d_p - rank d_{p+1} for p = 0..p_max."""
+    q = c.q
+    for p in range(1, c.max_dim):
+        if ((c.boundary_matrix(p) @ c.boundary_matrix(p + 1)) % q).any():
+            raise GradedValidationError(f"slice boundaries do not compose to zero at dimension {p + 1}")
+    ranks = [0] + [dense_rank(c.boundary_matrix(p), q) for p in range(1, p_max + 2)]
+    return [c.dim(p) - ranks[p] - ranks[p + 1] for p in range(p_max + 1)]
 
 
 def _vectors(c: ChainComplexSlice, p: int) -> np.ndarray:
@@ -218,3 +321,32 @@ def stacked_window_ranks(sources, chain, ends, q: int) -> list:
         ranks = prefix_ranks(np.hstack([source, chain]), [source.shape[1] + e for e in ends[k:]], q)
         rows.append([r - b for r, b in zip(ranks, base[k:])])
     return rows
+
+
+def per_stage_module_oracle(x, p_max: int) -> dict:
+    """``extended_module_oracle`` with one kernel per relative source.
+
+    The source of descending stage j is ``units @ dense_kernel(images less
+    the rows of E^j_{p-1})``: the chains of D_p whose boundary has no entry
+    outside E^j_{p-1}.  The ascending sources, the chain and its prefixes
+    are those of the module oracle.
+    """
+    asc, desc = x.ascending, x.descending
+    g, q = x.graded, x.graded.q
+    M, N = x.M, x.N
+    table: dict = {}
+    for p in range(p_max + 1):
+        a_p, ups = asc.rows(p), asc.rows(p + 1)
+        d_p, d_prev = desc.rows(p), desc.rows(p - 1)
+        chain = np.hstack([image_matrix(g, p + 1, ups), unit_matrix(g, p, d_p)])
+        ends = [asc.stage_prefix(p + 1, v) for v in range(1, M + 1)]
+        ends += [len(ups) + desc.stage_prefix(p, j) for j in range(1, N + 1)]
+        units, images = unit_matrix(g, p, a_p), image_matrix(g, p, a_p)
+        sources = stage_cycles(units, images, [asc.stage_prefix(p, u) for u in range(1, M + 1)], q)
+        for j in range(1, N + 1):
+            inside = d_prev[: desc.stage_prefix(p - 1, j)]
+            sources.append(units @ dense_kernel(np.delete(images, inside, axis=0), q))
+        for u, row in enumerate(window_ranks(sources, chain, ends, q), start=1):
+            for v, r in enumerate(row, start=u):
+                table[(p, u, v)] = r
+    return table

@@ -23,12 +23,10 @@ from extph import (
     cone_graded,
     extended_barcode,
     extended_module_oracle,
-    homology_dims,
     interval_rank_table,
     path_homology,
     persistent_betti_oracle,
     stability_trial,
-    sup_complex,
 )
 from extph.cli import main
 from extph.extended import EXTENDED
@@ -45,7 +43,15 @@ from oracles import (
     random_graded,
     random_hypergraph,
 )
-from references import inf_complex, mapping_cone, positional_barcode, relative_homology_dims, restricted
+from references import (
+    homology_dims,
+    inf_complex,
+    mapping_cone,
+    positional_barcode,
+    relative_homology_dims,
+    restricted,
+    sup_complex,
+)
 from test_diagrams import random_diagram
 
 TOL = 1e-9

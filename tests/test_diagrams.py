@@ -281,6 +281,21 @@ def test_certificates_verify():
                     assert not cert.verify(d1, d2, dim)
 
 
+def test_a_certificate_never_matches_across_dimensions():
+    # the same extended point in dimensions 0 and 1: pooled, they would match at 0.0
+    d1 = diagram(extended=[(0, 1.0, 2.0)])
+    d2 = diagram(extended=[(1, 1.0, 2.0)])
+    assert math.isinf(bottleneck(d1, d2))
+    for dim in (None, 0.0, "0", True):
+        with pytest.raises(ValueError, match="one homology dimension"):
+            bottleneck_certificate(d1, d2, dim)
+    delta, cert = bottleneck_certificate(d1, d1, 0)
+    assert delta == 0.0 and cert.verify(d1, d1, 0)
+    with pytest.raises(ValueError, match="one homology dimension"):
+        cert.verify(d1, d2, None)
+    assert bottleneck_certificate(d1, d2, np.int64(0)) == (math.inf, None)
+
+
 # ---------------------------------------------------------------------------
 # stability trials
 # ---------------------------------------------------------------------------

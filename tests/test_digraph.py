@@ -10,20 +10,19 @@ from extph import (
     build_pph_input,
     extended_barcode,
     extended_module_oracle,
-    homology_dims,
     interval_rank_table,
     parse_digraph,
+    path_homology,
     pph_store,
     regular_boundary,
     sublevel,
-    sup_complex,
     superlevel,
 )
 from extph.extended import EXTENDED
 from extph.graded import GradedSubgroup
 
 from oracles import gf_rank, random_digraph
-from references import same_store
+from references import homology_dims, same_store, sup_complex
 
 
 def unit_cycle():
@@ -235,6 +234,15 @@ def test_random_digraph_barcodes_match_the_oracle():
         x, _, _ = build_pph_input(g, 2)
         bc = extended_barcode(x, 2)
         assert interval_rank_table(bc, 2) == extended_module_oracle(x, 2)
+
+
+def test_path_homology_matches_the_supremum_complex_reference():
+    rng = np.random.default_rng(307)
+    for k in range(240):
+        q, p_max = (2, 3, 5)[k % 3], k % 4
+        g = random_digraph(rng, max_vertices=6, max_edges=10)
+        want = homology_dims(sup_complex(pph_store(g, p_max, q), p_max), p_max)
+        assert path_homology(g, p_max, q) == want
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,30 @@ from extph import (
     GradedSubgroup,
     GradedValidationError,
     Pairing,
+    WeightedDigraph,
     barcode,
     build_extended_filtration,
+    build_hyper_input,
     build_matrices,
+    build_pph_input,
     compute_pairings,
     cone_graded,
     extended_barcode,
     extended_module_oracle,
-    homology_dims,
     interval_rank_table,
     persistent_betti_oracle,
-    sup_complex,
 )
 
-from oracles import gf_rank, random_extended_input, random_graded
-from references import mapping_cone, positional_barcode, relative_homology_dims, restricted
+from oracles import gf_rank, random_digraph, random_extended_input, random_graded, random_hypergraph
+from references import (
+    homology_dims,
+    mapping_cone,
+    per_stage_module_oracle,
+    positional_barcode,
+    relative_homology_dims,
+    restricted,
+    sup_complex,
+)
 
 
 def edge_uv_input(q=2, ascending=None, descending=None):
@@ -244,6 +253,42 @@ def test_ascending_block_of_the_module_oracle_is_the_persistent_betti_table():
         x = random_extended_input(rng, (2, 3, 5)[k % 3])
         ascending = {key: r for key, r in extended_module_oracle(x, 2).items() if key[2] <= x.M}
         assert ascending == persistent_betti_oracle(x.ascending, 2)
+
+
+def _relative_cases(x, p_max) -> set:
+    """The shapes of relative source that the module oracle meets on ``x``."""
+    desc, seen = x.descending, set()
+    for p in range(p_max + 1):
+        seen |= {"p = 0"} if p == 0 else set()
+        seen |= {"N = 1"} if x.N == 1 else set()
+        below = len(desc.rows(p - 1))
+        for j in range(1, x.N + 1):
+            inside = desc.stage_prefix(p - 1, j)
+            if p and below:
+                seen.add("E^j_{p-1} empty" if inside == 0 else "E^j_{p-1} full" if inside == below else "E^j_{p-1} part")
+    return seen
+
+
+def test_relative_sources_from_one_kernel_match_one_kernel_per_stage():
+    rng = np.random.default_rng(211)
+    seen = set()
+    for k in range(240):
+        q = (2, 3, 5)[k % 3]
+        if k % 5 == 4:
+            subject = (random_digraph(rng, max_vertices=6, max_edges=10), random_hypergraph(rng))[k % 2]
+            p_max = 1 + k % 3
+            x, _, _ = (build_pph_input, build_hyper_input)[k % 2](subject, p_max, q)
+        else:
+            p_max = 2
+            x = random_extended_input(rng, q, max_desc=(1, 4)[k % 2])
+        assert extended_module_oracle(x, p_max) == per_stage_module_oracle(x, p_max)
+        seen |= _relative_cases(x, p_max)
+    assert seen == {"p = 0", "N = 1", "E^j_{p-1} empty", "E^j_{p-1} full", "E^j_{p-1} part"}
+    # an edgeless digraph has no stages, and one edge gives a single relative stage
+    for weights in ({}, {("a", "b"): 1.0}):
+        x, _, _ = build_pph_input(WeightedDigraph("abc", weights), 2, 3)
+        assert extended_module_oracle(x, 2) == per_stage_module_oracle(x, 2)
+        assert len(extended_module_oracle(x, 2)) == 3 * (x.M + x.N) * (x.M + x.N + 1) // 2
 
 
 def test_positional_reading_fails_somewhere():

@@ -6,8 +6,6 @@ from extph.field import (
     SparseMatrix,
     _row_echelon,
     dense_kernel,
-    dense_rank,
-    dense_solve_many,
     modulus,
     pivot_columns,
     prefix_ranks,
@@ -15,6 +13,7 @@ from extph.field import (
 )
 
 from oracles import columns_to_rows, gf_echelon, gf_kernel, gf_rank
+from references import dense_rank, dense_solve_many
 
 
 def dense_matrix(columns, num_rows: int, q: int) -> np.ndarray:

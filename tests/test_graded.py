@@ -7,16 +7,23 @@ from extph import (
     FilteredGradedSubgroup,
     GradedSubgroup,
     GradedValidationError,
-    homology_dims,
     persistent_betti_oracle,
     stage_heights,
-    sup_complex,
 )
-from extph.field import dense_kernel, dense_rank
+from extph.field import dense_kernel
 from extph.graded import stage_cycles, window_ranks
+from extph.persistence import _betti_numbers
 
 from oracles import gf_rank, random_boundary_data, random_filtered, random_graded
-from references import inf_complex, relative_homology_dims, restricted, stacked_window_ranks
+from references import (
+    dense_rank,
+    homology_dims,
+    inf_complex,
+    relative_homology_dims,
+    restricted,
+    stacked_window_ranks,
+    sup_complex,
+)
 
 
 def triangle_hyperedge(q=2):
@@ -283,7 +290,7 @@ def test_single_vertex_homology():
 
 
 def test_homology_rejects_broken_boundaries():
-    from extph.graded import ChainComplexSlice
+    from references import ChainComplexSlice
 
     one = np.ones((1, 1), dtype=np.int64)
     bad = ChainComplexSlice(2, {0: one, 1: one, 2: one}, {1: one, 2: one})
@@ -319,6 +326,20 @@ def test_sup_inf_equal_homology_on_random_subgroups():
         for _ in range(40):
             g = random_graded(rng, q, max_dim=3, max_per_dim=5)
             assert homology_dims(sup_complex(g, 2), 2) == homology_dims(inf_complex(g, 2), 2)
+
+
+def test_betti_numbers_are_the_homology_of_the_supremum_complex():
+    # the one-stage window dim(Z(D_p) + dD_{p+1}) - dim(dD_{p+1}) against the slice route
+    rng = np.random.default_rng(17)
+    for k in range(240):
+        q, p_max = (2, 3, 5)[k % 3], k % 4
+        g = random_graded(rng, q, max_dim=3, max_per_dim=5)
+        assert _betti_numbers(g, p_max) == homology_dims(sup_complex(g, p_max), p_max)
+    # a store whose d∘d is nonzero is rejected, as the slice route rejects it
+    edges = {"uv": {"u": 1, "v": 2}, "T": {"uv": 1}}
+    g = GradedSubgroup({0: ["u", "v"], 1: ["uv"], 2: ["T"]}, {}, edges, q=3)
+    with pytest.raises(GradedValidationError, match=re.escape("boundary of boundary of 'T' is nonzero")):
+        _betti_numbers(g, 1)
 
 
 def test_subgroup_sits_between_inf_and_sup():

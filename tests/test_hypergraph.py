@@ -15,21 +15,20 @@ from extph import (
     build_matrices,
     compute_pairings,
     diagrams,
+    embedded_homology,
     extended_barcode,
     extended_module_oracle,
-    homology_dims,
     hyper_input,
     hyper_store,
     interval_rank_table,
     parse_hypergraph,
     simplicial_boundary,
     simplicial_closure,
-    sup_complex,
 )
 from extph.diagrams import DiagramPoint
 
 from oracles import classical_barcode, random_hypergraph
-from references import inf_complex, restricted, same_store
+from references import dense_rank, homology_dims, inf_complex, restricted, same_store, sup_complex
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ def test_oversized_hyperedges_are_ignored():
 
 def _induced_map_ranks(big, keep, p_max, q):
     """Ranks of H_p(small) -> H_p(big): dim(cycles(small)+boundaries(big)) - dim boundaries(big)."""
-    from extph.field import dense_kernel, dense_rank
+    from extph.field import dense_kernel
     from extph.graded import image_matrix
 
     small_s = sup_complex(restricted(big, keep), p_max)
@@ -222,6 +221,15 @@ def _induced_map_ranks(big, keep, p_max, q):
         bnd = image_matrix(big, p + 1, big.basis_rows(p + 1))
         out.append(dense_rank(np.hstack([vecs, bnd]), q) - dense_rank(bnd, q))
     return out
+
+
+def test_embedded_homology_matches_the_supremum_complex_reference():
+    rng = np.random.default_rng(311)
+    for k in range(240):
+        q, p_max = (2, 3, 5)[k % 3], k % 4
+        h = random_hypergraph(rng, max_vertices=7, max_arity=5)
+        want = homology_dims(sup_complex(hyper_store(h, p_max, q), p_max), p_max)
+        assert embedded_homology(h, p_max, q) == want
 
 
 def test_inclusion_induces_order_independent_map_ranks():

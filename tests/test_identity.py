@@ -24,10 +24,9 @@ from extph import (
     extended_barcode,
     extended_module_oracle,
     format_diagram,
-    homology_dims,
     persistent_betti_oracle,
-    sup_complex,
 )
+from extph.persistence import _betti_numbers
 
 from oracles import random_digraph, random_extended_input, random_filtered, random_graded, random_hypergraph
 from references import positional_barcode
@@ -97,7 +96,7 @@ def _persistent_betti_tables():
 
 def _homology_dims():
     rng = np.random.default_rng(2026)
-    return [tuple(homology_dims(sup_complex(random_graded(rng, (2, 3)[k % 2]), 2), 2)) for k in range(200)]
+    return [tuple(_betti_numbers(random_graded(rng, (2, 3)[k % 2]), 2)) for k in range(200)]
 
 
 def _front_end_diagrams():

@@ -22,7 +22,8 @@ from pathlib import Path
 
 import extph
 
-ORACLES = ("homology_dims", "sup_complex", "persistent_betti_oracle", "extended_module_oracle")
+# every homology number of the package: the front ends' homology and the two module oracles
+ORACLES = ("path_homology", "embedded_homology", "persistent_betti_oracle", "extended_module_oracle")
 PIVOT_ROUTE = {
     "reduce",
     "compute_pairings",
@@ -100,7 +101,7 @@ def test_the_oracles_never_reach_the_pivot_route():
     hits = _pivot_names(reached)
     assert not hits, "; ".join(_route(reached, name) for name in hits)
     # the walk did follow the oracles into the dense helpers and the store
-    dense = {"pivot_columns", "dense_kernel", "prefix_ranks", "dense_solve_many", "window_ranks"}
+    dense = {"pivot_columns", "dense_kernel", "prefix_ranks", "window_ranks"}
     dense |= F2_ELIMINATION
     assert dense | {"GradedSubgroup.boundary_csr"} <= reached.keys()
 
@@ -114,9 +115,13 @@ def test_the_oracles_are_dense_end_to_end():
     assert not hits, "; ".join(_route(reached, name) for name in hits)
 
 
-def test_both_module_oracles_count_windows_with_one_kernel():
-    for oracle in ("persistent_betti_oracle", "extended_module_oracle"):
-        assert {"window_ranks", "stage_cycles", "pivot_columns"} <= _walk([oracle]).keys(), oracle
+def test_every_oracle_counts_windows_with_one_kernel():
+    for oracle in ORACLES:
+        assert {"window_table", "window_ranks", "stage_cycles", "pivot_columns"} <= _walk([oracle]).keys(), oracle
+    # the slice route of the supremum complex is a test reference, not package code
+    defs, classes = _definitions(Path(extph.__file__).parent)
+    assert not {"sup_complex", "homology_dims", "dense_solve_many", "dense_rank"} & defs.keys()
+    assert "ChainComplexSlice" not in classes
 
 
 def test_the_walk_finds_the_pivot_route_from_the_barcode():
