@@ -20,26 +20,24 @@ int is kept for its next use.  Extension rows sit at the bottom of the
 cone's matrices, so an int is as wide as the matrix is tall; converting
 every column would hold thousands of such ints at once.
 
-The dense helpers at the end back the homology rank oracles: kernels
-(``dense_kernel``) and the ranks of column prefixes (``prefix_ranks``).
-They take numpy int arrays, and their ranks are read from pivot lists,
-the columns outside the span of those before them (``pivot_columns``).
-Over F_2 they all run one elimination, ``_f2_eliminate``: ``_f2_pack``
-packs the matrix's columns into Python ints, one bit per row above the
-bits of each column's combination of input columns, and ``_f2_sweep``
-eliminates them left to right by XOR against a {low: column} basis.
+The dense helpers at the end back the homology rank oracles.  They take
+numpy int arrays and run one elimination at every q: ``_pack`` writes a
+matrix's columns with room below their rows for each column's
+combination of input columns, and ``_sweep`` eliminates them left to
+right against a {low: normalised column} basis, each column carrying its
+combination through every subtraction.  Only the column encoding depends
+on the field, and only these helpers and ``_unpack`` choose it: over F_2
+a column is a Python int, one bit per coordinate, and a subtraction is
+an XOR; otherwise it is an int64 vector of residues.  ``dense_kernel``
+reads a kernel off the combinations of the columns that vanish, and
 ``graded``'s ``window_ranks`` sweeps its sources against one such basis
 of its chain.  A column's expression over the earlier pivot columns is
-unique, so the kernels read from those combinations are the ones a
-reduced row echelon form gives.  For q > 2 they run a reduced row
-echelon form on int64 arrays mod q, which is why the modulus is bounded by
-``MAX_MODULUS``: every product of two residues is below 2**32, and sums
-of up to 2**31 such products stay below 2**63.
+unique, so the kernels are the ones a reduced row echelon form gives.  A
+sweep step multiplies two residues, which is why the modulus is bounded
+by ``MAX_MODULUS``: that product is below 2**32 and fits in an int64.
 The dense helpers share no code with the sparse reduction, so the two
 routes can be played against each other in tests.
 """
-
-from bisect import bisect_left
 
 import numpy as np
 
@@ -49,9 +47,7 @@ __all__ = [
     "SparseColumn",
     "SparseMatrix",
     "reduce",
-    "prefix_ranks",
     "dense_kernel",
-    "pivot_columns",
 ]
 
 
@@ -244,93 +240,77 @@ def _f2_bits(col: SparseColumn) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _row_echelon(a: np.ndarray, q: int):
-    """Reduced row echelon form mod q; returns (rref, pivot column list)."""
-    a = np.array(a, dtype=np.int64) % q
-    n_rows, n_cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pr = r + int(hits[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), q - 2, q)) % q
-        col = a[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            a[nz] = (a[nz] - np.outer(col[nz], a[r])) % q
-        pivots.append(c)
-        r += 1
-    return a, pivots
+def _pack(a, shift: int, q: int, unit: bool = False) -> list:
+    """The columns of ``a`` mod q, column j with a[r, j] at coordinate shift + r.
 
-
-def _f2_pack(a, shift: int, unit: bool = False) -> list[int]:
-    """The columns of ``a`` mod 2 as ints, column j with bit shift + r set where a[r, j] is odd.
-
-    The ``shift`` bits below the rows are left for a column's combination
-    of input columns; with ``unit`` (and ``shift`` at least the number of
-    columns) column j starts as its own combination, bit j.
+    The ``shift`` coordinates below the rows are left for a column's
+    combination of input columns; with ``unit`` (and ``shift`` at least
+    the number of columns) column j starts as its own combination,
+    coordinate j.  Over F_2 a column is a Python int with bit i set where
+    its coordinate i is 1; otherwise it is an int64 vector of residues.
     """
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[1]
-    # a row of bytes per column of a, packed along it; `& 1` is the parity of negatives too
-    bits = np.zeros((n, shift + a.shape[0]), dtype=np.uint8)
+    # a row of coordinates per column of a; `& 1` is the parity of negatives too, and faster than `% 2`
+    cols = np.zeros((n, shift + a.shape[0]), dtype=np.uint8 if q == 2 else np.int64)
     if unit:
-        np.fill_diagonal(bits, 1)
-    bits[:, shift:] = a.T & 1
-    n_bytes = (bits.shape[1] + 7) // 8
-    packed = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        np.fill_diagonal(cols, 1)
+    cols[:, shift:] = a.T & 1 if q == 2 else a.T % q
+    if q != 2:
+        return list(cols)
+    n_bytes = (cols.shape[1] + 7) // 8
+    packed = np.packbits(cols, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(packed[j * n_bytes : (j + 1) * n_bytes], "little") for j in range(n)]
 
 
-def _f2_sweep(columns, top: int, basis: dict) -> tuple[list[int], list[int]]:
+def _sweep(columns, shift: int, basis: dict, q: int) -> tuple[list[int], list]:
     """(pivots, remainders) of packed columns eliminated left to right against ``basis``.
 
-    ``basis`` maps a low to the column that claimed it.  While a column is
-    at or above ``top`` it is XORed with the basis column of its low; when
-    that low is unclaimed the column claims it, joins ``basis`` and its
-    index is listed in ``pivots``.  What is left of every other column,
-    below ``top``, is listed in ``remainders``, in column order.
+    ``basis`` maps a low, the last nonzero coordinate, to the column that
+    claimed it, normalised to 1 there.  While a column's low is at or
+    above ``shift``, among its rows, the basis column of that low times
+    the column's entry there is subtracted from it; when that low is
+    unclaimed the column claims it, joins ``basis`` and its index is
+    listed in ``pivots``.  What is left of every other column, its
+    combination below ``shift``, is listed in ``remainders``, in column
+    order.  Over F_2 a subtraction is an XOR and every column is
+    normalised.
     """
     pivots, remainders = [], []
+    if q == 2:
+        top = 1 << shift
+        for j, x in enumerate(columns):
+            while x >= top:
+                low = x.bit_length() - 1
+                y = basis.get(low)
+                if y is None:
+                    basis[low] = x
+                    pivots.append(j)
+                    break
+                x ^= y
+            else:
+                remainders.append(x)
+        return pivots, remainders
     for j, x in enumerate(columns):
-        while x >= top:
-            low = x.bit_length() - 1
+        nonzero = x.nonzero()[0]
+        while len(nonzero) and nonzero[-1] >= shift:
+            low = int(nonzero[-1])
             y = basis.get(low)
             if y is None:
-                basis[low] = x
+                basis[low] = x * pow(int(x[low]), q - 2, q) % q
                 pivots.append(j)
                 break
-            x ^= y
+            x = (x - x[low] * y) % q
+            nonzero = x[:low].nonzero()[0]  # x[low] is cleared, and nothing above it was nonzero
         else:
             remainders.append(x)
     return pivots, remainders
 
 
-def _f2_eliminate(a) -> tuple[list[int], list[int]]:
-    """(pivot columns, kernel combinations) of ``a`` mod 2, by XOR on packed columns.
-
-    Column j of an n-column ``a`` becomes an int with bit n + r set where
-    a[r, j] is odd; its low n bits hold its combination of the input
-    columns, at first bit j alone, and take every XOR the column takes.
-    Left to right, each column is XORed against the basis column of its
-    low until its rows vanish or it claims a fresh low, which makes it a
-    pivot column.  A column whose rows vanish leaves its combination: its
-    own bit and those of the earlier pivot columns that sum to it, a
-    kernel vector.  They are listed in column order.
-    """
-    n = np.shape(a)[1]
-    return _f2_sweep(_f2_pack(a, n, unit=True), 1 << n, {})
-
-
-def _f2_unpack(combinations, n: int) -> np.ndarray:
-    """An (n x len(combinations)) 0/1 int64 matrix whose column k has bit i of combinations[k] in row i."""
+def _unpack(combinations, n: int, q: int) -> np.ndarray:
+    """An (n x len(combinations)) int64 matrix whose column k holds the first n coordinates of combinations[k]."""
+    if q != 2:
+        return np.array([c[:n] for c in combinations], dtype=np.int64).reshape(len(combinations), n).T
     n_bytes = (n + 7) // 8
     mask = (1 << n) - 1
     packed = b"".join((c & mask).to_bytes(n_bytes, "little") for c in combinations)
@@ -338,40 +318,16 @@ def _f2_unpack(combinations, n: int) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=n, bitorder="little").T.astype(np.int64)
 
 
-def pivot_columns(a, q: int) -> list[int]:
-    """The columns of ``a`` outside the span of the columns before them, in order.
-
-    These are the pivot columns of the row echelon form, which visits the
-    columns left to right.  Every dense rank on the oracle side is read
-    from this list.
-    """
-    if q == 2:
-        return _f2_eliminate(a)[0]
-    return _row_echelon(a, q)[1]
-
-
-def prefix_ranks(a, ends, q: int) -> list[int]:
-    """Rank of each column prefix a[:, :e] for e in ``ends``, from one elimination."""
-    pivots = pivot_columns(a, q)
-    return [bisect_left(pivots, e) for e in ends]
-
-
 def dense_kernel(a, q: int) -> np.ndarray:
-    """Columns spanning the right kernel of ``a`` mod q."""
-    a = np.asarray(a, dtype=np.int64)
-    n = a.shape[1]
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if a.shape[0] == 0:
+    """Columns spanning the right kernel of ``a`` mod q, one per column of ``a`` that vanishes.
+
+    Each column of ``a`` is swept with its combination of input columns,
+    at first itself alone.  A column whose rows vanish leaves that
+    combination: 1 at its own index and the expression of the rest over
+    the earlier pivot columns, which is unique, so the kernel is the one a
+    reduced row echelon form gives.  They are listed in column order.
+    """
+    n = np.shape(a)[1]
+    if not np.shape(a)[0]:  # every column vanishes alone
         return np.eye(n, dtype=np.int64)
-    if q == 2:
-        return _f2_unpack(_f2_eliminate(a)[1], n)
-    r, pivots = _row_echelon(a, q)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    out = np.zeros((n, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        out[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            out[pc, k] = (-int(r[i, fc])) % q
-    return out
+    return _unpack(_sweep(_pack(a, n, q, unit=True), n, {}, q)[1], n, q)

@@ -30,16 +30,15 @@ dim(Z_u + B_v) - dim(B_v) of a persistence module, and ``window_table``
 fills a dimension's table of them with ``stage_cycles`` and
 ``window_ranks``, each of which eliminates its matrix once per
 dimension: the kernel of all of a dimension's boundary images gives
-every stage's cycles, and over F_2 one elimination of the denominator
-chain serves every source.  The homology of a subgroup is the one
-window of its one-stage filtration: the cycles of S_p are
-Z(D_p) + d(D_{p+1}) and its boundaries d(D_{p+1}).  This side is
-numpy int64 matrices mod q throughout: ``unit_matrix`` and
-``image_matrix`` fill them straight from universe rows and the store's
-CSR arrays, and every rank comes from the dense helpers of ``field``
-(their F_2 elimination on packed ints, or a row echelon form for q > 2),
-never from the sparse columns and pivot reduction of the pairing
-algorithms, so the two code paths stay independent.
+every stage's cycles, and one elimination of the denominator chain
+serves every source.  The homology of a subgroup is the one window of
+its one-stage filtration: the cycles of S_p are Z(D_p) + d(D_{p+1}) and
+its boundaries d(D_{p+1}).  This side is numpy int64 matrices mod q
+throughout: ``unit_matrix`` and ``image_matrix`` fill them straight from
+universe rows and the store's CSR arrays, and every rank comes from the
+one left-to-right sweep of ``field``, the same at every q, never from
+the sparse columns and pivot reduction of the pairing algorithms, so the
+two code paths stay independent.
 """
 
 from bisect import bisect_left, bisect_right
@@ -49,13 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GradedValidationError
-from .field import (
-    _f2_pack,
-    _f2_sweep,
-    dense_kernel,
-    modulus,
-    prefix_ranks,
-)
+from .field import _pack, _sweep, dense_kernel, modulus
 
 __all__ = [
     "BASIS",
@@ -539,35 +532,28 @@ def window_ranks(sources, chain, ends, q: int):
     k + 1, and ``ends`` lists the prefix length of each position's
     denominator, a column prefix of the one chain C.
 
-    Over F_2 C is eliminated once.  Each of its packed columns carries its
+    C is eliminated once.  Each of its packed columns carries its
     combination of C's columns, so a basis column's combination uses only
-    pivot columns of C and its top bit is its own column.  Each source
-    column is then reduced against C's basis and a copy of it that also
-    holds the source's earlier columns.  A column that claims a fresh low
-    is independent modulo C.  One whose rows vanish leaves its expression
-    over C's pivot columns, unique since they are independent, and these
-    expressions span S_k ∩ C.  Eliminated by their highest bit, they leave
-    a basis with distinct tops T; a zero expression comes from a dependent
-    source column and is dropped.  S_k ∩ C[:, :e] is spanned by the basis
-    vectors whose top is below e, so the entry is
-    dim S_k - dim(S_k ∩ C[:, :e]) = fresh + #{t in T : t >= e}.
-    For q > 2 one elimination of [S_k | C] gives the whole row k, and one
-    of C alone every dim(C[:, :e]).
+    pivot columns of C and its last nonzero coordinate is its own column.
+    Each source column is then reduced against C's basis and a copy of it
+    that also holds the source's earlier columns.  A column that claims a
+    fresh low is independent modulo C.  One whose rows vanish leaves its
+    expression over C's pivot columns, unique since they are independent,
+    and these expressions span S_k ∩ C.  Eliminated by their last nonzero
+    coordinate, they leave a basis with distinct tops T; a zero expression
+    comes from a dependent source column and is dropped.  S_k ∩ C[:, :e]
+    is spanned by the basis vectors whose top is below e, so the entry is
+    dim S_k - dim(S_k ∩ C[:, :e]) = fresh + #{t in T : t >= e}.  The
+    sweep is ``field``'s, the same at every q.
     """
-    if q == 2:
-        n, basis = chain.shape[1], {}
-        _f2_sweep(_f2_pack(chain, n, unit=True), 1 << n, basis)
-        for k, source in enumerate(sources):
-            fresh, inside = _f2_sweep(_f2_pack(source, n), 1 << n, dict(basis))
-            lows: dict = {}
-            _f2_sweep(inside, 1, lows)
-            tops = sorted(lows)
-            yield [len(fresh) + len(tops) - bisect_left(tops, e) for e in ends[k:]]
-        return
-    base = prefix_ranks(chain, ends, q)
+    n, basis = chain.shape[1], {}
+    _sweep(_pack(chain, n, q, unit=True), n, basis, q)
     for k, source in enumerate(sources):
-        ranks = prefix_ranks(np.hstack([source, chain]), [source.shape[1] + e for e in ends[k:]], q)
-        yield [r - b for r, b in zip(ranks, base[k:])]
+        fresh, inside = _sweep(_pack(source, n, q), n, dict(basis), q)
+        lows: dict = {}
+        _sweep(inside, 0, lows, q)
+        tops = sorted(lows)
+        yield [len(fresh) + len(tops) - bisect_left(tops, e) for e in ends[k:]]
 
 
 def window_table(units, images, cuts, chain, ends, q: int) -> dict:

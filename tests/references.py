@@ -1,4 +1,4 @@
-"""Theory references for extended persistence, built on the package's dense helpers.
+"""Theory references for extended persistence, and the row echelon form the package's sweep is checked against.
 
 The pipeline never builds these objects; the tests use them to check the
 identities that extended persistence rests on (Cohen-Steiner, Edelsbrunner,
@@ -16,8 +16,10 @@ own:
   supremum complex S_p = D_p + d(D_{p+1}) as dense matrices and its
   homology from boundary ranks, the route that ``path_homology`` and
   ``embedded_homology`` replaced by one window rank;
-* ``dense_rank`` and ``dense_solve_many``: the rank of a matrix and the
-  solutions of a @ X = b mod q, on the package's eliminations;
+* ``_row_echelon``, ``pivot_columns``, ``dense_rank``, ``prefix_ranks``
+  and ``dense_solve_many``: a reduced row echelon form mod q and the
+  pivot columns, ranks, prefix ranks and solutions of a @ X = b read off
+  it, an elimination that shares no code with the package's sweep;
 * ``inf_complex``: the infimum complex I_p = D_p ∩ d^{-1}(D_{p-1}), the
   largest subcomplex inside a graded subgroup, whose homology equals that
   of the supremum complex;
@@ -29,25 +31,27 @@ own:
 * ``positional_barcode``: the extended barcode under a plausible but wrong
   reading of extended pairs, which the tests show the rank oracle rejects;
 * ``stacked_window_ranks``: the window ranks dim(S_k + C_e) - dim(C_e) from
-  one elimination of [S_k | C] per source, the formulation that
-  ``window_ranks`` replaced over F_2;
+  one row echelon form of [S_k | C] per source, the formulation that
+  ``window_ranks`` replaced;
 * ``per_stage_module_oracle``: ``extended_module_oracle`` with each
   relative source taken from its own kernel of the images less the rows of
   E^j_{p-1}, the formulation that the one kernel of [images | U] replaced.
 
-Unlike ``oracles.py`` these use the package's numpy elimination helpers
-(``dense_kernel``, ``pivot_columns``, ``prefix_ranks`` and the F_2
-elimination behind them) on the dense ``ChainComplexSlice``, so they
-check identities between package objects, not the helpers themselves.
+Unlike ``oracles.py`` the slices and the module oracle use the package's
+kernel (``dense_kernel``) and window ranks, so they check identities
+between package objects; every rank, pivot list and solution is read off
+``_row_echelon``, so the window-rank cross-checks do not compare the
+package's sweep with itself.
 """
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
 
 from extph.errors import ConsistencyError, GradedValidationError
 from extph.extended import EXTENDED, ExtendedBarcode, ExtendedInterval, extended_barcode
-from extph.field import _f2_eliminate, _f2_unpack, _row_echelon, dense_kernel, pivot_columns, prefix_ranks
+from extph.field import dense_kernel
 from extph.graded import GradedSubgroup, image_matrix, stage_cycles, unit_matrix, window_ranks
 from extph.persistence import build_matrices, compute_pairings
 
@@ -79,8 +83,45 @@ class ChainComplexSlice(NamedTuple):
         return np.zeros((self.dim(p - 1), self.dim(p)), dtype=np.int64) if mat is None else mat
 
 
+def _row_echelon(a: np.ndarray, q: int):
+    """Reduced row echelon form mod q; returns (rref, pivot column list)."""
+    a = np.array(a, dtype=np.int64) % q
+    n_rows, n_cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        hits = np.nonzero(a[r:, c])[0]
+        if hits.size == 0:
+            continue
+        pr = r + int(hits[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), q - 2, q)) % q
+        col = a[:, c].copy()
+        col[r] = 0
+        nz = np.nonzero(col)[0]
+        if nz.size:
+            a[nz] = (a[nz] - np.outer(col[nz], a[r])) % q
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def pivot_columns(a, q: int) -> list[int]:
+    """The columns of ``a`` outside the span of the columns before them: the row echelon form's pivots."""
+    return _row_echelon(a, q)[1]
+
+
 def dense_rank(a, q: int) -> int:
     return len(pivot_columns(a, q))
+
+
+def prefix_ranks(a, ends, q: int) -> list[int]:
+    """Rank of each column prefix a[:, :e] for e in ``ends``, from one row echelon form."""
+    pivots = pivot_columns(a, q)
+    return [bisect_left(pivots, e) for e in ends]
 
 
 def dense_solve_many(a, b, q: int):
@@ -91,12 +132,7 @@ def dense_solve_many(a, b, q: int):
     m = b.shape[1]
     if m == 0:
         return np.zeros((n, 0), dtype=np.int64)
-    if q == 2:
-        # consistent iff no column of b is a pivot; then b's columns are the last m that vanish
-        pivots, kernel = _f2_eliminate(np.hstack([a, b]))
-        return None if pivots and pivots[-1] >= n else _f2_unpack(kernel[-m:], n)
-    aug = np.hstack([a % q, b % q])
-    r, pivots = _row_echelon(aug, q)
+    r, pivots = _row_echelon(np.hstack([a, b]), q)
     if pivots and pivots[-1] >= n:
         return None  # a pivot inside the augmented block: inconsistent system
     x = np.zeros((n, m), dtype=np.int64)

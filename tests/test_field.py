@@ -4,16 +4,16 @@ import pytest
 from extph.field import (
     SparseColumn,
     SparseMatrix,
-    _row_echelon,
+    _pack,
+    _sweep,
+    _unpack,
     dense_kernel,
     modulus,
-    pivot_columns,
-    prefix_ranks,
     reduce,
 )
 
 from oracles import columns_to_rows, gf_echelon, gf_kernel, gf_rank
-from references import dense_rank, dense_solve_many
+from references import _row_echelon, dense_rank, dense_solve_many, pivot_columns, prefix_ranks
 
 
 def dense_matrix(columns, num_rows: int, q: int) -> np.ndarray:
@@ -309,6 +309,7 @@ def test_pivot_columns_track_rank():
             vectors = [list(v) for v in a.T]
             grew = [k for k in range(10) if gf_rank(vectors[: k + 1], q) > gf_rank(vectors[:k], q)]
             assert pivot_columns(a, q) == grew
+            assert _swept_pivots(a, q) == grew
         assert pivot_columns(np.zeros((0, 3), dtype=np.int64), q) == []
         assert pivot_columns(np.zeros((3, 0), dtype=np.int64), q) == []
 
@@ -340,12 +341,12 @@ def test_prefix_ranks_of_empty_and_zero_matrices():
 
 
 # ---------------------------------------------------------------------------
-# the dense helpers over F_2 (packed ints) against the row echelon form
+# the oracles' sweep at q = 2, 3 and 5 against the row echelon form
 # ---------------------------------------------------------------------------
 
 
-def _f2_cases():
-    """Seeded int64 matrices with entries in -4..4, which must reduce mod 2.
+def _dense_cases():
+    """Seeded int64 matrices with entries in -4..4, which must reduce mod q.
 
     Empty shapes, all-zero and full-rank matrices, and up to 150 rows and
     columns, so the packed columns and their combinations span several
@@ -357,7 +358,7 @@ def _f2_cases():
         for density in (0.05, 0.3, 0.8):
             cases.append(rng.integers(-4, 5, shape) * (rng.random(shape) < density))
     for n in (1, 8, 65):
-        # an odd diagonal under an upper triangle is invertible mod 2; shuffled rows, taller below
+        # a diagonal of ±1 and ±3 under an upper triangle is invertible mod 2 and 5; shuffled rows, taller below
         square = np.triu(rng.integers(-4, 5, (n, n)), 1) + np.diag(rng.choice([-3, -1, 1, 3], n))
         cases.append(square[rng.permutation(n)])
         cases.append(np.vstack([square, rng.integers(-4, 5, (n, n))]))
@@ -368,73 +369,80 @@ def _f2_cases():
     return cases
 
 
-def _rref_kernel(a):
+def _swept_pivots(a, q):
+    """The pivot columns of the package's sweep, the same with and without each column's combination."""
+    n = a.shape[1]
+    pivots = _sweep(_pack(a, 0, q), 0, {}, q)[0]
+    assert _sweep(_pack(a, n, q, unit=True), n, {}, q)[0] == pivots
+    return pivots
+
+
+def _swept_solution(a, b, q):
+    """X with a @ X = b mod q from the package's sweep of [a | b], or None if b leaves the span of a.
+
+    Each column of b that vanishes leaves 1 at its own index and minus its
+    expression over the pivot columns of a.
+    """
+    n, m = a.shape[1], b.shape[1]
+    pivots, vanished = _sweep(_pack(np.hstack([a, b]), n + m, q, unit=True), n + m, {}, q)
+    if pivots and pivots[-1] >= n:
+        return None
+    return -_unpack(vanished[-m:], n, q) % q
+
+
+def _rref_kernel(a, q):
     """The kernel a reduced row echelon form gives: one column per free column."""
     n = a.shape[1]
-    r, pivots = _row_echelon(a, 2)
+    r, pivots = _row_echelon(a, q)
     free = [c for c in range(n) if c not in pivots]
     out = np.zeros((n, len(free)), dtype=np.int64)
     for k, fc in enumerate(free):
         out[fc, k] = 1
         for i, pc in enumerate(pivots):
-            out[pc, k] = r[i, fc]  # -r mod 2 is r
+            out[pc, k] = -r[i, fc] % q
     return out
 
 
-def _rref_solve(a, b):
-    """The solution a reduced row echelon form of [a | b] gives, or None if it is inconsistent."""
-    n = a.shape[1]
-    r, pivots = _row_echelon(np.hstack([a, b]), 2)
-    if pivots and pivots[-1] >= n:
-        return None
-    x = np.zeros((n, b.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, n:]
-    return x
-
-
 def test_f2_ranks_match_the_row_echelon_form():
-    for a in _f2_cases():
-        pivots = _row_echelon(a, 2)[1]
-        ends = list(range(a.shape[1] + 1))
-        assert pivot_columns(a, 2) == pivots
-        assert dense_rank(a, 2) == len(pivots)
-        assert prefix_ranks(a, ends, 2) == [sum(p < e for p in pivots) for e in ends]
-        if a.shape[0]:  # a list of rows cannot hold a matrix without rows
-            assert pivot_columns(a, 2) == gf_echelon(a.tolist(), 2)[1]
-            assert dense_rank(a, 2) == gf_rank(a.tolist(), 2)
+    for q in (2, 3, 5):
+        for a in _dense_cases():
+            pivots = _row_echelon(a, q)[1]
+            assert _swept_pivots(a, q) == pivots
+            if a.shape[0]:  # a list of rows cannot hold a matrix without rows
+                assert pivots == gf_echelon(a.tolist(), q)[1]
 
 
 def test_f2_kernels_match_the_row_echelon_form_entry_for_entry():
-    wide = 0
-    for a in _f2_cases():
-        got = dense_kernel(a, 2)
-        assert got.dtype == np.int64
-        if a.shape[1]:
-            assert np.array_equal(got, _rref_kernel(a))
-        if a.shape[0]:
-            assert got.T.tolist() == gf_kernel(a.tolist(), 2)
-        assert not ((a @ got) % 2).any()
-        wide += got.shape[1] > 64
-    assert wide  # some kernel has more columns than a machine word has bits
+    for q in (2, 3, 5):
+        wide = 0
+        for a in _dense_cases():
+            got = dense_kernel(a, q)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _rref_kernel(a, q))
+            if a.shape[0]:
+                assert got.T.tolist() == gf_kernel(a.tolist(), q)
+            assert not ((a @ got) % q).any()
+            wide += got.shape[1] > 64
+        assert wide  # some kernel has more columns than a machine word has bits
 
 
 def test_f2_solutions_match_the_row_echelon_form():
     rng = np.random.default_rng(61)
-    outcomes = set()
-    for a in _f2_cases():
-        x = rng.integers(-3, 4, (a.shape[1], 4))
-        solvable = np.hstack([a @ x, np.zeros((a.shape[0], 1), dtype=np.int64)])
-        got = dense_solve_many(a, solvable, 2)
-        assert got is not None and got.dtype == np.int64
-        assert np.array_equal(got, _rref_solve(a, solvable))
-        assert np.array_equal((a @ got) % 2, solvable % 2)
-        # a random column is mostly outside the span when a has fewer pivots than rows
-        b = np.hstack([solvable, rng.integers(-4, 5, (a.shape[0], 1))])
-        want = _rref_solve(a, b)
-        got = dense_solve_many(a, b, 2)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(got, want)
-        outcomes.add(want is None)
-    assert outcomes == {True, False}
+    for q in (2, 3, 5):
+        outcomes = set()
+        for a in _dense_cases():
+            x = rng.integers(-3, 4, (a.shape[1], 4))
+            solvable = np.hstack([a @ x, np.zeros((a.shape[0], 1), dtype=np.int64)])
+            got = _swept_solution(a, solvable, q)
+            assert got is not None and got.dtype == np.int64
+            assert np.array_equal(got, dense_solve_many(a, solvable, q))
+            assert np.array_equal((a @ got) % q, solvable % q)
+            # a random column is mostly outside the span when a has fewer pivots than rows
+            b = np.hstack([solvable, rng.integers(-4, 5, (a.shape[0], 1))])
+            want = dense_solve_many(a, b, q)
+            got = _swept_solution(a, b, q)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}

@@ -477,7 +477,7 @@ def _window_cases(seed, count):
         yield sources, chain, ends
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_window_ranks_match_one_stacked_elimination_per_source(q):
     seen = set()
     for sources, chain, ends in _window_cases(23 + q, 400):
@@ -491,7 +491,7 @@ def test_window_ranks_match_one_stacked_elimination_per_source(q):
     assert seen == {"no rows", "empty chain", "empty source", "dependent source", "a source meets a longer prefix"}
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_window_ranks_match_plain_python_ranks(q):
     for sources, chain, ends in _window_cases(41 + q, 120):
         if not chain.shape[0]:  # a list of rows cannot hold a matrix without rows

@@ -32,9 +32,9 @@ PIVOT_ROUTE = {
     "_reduce_f2",
     "_f2_bits",
 }
-# the oracles' own F_2 elimination: the packer and the XOR sweep against a basis of lows,
-# which window_ranks runs, and the elimination of one matrix behind the dense helpers
-F2_ELIMINATION = {"_f2_pack", "_f2_sweep", "_f2_eliminate"}
+# the oracles' one elimination at every q: the packer, the sweep against a basis of lows
+# and the unpacker of the kernels read off it
+ELIMINATION = {"_pack", "_sweep", "_unpack"}
 
 
 def _definitions(package_dir):
@@ -101,8 +101,7 @@ def test_the_oracles_never_reach_the_pivot_route():
     hits = _pivot_names(reached)
     assert not hits, "; ".join(_route(reached, name) for name in hits)
     # the walk did follow the oracles into the dense helpers and the store
-    dense = {"pivot_columns", "dense_kernel", "prefix_ranks", "window_ranks"}
-    dense |= F2_ELIMINATION
+    dense = {"dense_kernel", "window_ranks"} | ELIMINATION
     assert dense | {"GradedSubgroup.boundary_csr"} <= reached.keys()
 
 
@@ -117,10 +116,12 @@ def test_the_oracles_are_dense_end_to_end():
 
 def test_every_oracle_counts_windows_with_one_kernel():
     for oracle in ORACLES:
-        assert {"window_table", "window_ranks", "stage_cycles", "pivot_columns"} <= _walk([oracle]).keys(), oracle
-    # the slice route of the supremum complex is a test reference, not package code
+        assert {"window_table", "window_ranks", "stage_cycles"} | ELIMINATION <= _walk([oracle]).keys(), oracle
+    # the slice route of the supremum complex and the row echelon form are test references, not package code
     defs, classes = _definitions(Path(extph.__file__).parent)
-    assert not {"sup_complex", "homology_dims", "dense_solve_many", "dense_rank"} & defs.keys()
+    references = {"sup_complex", "homology_dims", "dense_solve_many", "dense_rank"}
+    references |= {"_row_echelon", "pivot_columns", "prefix_ranks"}
+    assert not references & defs.keys()
     assert "ChainComplexSlice" not in classes
 
 
@@ -128,5 +129,5 @@ def test_the_walk_finds_the_pivot_route_from_the_barcode():
     reached = _walk(["extended_barcode"])
     assert {name.rsplit(".", 1)[-1] for name in _pivot_names(reached)} == PIVOT_ROUTE
     assert "ExtendedInput.layout" in reached  # the cone is a layout of build_matrices
-    # the F_2 XOR eliminations are two: the pivot route's and the oracles' own
-    assert not F2_ELIMINATION & reached.keys()
+    # the eliminations are two: the pivot route's and the oracles' own
+    assert not ELIMINATION & reached.keys()
