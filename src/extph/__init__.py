@@ -36,9 +36,6 @@ from .digraph import (
     path_homology,
     pph_input,
     pph_store,
-    regular_boundary,
-    sublevel,
-    superlevel,
 )
 from .errors import ConsistencyError, GradedValidationError, InputFormatError
 from .extended import (
@@ -57,7 +54,7 @@ from .extended import (
     extended_module_oracle,
     interval_rank_table,
 )
-from .field import SparseColumn, SparseMatrix, modulus, reduce
+from .field import SparseMatrix, modulus, reduce
 from .graded import (
     BASIS,
     EXTENSION,
@@ -73,7 +70,6 @@ from .hypergraph import (
     hyper_input,
     hyper_store,
     parse_hypergraph,
-    simplicial_boundary,
     simplicial_closure,
 )
 from .persistence import (

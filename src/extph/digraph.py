@@ -12,9 +12,9 @@ names, and the allowed paths of length p are an (n_p, p+1) array of
 vertex ids in lexicographic order, which is the order of their labels.
 ``cell_store`` derives the regular faces and the extension from those
 rows, and a path's heights come from the edge weights gathered along its
-row.  ``allowed_paths`` and ``regular_boundary`` are the same objects at
-the level of labels; the demos use them and the tests check the array
-store against them.
+row.  ``allowed_paths`` lists the same paths at the level of labels; the
+demos print it, and the tests check the array store against it and
+against a label-level regular boundary of their own.
 
 File format (one edge per line, consumed by the CLI)::
 
@@ -38,9 +38,6 @@ from .persistence import _betti_numbers
 __all__ = [
     "WeightedDigraph",
     "allowed_paths",
-    "regular_boundary",
-    "sublevel",
-    "superlevel",
     "path_homology",
     "pph_store",
     "pph_input",
@@ -95,37 +92,6 @@ def allowed_paths(g: WeightedDigraph, p_max: int) -> dict:
                 level.append(path + (y,))
         paths[p] = level
     return paths
-
-
-def regular_boundary(path: tuple) -> dict:
-    """Alternating face sum of a regular path, irregular faces dropped.
-
-    Returns {face: coefficient} with coefficients in {1, -1} before any
-    field reduction.
-    """
-    if any(path[k - 1] == path[k] for k in range(1, len(path))):
-        raise ValueError(f"path {path!r} is not regular")
-    if len(path) < 2:
-        return {}
-    out: dict = {}
-    sign = 1
-    for i in range(len(path)):
-        face = path[:i] + path[i + 1 :]
-        # only the seam around the removed vertex can break regularity
-        if not (0 < i < len(path) - 1) or path[i - 1] != path[i + 1]:
-            out[face] = out.get(face, 0) + sign
-        sign = -sign
-    return {face: c for face, c in out.items() if c}
-
-
-def sublevel(g: WeightedDigraph, a: float) -> WeightedDigraph:
-    """Same vertices, edges of weight <= a."""
-    return WeightedDigraph(g.vertices, {e: w for e, w in g.weights.items() if w <= a})
-
-
-def superlevel(g: WeightedDigraph, a: float) -> WeightedDigraph:
-    """Same vertices, edges of weight >= a."""
-    return WeightedDigraph(g.vertices, {e: w for e, w in g.weights.items() if w >= a})
 
 
 def path_homology(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> list[int]:

@@ -1,24 +1,28 @@
 """Exact sparse linear algebra over a prime field F_q.
 
 A field is its modulus: a prime int q, checked once by ``modulus``, and
-scalars are plain ints reduced mod q.  A sparse column keeps its nonzero
-entries sorted by row index, so the bottom nonzero entry (its *low*) is
-always the last one.  ``reduce`` brings a column-major matrix to reduced
-form using left-to-right column additions only and returns the pivots
-{row: column}; the pivot positions do not depend on the order in which
-admissible additions are performed, which is what makes pairings read off
-the pivots well defined.  Those pivots are all its callers need: a column
-that claims no row is one that reduces to zero.
+scalars are plain ints reduced mod q.  A ``SparseMatrix`` holds its
+columns as CSR arrays with the rows of each column sorted, so the bottom
+nonzero entry of a column (its *low*) is always its last one; numpy reads
+every low off the arrays at once.  ``reduce`` brings a column-major
+matrix to reduced form using left-to-right column additions only and
+returns the pivots {row: column}; the pivot positions do not depend on
+the order in which admissible additions are performed, which is what
+makes pairings read off the pivots well defined.  Those pivots are all
+its callers need: a column that claims no row is one that reduces to
+zero.
 
-Over F_2 (the default field) ``reduce`` takes an XOR route, chosen once
-per matrix.  A column there is the set of its rows, and a Python int with
-bit r set for each row r holds that set: its low is ``bit_length() - 1``
-and adding a column is ``^``.  The conversion is lazy.  A column stays the
-``SparseColumn`` it came in as until its low collides with a pivot; only
-then do it and the pivot columns it meets become ints, and each pivot's
-int is kept for its next use.  Extension rows sit at the bottom of the
-cone's matrices, so an int is as wide as the matrix is tall; converting
-every column would hold thousands of such ints at once.
+``reduce`` walks the lows and writes a column out of the arrays only when
+its low collides with a pivot; then it and each pivot column it meets
+become Python objects, and each pivot's is kept, reduced, for its next
+use.  Most columns never collide, so most are never written out.  Over
+F_2 (the default field) a written-out column is the set of its rows, held
+in a Python int with bit r set for each row r: its low is
+``bit_length() - 1`` and adding a column is ``^``.  Otherwise it is its
+list of (row, coefficient) entries, and an addition merges two lists.
+Extension rows sit at the bottom of the cone's matrices, so an int is as
+wide as the matrix is tall; writing out every column would hold
+thousands of such ints at once.
 
 The dense helpers at the end back the homology rank oracles.  They take
 numpy int arrays and run one elimination at every q: ``_pack`` writes a
@@ -39,12 +43,13 @@ The dense helpers share no code with the sparse reduction, so the two
 routes can be played against each other in tests.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "MAX_MODULUS",
     "modulus",
-    "SparseColumn",
     "SparseMatrix",
     "reduce",
     "dense_kernel",
@@ -78,87 +83,49 @@ def modulus(q) -> int:
     return q
 
 
-class SparseColumn:
-    """Sparse vector: nonzero (row, coefficient) entries sorted by row."""
+class Column(NamedTuple):
+    """One column of a ``SparseMatrix``: its (row, coefficient) entries, sorted by row."""
 
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=()):
-        # trusted constructor: entries must be sorted by row with nonzero,
-        # fully reduced coefficients
-        self.entries = tuple(entries)
-
-    @property
-    def low(self):
-        """Row index of the bottom nonzero entry; None for the zero column."""
-        return self.entries[-1][0] if self.entries else None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def plus_scaled(self, other: "SparseColumn", c: int, q: int) -> "SparseColumn":
-        """self + c * other mod q, merging the two sorted entry lists."""
-        c %= q
-        if c == 0:
-            return self
-        out = []
-        a, b = self.entries, other.entries
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ra, rb = a[i][0], b[j][0]
-            if ra < rb:
-                out.append(a[i])
-                i += 1
-            elif rb < ra:
-                v = b[j][1] * c % q
-                if v:
-                    out.append((rb, v))
-                j += 1
-            else:
-                v = (a[i][1] + b[j][1] * c) % q
-                if v:
-                    out.append((ra, v))
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        for rb, vb in b[j:]:
-            v = vb * c % q
-            if v:
-                out.append((rb, v))
-        return SparseColumn(out)
-
-    def __eq__(self, other):
-        return isinstance(other, SparseColumn) and other.entries == self.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"SparseColumn({list(self.entries)})"
+    entries: tuple
 
 
 class SparseMatrix:
-    """Column-major sparse matrix over F_q."""
+    """Column-major sparse matrix over F_q, held as CSR arrays.
 
-    __slots__ = ("num_rows", "columns", "q")
+    Column j holds the rows ``rows[indptr[j]:indptr[j + 1]]``, sorted, with
+    the coefficients at the same positions of ``coeffs``, nonzero and
+    reduced mod q.  ``lows[j]`` is its last row, or -1 for an empty column.
+    """
 
-    def __init__(self, num_rows: int, columns=(), q: int = 2):
+    __slots__ = ("num_rows", "indptr", "rows", "coeffs", "lows", "q", "_columns")
+
+    def __init__(self, num_rows: int, indptr, rows, coeffs, q: int = 2):
+        # trusted constructor: each column's rows must be sorted, its coefficients nonzero and reduced
         self.q = modulus(q)
         self.num_rows = int(num_rows)
-        self.columns = tuple(columns)
-        for j, col in enumerate(self.columns):
-            if col.entries and col.low >= self.num_rows:
-                raise ValueError(
-                    f"column {j} has an entry at row {col.low}, but num_rows is {self.num_rows}"
-                )
+        self.indptr, self.rows, self.coeffs = (np.asarray(a, dtype=np.int64) for a in (indptr, rows, coeffs))
+        ends = self.indptr[1:]
+        filled = ends > self.indptr[:-1]
+        self.lows = np.full(len(ends), -1, dtype=np.int64)
+        self.lows[filled] = self.rows[ends[filled] - 1]
+        over = np.flatnonzero(self.lows >= self.num_rows)
+        if len(over):
+            j = int(over[0])
+            raise ValueError(f"column {j} has an entry at row {self.lows[j]}, but num_rows is {self.num_rows}")
+        self._columns = None
 
     @property
     def num_cols(self) -> int:
-        return len(self.columns)
+        return len(self.lows)
 
-    def column(self, j: int) -> SparseColumn:
-        return self.columns[j]
+    @property
+    def columns(self) -> tuple:
+        """Every column as a ``Column``, built from the arrays on first access; the pipeline never reads it."""
+        if self._columns is None:
+            entries = list(zip(self.rows.tolist(), self.coeffs.tolist()))
+            bounds = self.indptr.tolist()
+            self._columns = tuple([Column(tuple(entries[a:b])) for a, b in zip(bounds, bounds[1:])])
+        return self._columns
 
     def __repr__(self):
         return f"SparseMatrix({self.num_rows}x{self.num_cols} over F_{self.q})"
@@ -176,48 +143,37 @@ def reduce(matrix: SparseMatrix, skip_columns=()) -> dict[int, int]:
 
     Each column that does not vanish is listed under the row of its low,
     so rows and columns are pairwise distinct, and the columns that claim
-    no row are exactly those that reduce to zero.  Of the reduced columns
-    only the pivots are kept, for the later columns that meet them; over
-    F_2 they are int bitsets (see the module docstring).
+    no row are exactly those that reduce to zero.  The walk reads only
+    ``lows``; a column is written out, as an int bitset over F_2 and as an
+    entry list otherwise, only when its low meets a pivot, and so is each
+    pivot column it meets, which is kept reduced for its next use.
     """
-    if matrix.q == 2:
-        return _reduce_f2(matrix, skip_columns)
-    q = matrix.q
-    skip = set(skip_columns)
-    owner: dict[int, int] = {}  # pivot row -> column that claimed it
-    pivot_of: dict[int, SparseColumn] = {}  # pivot row -> that column, reduced
-    for j, col in enumerate(matrix.columns):
-        if j in skip:
-            continue
-        while col.entries:
-            r, v = col.entries[-1]
-            pivot = pivot_of.get(r)
-            if pivot is None:
-                owner[r], pivot_of[r] = j, col
-                break
-            col = col.plus_scaled(pivot, -v * pow(pivot.entries[-1][1], q - 2, q), q)
-    return owner
+    lows = matrix.lows
+    if skip_columns:
+        lows = lows.copy()
+        lows[list(skip_columns)] = -1
+    return (_reduce_f2 if matrix.q == 2 else _reduce_mod_q)(matrix, lows.tolist())
 
 
-def _reduce_f2(matrix: SparseMatrix, skip_columns) -> dict[int, int]:
-    """``reduce`` over F_2: columns become int bitsets when they first collide."""
-    skip = set(skip_columns)
-    columns = matrix.columns
+def _reduce_f2(matrix: SparseMatrix, lows: list) -> dict[int, int]:
+    """``reduce`` over F_2: a column that collides, and each pivot it meets, becomes an int bitset."""
     owner: dict[int, int] = {}  # pivot row -> column that claimed it
     bits: dict[int, int] = {}  # pivot column -> its reduced bitset, from its first use
-    for j, col in enumerate(columns):
-        if j in skip or not col.entries:
+    rows = None  # the matrix's rows and bounds as lists, from the first collision
+    for j, low in enumerate(lows):
+        if low < 0:
             continue
-        low = col.entries[-1][0]
         i = owner.get(low)
         if i is None:
             owner[low] = j
             continue
-        x = _f2_bits(col)
+        if rows is None:
+            rows, bounds = matrix.rows.tolist(), matrix.indptr.tolist()
+        x = sum(1 << r for r in rows[bounds[j] : bounds[j + 1]])
         while True:
             y = bits.get(i)
             if y is None:  # a pivot that received no addition is its input column
-                y = bits[i] = _f2_bits(columns[i])
+                y = bits[i] = sum(1 << r for r in rows[bounds[i] : bounds[i + 1]])
             x ^= y
             if not x:
                 break
@@ -230,9 +186,64 @@ def _reduce_f2(matrix: SparseMatrix, skip_columns) -> dict[int, int]:
     return owner
 
 
-def _f2_bits(col: SparseColumn) -> int:
-    """An F_2 column as an int with bit r set for each of its rows r."""
-    return sum(1 << r for r, _ in col.entries)
+def _reduce_mod_q(matrix: SparseMatrix, lows: list) -> dict[int, int]:
+    """``reduce`` over F_q, q > 2: a column that collides, and each pivot it meets, becomes an entry list."""
+    q = matrix.q
+    owner: dict[int, int] = {}  # pivot row -> column that claimed it
+    reduced: dict[int, list] = {}  # pivot column -> its reduced (row, coefficient) list, from its first use
+    entries = None  # the matrix's entries and bounds as lists, from the first collision
+    for j, low in enumerate(lows):
+        if low < 0:
+            continue
+        i = owner.get(low)
+        if i is None:
+            owner[low] = j
+            continue
+        if entries is None:
+            entries, bounds = list(zip(matrix.rows.tolist(), matrix.coeffs.tolist())), matrix.indptr.tolist()
+        x = entries[bounds[j] : bounds[j + 1]]
+        while True:
+            y = reduced.get(i)
+            if y is None:  # a pivot that received no addition is its input column
+                y = reduced[i] = entries[bounds[i] : bounds[i + 1]]
+            x = _plus_scaled(x, y, -x[-1][1] * pow(y[-1][1], q - 2, q), q)
+            if not x:
+                break
+            low = x[-1][0]
+            i = owner.get(low)
+            if i is None:
+                owner[low] = j
+                reduced[j] = x
+                break
+    return owner
+
+
+def _plus_scaled(a: list, b: list, c: int, q: int) -> list:
+    """a + c * b mod q for (row, coefficient) lists sorted by row, merged in one pass."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ra, rb = a[i][0], b[j][0]
+        if ra < rb:
+            out.append(a[i])
+            i += 1
+        elif rb < ra:
+            v = b[j][1] * c % q
+            if v:
+                out.append((rb, v))
+            j += 1
+        else:
+            v = (a[i][1] + b[j][1] * c) % q
+            if v:
+                out.append((ra, v))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    for rb, vb in b[j:]:
+        v = vb * c % q
+        if v:
+            out.append((rb, v))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ The constructor and the parser check each hyperedge with
 Simplices are oriented by the sorted order of their vertices.  The input
 is built on integer rows: each hyperedge is the row of its vertex ids in
 sorted order (ids follow the sorted vertex names), and ``cell_store``
-closes those rows under faces.  ``simplicial_closure`` and
-``simplicial_boundary`` are the same objects at the level of labels; the
-demos use them and the tests check the array store against them.
+closes those rows under faces.  ``simplicial_closure`` is the same
+closure at the level of labels; the demos print it, and the tests check
+the array store against it and against a label-level boundary of their
+own.
 """
 
 import math
@@ -35,7 +36,6 @@ from .persistence import _betti_numbers
 __all__ = [
     "FilteredHypergraph",
     "simplicial_closure",
-    "simplicial_boundary",
     "embedded_homology",
     "hyper_store",
     "hyper_input",
@@ -91,20 +91,6 @@ def simplicial_closure(hyperedges) -> set:
         for k in range(1, len(key) + 1):
             closure.update(combinations(key, k))
     return closure
-
-
-def simplicial_boundary(simplex: tuple) -> dict:
-    """Alternating face sum under the sorted-vertex orientation."""
-    if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
-        raise ValueError(f"simplex {simplex!r} is not sorted by the vertex order")
-    if len(simplex) < 2:
-        return {}
-    out = {}
-    sign = 1
-    for i in range(len(simplex)):
-        out[simplex[:i] + simplex[i + 1 :]] = sign
-        sign = -sign
-    return out
 
 
 def embedded_homology(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> list[int]:

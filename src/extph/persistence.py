@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SparseColumn, SparseMatrix, reduce
+from .field import SparseMatrix, reduce
 from .graded import FilteredGradedSubgroup, image_matrix, unit_matrix, window_table
 
 __all__ = [
@@ -79,9 +79,10 @@ class Barcode:
 class BoundaryMatrices:
     """mats[p] is the boundary matrix of dimension p+1 basis generators.
 
-    Rows of mats[p]: the dimension-p basis generators in compatible order,
-    then the extension generators that appear, in id order (the order of
-    their universe rows).
+    Each is a ``SparseMatrix``: CSR arrays with the rows sorted within each
+    column, and the low of every column.  Rows of mats[p]: the dimension-p
+    basis generators in compatible order, then the extension generators
+    that appear, in id order (the order of their universe rows).
     ``basis_counts[p]`` is the number of dimension-p basis generators, i.e.
     the size of the basis row block.
     """
@@ -99,8 +100,12 @@ def build_matrices(f, p_max: int) -> BoundaryMatrices:
     same ids.  One position array places every row: the basis rows first,
     then every other id that appears, in id order, as an extension row.
     Both kinds of ``f`` hold a validated store, so every such id is a
-    generator listed one dimension below the column's generator.
+    generator listed one dimension below the column's generator.  The
+    columns keep their CSR arrays; only the entries are renumbered and
+    sorted by row within each column.
     """
+    if p_max < 0:
+        raise ValueError("p_max must be nonnegative")
     mats, basis_counts = [], []
     for p in range(p_max + 1):
         size, rows, (indptr, faces, coeffs) = f.layout(p)
@@ -112,13 +117,11 @@ def build_matrices(f, p_max: int) -> BoundaryMatrices:
         position[extension] = len(rows) + np.arange(len(extension))
         at = position[faces]
         column = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        order = np.lexsort((at, column))  # by column, then by row within it
-        entries = list(zip(at[order].tolist(), coeffs[order].tolist()))
-        bounds = indptr.tolist()
-        cols = [SparseColumn(entries[a:b]) for a, b in zip(bounds, bounds[1:])]
-        mats.append(SparseMatrix(len(rows) + len(extension), cols, f.graded.q))
+        # by column, then by row within it; the columns are in order already, which a stable sort exploits
+        order = np.argsort(column * size + at, kind="stable")
+        mats.append(SparseMatrix(len(rows) + len(extension), indptr, at[order], coeffs[order], f.graded.q))
         basis_counts.append(len(rows))
-    basis_counts.append(len(cols))  # the columns of the last matrix are the next basis
+    basis_counts.append(mats[-1].num_cols)  # the columns of the last matrix are the next basis
     return BoundaryMatrices(tuple(mats), tuple(basis_counts))
 
 
@@ -137,7 +140,8 @@ def compute_pairings(bm: BoundaryMatrices, clearing: bool = True) -> list[Pairin
     skip: set = set()
     for p in range(len(mats) - 1, -1, -1):
         pivots = reduce(mats[p], skip_columns=skip)
-        pairs_at[p] = {(r, c) for r, c in pivots.items() if r < bm.basis_counts[p]}
+        n = bm.basis_counts[p]
+        pairs_at[p] = {(r, c) for r, c in pivots.items() if r < n}
         claimed[p] = set(pivots.values())
         if clearing:
             skip = {r for r, _ in pairs_at[p]}

@@ -1,4 +1,4 @@
-"""Theory references for extended persistence, and the row echelon form the package's sweep is checked against.
+"""Theory references for extended persistence, and the routes the package's own are checked against.
 
 The pipeline never builds these objects; the tests use them to check the
 identities that extended persistence rests on (Cohen-Steiner, Edelsbrunner,
@@ -36,6 +36,15 @@ own:
 * ``per_stage_module_oracle``: ``extended_module_oracle`` with each
   relative source taken from its own kernel of the images less the rows of
   E^j_{p-1}, the formulation that the one kernel of [images | U] replaced.
+* ``SparseColumn``, ``reference_reduce`` and ``reference_pairings``: the
+  reduction of columns held as (row, coefficient) lists from the start,
+  which ``reduce`` and ``compute_pairings`` replaced by CSR arrays that
+  write a column out only when it collides; ``sparse_matrix`` and
+  ``dense_sparse_matrix`` build the package's array matrices for tests;
+* ``regular_boundary``, ``sublevel``, ``superlevel`` and
+  ``simplicial_boundary``: the front ends' boundaries and digraph
+  filtrations at the level of labels, which the array stores are checked
+  against.
 
 Unlike ``oracles.py`` the slices and the module oracle use the package's
 kernel (``dense_kernel``) and window ranks, so they check identities
@@ -49,11 +58,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from extph.digraph import WeightedDigraph
 from extph.errors import ConsistencyError, GradedValidationError
 from extph.extended import EXTENDED, ExtendedBarcode, ExtendedInterval, extended_barcode
-from extph.field import dense_kernel
+from extph.field import SparseMatrix, dense_kernel
 from extph.graded import GradedSubgroup, image_matrix, stage_cycles, unit_matrix, window_ranks
-from extph.persistence import build_matrices, compute_pairings
+from extph.persistence import Pairing, build_matrices, compute_pairings
 
 _EMPTY = np.zeros((0, 0), dtype=np.int64)
 
@@ -386,3 +396,172 @@ def per_stage_module_oracle(x, p_max: int) -> dict:
             for v, r in enumerate(row, start=u):
                 table[(p, u, v)] = r
     return table
+
+
+# ---------------------------------------------------------------------------
+# sparse columns and the list-of-entries reduction
+# ---------------------------------------------------------------------------
+
+
+class SparseColumn:
+    """Sparse vector: nonzero (row, coefficient) entries sorted by row."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries=()):
+        # trusted constructor: entries must be sorted by row with nonzero,
+        # fully reduced coefficients
+        self.entries = tuple(entries)
+
+    @property
+    def low(self):
+        """Row index of the bottom nonzero entry; None for the zero column."""
+        return self.entries[-1][0] if self.entries else None
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def plus_scaled(self, other: "SparseColumn", c: int, q: int) -> "SparseColumn":
+        """self + c * other mod q, merging the two sorted entry lists."""
+        c %= q
+        if c == 0:
+            return self
+        out = []
+        a, b = self.entries, other.entries
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ra, rb = a[i][0], b[j][0]
+            if ra < rb:
+                out.append(a[i])
+                i += 1
+            elif rb < ra:
+                v = b[j][1] * c % q
+                if v:
+                    out.append((rb, v))
+                j += 1
+            else:
+                v = (a[i][1] + b[j][1] * c) % q
+                if v:
+                    out.append((ra, v))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        for rb, vb in b[j:]:
+            v = vb * c % q
+            if v:
+                out.append((rb, v))
+        return SparseColumn(out)
+
+    def __eq__(self, other):
+        return isinstance(other, SparseColumn) and other.entries == self.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"SparseColumn({list(self.entries)})"
+
+
+def sparse_matrix(num_rows: int, columns, q: int) -> SparseMatrix:
+    """The package's array matrix holding the entries of ``columns``."""
+    entries = [e for col in columns for e in col.entries]
+    indptr = np.cumsum([0] + [len(col.entries) for col in columns])
+    return SparseMatrix(num_rows, indptr, [r for r, _ in entries], [c for _, c in entries], q)
+
+
+def dense_sparse_matrix(a, q: int) -> SparseMatrix:
+    """The package's array matrix of a dense matrix mod q."""
+    a = np.asarray(a, dtype=np.int64) % q
+    cols, rows = np.nonzero(a.T)  # column by column, rows ascending within each
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(a, axis=0))])
+    return SparseMatrix(a.shape[0], indptr, rows, a[rows, cols], q)
+
+
+def reference_reduce(columns, q: int, skip_columns=()) -> dict:
+    """Left-to-right reduction of ``SparseColumn``s by merging entry lists, at every q; its pivots {row: column}.
+
+    The reduction the package ran before its matrices became arrays: every
+    column is an entry list from the start, and a collision adds the pivot
+    column scaled by minus the ratio of the two lows' coefficients.
+    """
+    skip = set(skip_columns)
+    owner: dict = {}
+    pivot_of: dict = {}
+    for j, col in enumerate(columns):
+        if j in skip:
+            continue
+        while col.entries:
+            r, v = col.entries[-1]
+            pivot = pivot_of.get(r)
+            if pivot is None:
+                owner[r], pivot_of[r] = j, col
+                break
+            col = col.plus_scaled(pivot, -v * pow(pivot.entries[-1][1], q - 2, q), q)
+    return owner
+
+
+def reference_pairings(matrices, basis_counts, q: int, clearing: bool = True) -> list:
+    """``compute_pairings`` over ``reference_reduce``; ``matrices[p]`` lists matrix p's ``SparseColumn``s."""
+    pairs_at, claimed, skip = {}, {-1: set()}, set()
+    for p in range(len(matrices) - 1, -1, -1):
+        pivots = reference_reduce(matrices[p], q, skip)
+        pairs_at[p] = {(r, c) for r, c in pivots.items() if r < basis_counts[p]}
+        claimed[p] = set(pivots.values())
+        if clearing:
+            skip = {r for r, _ in pairs_at[p]}
+    out = []
+    for p in range(len(matrices)):
+        cycles = set(range(basis_counts[p])) - claimed[p - 1] - {r for r, _ in pairs_at[p]}
+        out.append(Pairing(p, frozenset(pairs_at[p]), frozenset(cycles)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the front ends at the level of labels
+# ---------------------------------------------------------------------------
+
+
+def regular_boundary(path: tuple) -> dict:
+    """Alternating face sum of a regular path, irregular faces dropped.
+
+    Returns {face: coefficient} with coefficients in {1, -1} before any
+    field reduction.
+    """
+    if any(path[k - 1] == path[k] for k in range(1, len(path))):
+        raise ValueError(f"path {path!r} is not regular")
+    if len(path) < 2:
+        return {}
+    out: dict = {}
+    sign = 1
+    for i in range(len(path)):
+        face = path[:i] + path[i + 1 :]
+        # only the seam around the removed vertex can break regularity
+        if not (0 < i < len(path) - 1) or path[i - 1] != path[i + 1]:
+            out[face] = out.get(face, 0) + sign
+        sign = -sign
+    return {face: c for face, c in out.items() if c}
+
+
+def sublevel(g: WeightedDigraph, a: float) -> WeightedDigraph:
+    """Same vertices, edges of weight <= a."""
+    return WeightedDigraph(g.vertices, {e: w for e, w in g.weights.items() if w <= a})
+
+
+def superlevel(g: WeightedDigraph, a: float) -> WeightedDigraph:
+    """Same vertices, edges of weight >= a."""
+    return WeightedDigraph(g.vertices, {e: w for e, w in g.weights.items() if w >= a})
+
+
+def simplicial_boundary(simplex: tuple) -> dict:
+    """Alternating face sum under the sorted-vertex orientation."""
+    if any(simplex[i] >= simplex[i + 1] for i in range(len(simplex) - 1)):
+        raise ValueError(f"simplex {simplex!r} is not sorted by the vertex order")
+    if len(simplex) < 2:
+        return {}
+    out = {}
+    sign = 1
+    for i in range(len(simplex)):
+        out[simplex[:i] + simplex[i + 1 :]] = sign
+        sign = -sign
+    return out

@@ -14,15 +14,12 @@ from extph import (
     parse_digraph,
     path_homology,
     pph_store,
-    regular_boundary,
-    sublevel,
-    superlevel,
 )
 from extph.extended import EXTENDED
 from extph.graded import GradedSubgroup
 
 from oracles import gf_rank, random_digraph
-from references import homology_dims, same_store, sup_complex
+from references import homology_dims, regular_boundary, same_store, sublevel, sup_complex, superlevel
 
 
 def unit_cycle():

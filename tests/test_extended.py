@@ -23,6 +23,7 @@ from extph import (
     extended_module_oracle,
     interval_rank_table,
     persistent_betti_oracle,
+    simplicial_closure,
 )
 
 from oracles import gf_rank, random_digraph, random_extended_input, random_graded, random_hypergraph
@@ -33,6 +34,7 @@ from references import (
     positional_barcode,
     relative_homology_dims,
     restricted,
+    simplicial_boundary,
     sup_complex,
 )
 
@@ -245,6 +247,39 @@ def test_interval_counts_match_module_oracle_on_random_inputs():
             x = random_extended_input(rng, q)
             bc = extended_barcode(x, 2)
             assert interval_rank_table(bc, 2) == extended_module_oracle(x, 2)
+
+
+def _doubled_input(rng, q):
+    """A hollow tetrahedron, a filled triangle and a tail edge, with every boundary coefficient doubled.
+
+    2∂ still squares to zero, and its coefficients are ±2, which are 2 and 3
+    mod 5: pivots that are not their own inverses, unlike the ±1 the front
+    ends write.  A random share of the simplices is the basis, the rest the
+    extension, and each basis simplex has a random height on each side.
+    """
+    hyperedges = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d"), ("d", "e", "f"), ("f", "g")]
+    simplices = sorted(simplicial_closure(hyperedges), key=lambda s: (len(s), s))
+    boundary = {s: {f: 2 * c for f, c in simplicial_boundary(s).items()} for s in simplices if len(s) > 1}
+    basis, extension = {}, {}
+    for s in simplices:
+        (basis if rng.random() < 0.75 else extension).setdefault(len(s) - 1, []).append(s)
+    M, N = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    asc = {s: int(rng.integers(1, M + 1)) for p in basis for s in basis[p]}
+    desc = {s: int(rng.integers(1, N + 1)) for p in basis for s in basis[p]}
+    return ExtendedInput.from_heights(basis, extension, boundary, asc, desc, M, N, q=q)
+
+
+def test_non_unit_pivots_agree_with_the_module_oracle():
+    rng = np.random.default_rng(227)
+    low_coefficients = set()
+    for _ in range(30):
+        x = _doubled_input(rng, 5)
+        table = extended_module_oracle(x, 2)
+        for clearing in (True, False):
+            assert interval_rank_table(extended_barcode(x, 2, clearing=clearing), 2) == table
+        for m in build_matrices(x, 2).mats:
+            low_coefficients.update(m.coeffs[m.indptr[1:][m.lows >= 0] - 1].tolist())
+    assert {2, 3} <= low_coefficients  # the pivots are the doubled coefficients
 
 
 def test_ascending_block_of_the_module_oracle_is_the_persistent_betti_table():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from extph.field import (
-    SparseColumn,
     SparseMatrix,
     _pack,
     _sweep,
@@ -13,7 +12,16 @@ from extph.field import (
 )
 
 from oracles import columns_to_rows, gf_echelon, gf_kernel, gf_rank
-from references import _row_echelon, dense_rank, dense_solve_many, pivot_columns, prefix_ranks
+from references import (
+    SparseColumn,
+    _row_echelon,
+    dense_rank,
+    dense_solve_many,
+    dense_sparse_matrix,
+    pivot_columns,
+    prefix_ranks,
+    sparse_matrix,
+)
 
 
 def dense_matrix(columns, num_rows: int, q: int) -> np.ndarray:
@@ -63,6 +71,20 @@ def test_from_pairs_merges_and_drops_zeros():
     assert col.entries == ((4, 2),)
 
 
+def test_a_matrix_reads_each_low_off_its_arrays():
+    m = sparse_matrix(4, [SparseColumn(((0, 1), (3, 2))), SparseColumn(), SparseColumn(((1, 1),))], 3)
+    assert m.lows.tolist() == [3, -1, 1]
+    assert [col.entries for col in m.columns] == [((0, 1), (3, 2)), (), ((1, 1),)]
+    assert m.num_cols == 3
+    empty = sparse_matrix(2, [], 2)
+    assert empty.num_cols == 0 and empty.columns == () and reduce(empty) == {}
+
+
+def test_a_matrix_rejects_an_entry_below_its_rows():
+    with pytest.raises(ValueError, match="column 1 has an entry at row 4, but num_rows is 4"):
+        sparse_matrix(4, [SparseColumn(((0, 1),)), SparseColumn(((2, 1), (4, 1)))], 2)
+
+
 def test_plus_scaled_matches_dense():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -88,17 +110,17 @@ def _random_matrix(rng, q, n_rows=8, n_cols=8, density=0.4):
             if rng.random() < density
         ]
         cols.append(from_pairs(pairs, q))
-    return SparseMatrix(n_rows, cols, q)
+    return sparse_matrix(n_rows, cols, q)
 
 
 def test_reduce_identity_pattern_is_fixed():
-    m = SparseMatrix(3, [SparseColumn(((j, 1),)) for j in range(3)], 2)
+    m = sparse_matrix(3, [SparseColumn(((j, 1),)) for j in range(3)], 2)
     assert reduce(m) == {0: 0, 1: 1, 2: 2}
 
 
 def test_reduce_equal_columns_over_f2():
     col = SparseColumn(((0, 1), (1, 1)))
-    m = SparseMatrix(2, [col, col], 2)
+    m = sparse_matrix(2, [col, col], 2)
     pivots = reduce(m)
     assert pivots == {1: 0}  # column 1 vanished, so it claimed no row
     assert len(pivots) == 1 == gf_rank(columns_to_rows(m.columns, 2), 2)
@@ -115,15 +137,15 @@ def test_pivot_count_equals_dense_rank(q):
 def _scramble(m, rng):
     """Apply random valid left-to-right additions."""
     q = m.q
-    cols = list(m.columns)
+    a = dense_matrix(m.columns, m.num_rows, q)
     for _ in range(int(rng.integers(1, 12))):
         if m.num_cols < 2:
             break
         j = int(rng.integers(1, m.num_cols))
         i = int(rng.integers(0, j))
         c = int(rng.integers(1, q))
-        cols[j] = cols[j].plus_scaled(cols[i], c, q)
-    return SparseMatrix(m.num_rows, cols, q)
+        a[:, j] = (a[:, j] + c * a[:, i]) % q
+    return dense_sparse_matrix(a, q)
 
 
 def test_pivots_survive_left_to_right_scrambles():
@@ -148,13 +170,13 @@ def test_left_to_right_additions_preserve_prefix_spans():
 
 def test_skip_columns_zeroes_without_reducing():
     # column 1 would claim row 2; skipped, it claims nothing
-    m = SparseMatrix(3, [SparseColumn(((0, 1), (1, 1))), SparseColumn(((2, 1),))], 2)
+    m = sparse_matrix(3, [SparseColumn(((0, 1), (1, 1))), SparseColumn(((2, 1),))], 2)
     assert reduce(m) == {1: 0, 2: 1}
     assert reduce(m, skip_columns={1}) == {1: 0}
 
 
 # ---------------------------------------------------------------------------
-# both routes, F_2 by XOR and mod q by sparse columns, on tall matrices
+# both routes, F_2 by XOR and mod q by entry lists, on tall matrices
 # ---------------------------------------------------------------------------
 
 
@@ -208,12 +230,12 @@ def _check_tall_reduction(q, seed):
     # the clearing contract: only columns known to reduce to zero are skipped
     skip = {int(j) for j in zeros if rng.random() < 0.5}
     _, want, added = _dense_reduce(a, q, skip)
-    cols = [SparseColumn([(int(r), int(a[r, j])) for r in np.flatnonzero(a[:, j])]) for j in range(a.shape[1])]
-    m = SparseMatrix(a.shape[0], cols, q)
-    before = [col.entries for col in cols]
+    m = dense_sparse_matrix(a, q)
+    before = [x.copy() for x in (m.indptr, m.rows, m.coeffs, m.lows)]
 
     assert reduce(m, skip_columns=skip) == want
-    assert [col.entries for col in m.columns] == before  # the input is left as it was
+    after = (m.indptr, m.rows, m.coeffs, m.lows)
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))  # the input is left as it was
     assert added and skip  # the seeds exercise both additions and clearing
 
 
@@ -241,13 +263,13 @@ def _solve(target: SparseColumn, basis: SparseMatrix):
 
 
 def test_solve_zero_target_gives_zero_coefficients():
-    basis = SparseMatrix(4, [SparseColumn(((0, 1),)), SparseColumn(((2, 1),))], 3)
+    basis = sparse_matrix(4, [SparseColumn(((0, 1),)), SparseColumn(((2, 1),))], 3)
     assert _solve(SparseColumn(), basis) == [0, 0]
 
 
 def test_solve_recovers_a_basis_column():
     cols = [SparseColumn(((0, 1),)), SparseColumn(((1, 2),)), SparseColumn(((2, 1), (3, 4)))]
-    basis = SparseMatrix(4, cols, 5)
+    basis = sparse_matrix(4, cols, 5)
     assert _solve(cols[2], basis) == [0, 0, 1]
 
 
@@ -269,7 +291,7 @@ def test_solve_random_in_span_combinations_reproduce_target():
 
 
 def test_solve_detects_out_of_span_targets():
-    basis = SparseMatrix(3, [SparseColumn(((0, 1),))], 2)
+    basis = sparse_matrix(3, [SparseColumn(((0, 1),))], 2)
     assert _solve(SparseColumn(((2, 1),)), basis) is None
 
 

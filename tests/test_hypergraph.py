@@ -22,13 +22,20 @@ from extph import (
     hyper_store,
     interval_rank_table,
     parse_hypergraph,
-    simplicial_boundary,
     simplicial_closure,
 )
 from extph.diagrams import DiagramPoint
 
 from oracles import classical_barcode, random_hypergraph
-from references import dense_rank, homology_dims, inf_complex, restricted, same_store, sup_complex
+from references import (
+    dense_rank,
+    homology_dims,
+    inf_complex,
+    restricted,
+    same_store,
+    simplicial_boundary,
+    sup_complex,
+)
 
 
 # ---------------------------------------------------------------------------

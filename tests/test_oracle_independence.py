@@ -13,7 +13,7 @@ over-approximates what can run:
 
 A walk that stays clear of the pivot route therefore proves the oracles
 independent of it.  The walk also checks that the oracle side is dense end
-to end: it reaches no sparse column or matrix and converts none to numpy.
+to end: it reaches no sparse matrix and converts none to numpy.
 """
 
 import ast
@@ -28,9 +28,9 @@ PIVOT_ROUTE = {
     "reduce",
     "compute_pairings",
     "build_matrices",
-    "plus_scaled",
     "_reduce_f2",
-    "_f2_bits",
+    "_reduce_mod_q",
+    "_plus_scaled",
 }
 # the oracles' one elimination at every q: the packer, the sweep against a basis of lows
 # and the unpacker of the kernels read off it
@@ -109,8 +109,8 @@ def test_the_oracles_are_dense_end_to_end():
     reached = _walk(ORACLES)
     hits = sorted(n for n in reached if n == "SparseMatrix.__init__" or n.endswith("to_dense"))
     assert not hits, "; ".join(_route(reached, name) for name in hits)
-    # they read the store straight into numpy, never through a sparse column or matrix
-    hits = sorted(n for n in reached if n.startswith(("SparseColumn.", "SparseMatrix.")))
+    # they read the store straight into numpy, never through a sparse matrix
+    hits = sorted(n for n in reached if n.startswith("SparseMatrix."))
     assert not hits, "; ".join(_route(reached, name) for name in hits)
 
 

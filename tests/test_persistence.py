@@ -5,22 +5,28 @@ import numpy as np
 import pytest
 
 from extph import (
+    BoundaryMatrices,
     FilteredGradedSubgroup,
     GradedSubgroup,
     barcode,
     betti_table_from_barcode,
     build_matrices,
     compute_pairings,
+    extended_barcode,
     persistent_betti_oracle,
+    reduce,
     stage_heights,
 )
 
 from oracles import (
     classical_barcode,
     fgs_from_filtered_complex,
+    gf_kernel,
+    random_extended_input,
     random_filtered,
     random_filtered_simplicial_complex,
 )
+from references import SparseColumn, dense_sparse_matrix, reference_pairings, reference_reduce
 
 
 def filtered_triangle(q=2):
@@ -73,7 +79,7 @@ def test_lone_hyperedge_matrix_is_one_column_with_three_extension_rows():
     assert a1.num_cols == 0  # no basis generators in dimension 1
     a2 = bm.mats[1]  # boundary of the single dim-2 hyperedge
     assert a2.num_cols == 1 and a2.num_rows == 3  # 0 basis rows + 3 extension rows
-    assert not a2.column(0).is_zero
+    assert a2.lows.tolist() == [2]  # the column is not empty
 
 
 def test_empty_dimension_gives_zero_columns():
@@ -81,6 +87,13 @@ def test_empty_dimension_gives_zero_columns():
     f = FilteredGradedSubgroup(g, stage_heights(g, {"a": 1}), 1)
     bm = build_matrices(f, 2)
     assert [m.num_cols for m in bm.mats] == [0, 0, 0]
+
+
+def test_a_negative_p_max_is_refused():
+    with pytest.raises(ValueError, match="p_max must be nonnegative"):
+        build_matrices(filtered_triangle(), -1)
+    with pytest.raises(ValueError, match="p_max must be nonnegative"):
+        extended_barcode(random_extended_input(np.random.default_rng(5), 2), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +251,65 @@ def test_subcomplex_case_matches_textbook_reduction():
             f = fgs_from_filtered_complex(filtered, q, p_max=2)
             bc = barcode(compute_pairings(build_matrices(f, 2)), f)
             assert Counter(bc) == classical_barcode(filtered, q, p_max=2)
+
+
+# ---------------------------------------------------------------------------
+# the array route against the list-of-entries reference
+# ---------------------------------------------------------------------------
+
+
+def _random_chain_matrices(rng, q, p_max):
+    """Boundary matrices 0..p_max of a random chain complex mod q, laid out as ``build_matrices`` lays them out.
+
+    Each dimension's universe holds up to 30 generators, or none.  d_1 is
+    random and sparse; each higher boundary is a random combination of
+    kernel vectors of the one below, so d∘d = 0 and the coefficients are
+    any nonzero residues.  A random share of each universe, in a random
+    order, is the basis; the rest are extension rows, every one of them in
+    id order below the basis rows, so the matrices are tall.  Returns the
+    dense matrices and the basis counts.
+    """
+    sizes = [int(rng.integers(0, 31)) if rng.random() < 0.85 else 0 for _ in range(p_max + 2)]
+    d = {1: rng.integers(0, q, (sizes[0], sizes[1])) * (rng.random((sizes[0], sizes[1])) < 0.15)}
+    for p in range(2, p_max + 2):
+        n_prev, n = sizes[p - 1], sizes[p]
+        vectors = gf_kernel(d[p - 1].tolist(), q) if sizes[p - 2] else np.eye(n_prev)  # no rows: every chain is a cycle
+        ker = np.array(vectors, dtype=np.int64).T if len(vectors) else np.zeros((n_prev, 0), dtype=np.int64)
+        d[p] = ker @ (rng.integers(0, q, (ker.shape[1], n)) * (rng.random((ker.shape[1], n)) < 0.3)) % q
+    basis, rows = [], []
+    for p, n in enumerate(sizes):
+        ids = rng.permutation(n)
+        k = int(rng.integers(0, n + 1))
+        basis.append(ids[:k])
+        rows.append(np.concatenate([ids[:k], np.sort(ids[k:])]).astype(np.int64))
+    mats = [d[p + 1][rows[p]][:, basis[p + 1]] % q for p in range(p_max + 1)]
+    return mats, [len(b) for b in basis]
+
+
+@pytest.mark.parametrize("clearing", [True, False])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_the_array_route_matches_the_list_of_entries_reference(q, clearing):
+    rng = np.random.default_rng(137 + q)
+    seen = set()
+    for _ in range(40):
+        dense, basis_counts = _random_chain_matrices(rng, q, p_max=int(rng.integers(0, 4)))
+        bm = BoundaryMatrices(tuple(dense_sparse_matrix(a, q) for a in dense), tuple(basis_counts))
+        columns = [
+            [SparseColumn((int(r), int(a[r, j])) for r in np.flatnonzero(a[:, j])) for j in range(a.shape[1])]
+            for a in dense
+        ]
+        got = compute_pairings(bm, clearing)
+        assert got == reference_pairings(columns, basis_counts, q, clearing)
+        assert got == compute_pairings(bm, not clearing)  # d∘d = 0, so clearing is invisible
+        for p, (m, cols) in enumerate(zip(bm.mats, columns)):
+            want = reference_reduce(cols, q)
+            assert reduce(m) == want
+            vanish = [j for j in range(m.num_cols) if j not in want.values()]
+            skip = {j for j in vanish if rng.random() < 0.5}
+            assert reduce(m, skip_columns=skip) == reference_reduce(cols, q, skip) == want
+            seen |= {"no columns"} if not m.num_cols else set()
+            seen |= {"empty column"} if (m.lows < 0).any() else set()
+            seen |= {"extension rows"} if m.num_rows > basis_counts[p] else set()
+            seen |= {"skipped"} if skip else set()
+            seen |= {"additions"} if any(m.lows[c] != r for r, c in want.items()) else set()
+    assert seen == {"no columns", "empty column", "extension rows", "skipped", "additions"}
