@@ -140,6 +140,8 @@ def pph_store(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
     names, so rows in lexicographic order are labels in lexicographic
     order; the store keeps the path rows as its ``cells``.
     """
+    if p_max < 0:
+        raise ValueError("p_max must be nonnegative")
     src, tgt, _ = _edge_arrays(g)
     cells = _path_cells(src, tgt, len(g.vertices), p_max + 1)
     return cell_store(g.vertices, cells, q, regular=True)
@@ -155,7 +157,10 @@ def pph_input(g: WeightedDigraph, store: GradedSubgroup):
     path enters the sublevel filtration at its largest edge weight and
     the superlevel one at its smallest; vertices sit at stage 1 on both
     axes.  A graph with no edges has no critical values and yields an
-    empty input.
+    empty input.  A store that is not one of g's, a hand-built one
+    without cells included, raises ValueError("the store was built on
+    another digraph's vertices or edges").  The input serves every p_max
+    up to the one the store was built for.
     """
     values = sorted(set(g.weights.values()))
     if not values:
@@ -163,7 +168,7 @@ def pph_input(g: WeightedDigraph, store: GradedSubgroup):
         return empty, [], []
     n, cells = len(g.vertices), store.cells
     src, tgt, weights = _edge_arrays(g)
-    if len(cells[0]) != n or not np.array_equal(cells[1], np.column_stack([src, tgt])):
+    if cells is None or len(cells[0]) != n or not np.array_equal(cells[1], np.column_stack([src, tgt])):
         raise ValueError("the store was built on another digraph's vertices or edges")
     grid, codes = np.array(values), src * n + tgt
     asc_h, desc_h = {}, {}

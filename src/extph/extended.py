@@ -136,10 +136,8 @@ class ExtendedInput:
         so u always has a base row.
         """
         g, q = self.graded, self.graded.q
-        asc, desc = self.ascending, self.descending
-        n_p = g.universe_size(p)
-        up_ptr, up_faces, up_coeffs = take_columns(g.boundary_csr(p + 1), asc.rows(p + 1))
-        units = desc.rows(p)
+        n_p, base_rows, (up_ptr, up_faces, up_coeffs) = self.ascending.layout(p)
+        units = self.descending.rows(p)
         ptr, faces, coeffs = take_columns(g.boundary_csr(p), units)
         # each column gets one more entry, the unit, in front of its faces
         cone_ptr = ptr + np.arange(len(ptr))
@@ -150,7 +148,7 @@ class ExtendedInput:
             np.concatenate([up_faces, cone_faces]),
             np.concatenate([up_coeffs, cone_coeffs]),
         )
-        rows = np.concatenate([asc.rows(p), n_p + desc.rows(p - 1)])
+        rows = np.concatenate([base_rows, n_p + self.descending.rows(p - 1)])
         return Layout(n_p + g.universe_size(p - 1), rows, columns)
 
     @classmethod
@@ -385,9 +383,13 @@ def extended_module_oracle(x: ExtendedInput, p_max: int) -> dict:
     dimension p from one kernel of that matrix and, over F_2, one
     elimination of the chain.  For u <= v <= M the sources and prefixes
     are those of ``persistent_betti_oracle`` on the ascending filtration.
+    A p_max the store cannot serve raises ValueError, through the same
+    store check as ``build_matrices``: a front end's store lists
+    generators only up to dimension p_max + 1 of the p_max it was built for.
     """
     asc, desc = x.ascending, x.descending
     g, q = x.graded, x.graded.q
+    g.check_p_max(p_max)
     M, N = x.M, x.N
     table: dict = {}
     for p in range(p_max + 1):

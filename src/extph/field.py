@@ -15,11 +15,13 @@ zero.
 ``reduce`` walks the lows and writes a column out of the arrays only when
 its low collides with a pivot; then it and each pivot column it meets
 become Python objects, and each pivot's is kept, reduced, for its next
-use.  Most columns never collide, so most are never written out.  Over
-F_2 (the default field) a written-out column is the set of its rows, held
-in a Python int with bit r set for each row r: its low is
-``bit_length() - 1`` and adding a column is ``^``.  Otherwise it is its
-list of (row, coefficient) entries, and an addition merges two lists.
+use.  Most columns never collide, so most are never written out.  The
+walk is one loop at every q; only how a column is written out and
+cancelled depends on the field, and ``_column_encoding`` picks that once
+per matrix.  Over F_2 (the default field) a written-out column is the set
+of its rows, held in a Python int with bit r set for each row r: its low
+is ``bit_length() - 1`` and adding a column is ``^``.  Otherwise it is
+its list of (row, coefficient) entries, and an addition merges two lists.
 Extension rows sit at the bottom of the cone's matrices, so an int is as
 wide as the matrix is tall; writing out every column would hold
 thousands of such ints at once.
@@ -43,6 +45,7 @@ The dense helpers share no code with the sparse reduction, so the two
 routes can be played against each other in tests.
 """
 
+from operator import xor
 from typing import NamedTuple
 
 import numpy as np
@@ -144,78 +147,66 @@ def reduce(matrix: SparseMatrix, skip_columns=()) -> dict[int, int]:
     Each column that does not vanish is listed under the row of its low,
     so rows and columns are pairwise distinct, and the columns that claim
     no row are exactly those that reduce to zero.  The walk reads only
-    ``lows``; a column is written out, as an int bitset over F_2 and as an
-    entry list otherwise, only when its low meets a pivot, and so is each
-    pivot column it meets, which is kept reduced for its next use.
+    ``lows``, and is the same at every q.  A column is written out only
+    when its low meets a pivot, and so is each pivot column it meets,
+    which is kept reduced for its next use; ``_column_encoding`` picks,
+    once per matrix, how a column is written out and cancelled.
     """
     lows = matrix.lows
     if skip_columns:
         lows = lows.copy()
         lows[list(skip_columns)] = -1
-    return (_reduce_f2 if matrix.q == 2 else _reduce_mod_q)(matrix, lows.tolist())
-
-
-def _reduce_f2(matrix: SparseMatrix, lows: list) -> dict[int, int]:
-    """``reduce`` over F_2: a column that collides, and each pivot it meets, becomes an int bitset."""
     owner: dict[int, int] = {}  # pivot row -> column that claimed it
-    bits: dict[int, int] = {}  # pivot column -> its reduced bitset, from its first use
-    rows = None  # the matrix's rows and bounds as lists, from the first collision
-    for j, low in enumerate(lows):
+    reduced: dict = {}  # pivot column -> its reduced written-out column, from its first use
+    column = None  # the field's encoding, from the first collision
+    for j, low in enumerate(lows.tolist()):
         if low < 0:
             continue
         i = owner.get(low)
         if i is None:
             owner[low] = j
             continue
-        if rows is None:
-            rows, bounds = matrix.rows.tolist(), matrix.indptr.tolist()
-        x = sum(1 << r for r in rows[bounds[j] : bounds[j + 1]])
-        while True:
-            y = bits.get(i)
-            if y is None:  # a pivot that received no addition is its input column
-                y = bits[i] = sum(1 << r for r in rows[bounds[i] : bounds[i + 1]])
-            x ^= y
-            if not x:
-                break
-            low = x.bit_length() - 1
-            i = owner.get(low)
-            if i is None:
-                owner[low] = j
-                bits[j] = x
-                break
-    return owner
-
-
-def _reduce_mod_q(matrix: SparseMatrix, lows: list) -> dict[int, int]:
-    """``reduce`` over F_q, q > 2: a column that collides, and each pivot it meets, becomes an entry list."""
-    q = matrix.q
-    owner: dict[int, int] = {}  # pivot row -> column that claimed it
-    reduced: dict[int, list] = {}  # pivot column -> its reduced (row, coefficient) list, from its first use
-    entries = None  # the matrix's entries and bounds as lists, from the first collision
-    for j, low in enumerate(lows):
-        if low < 0:
-            continue
-        i = owner.get(low)
-        if i is None:
-            owner[low] = j
-            continue
-        if entries is None:
-            entries, bounds = list(zip(matrix.rows.tolist(), matrix.coeffs.tolist())), matrix.indptr.tolist()
-        x = entries[bounds[j] : bounds[j + 1]]
+        if column is None:
+            column, cancel, top = _column_encoding(matrix)
+        x = column(j)
         while True:
             y = reduced.get(i)
             if y is None:  # a pivot that received no addition is its input column
-                y = reduced[i] = entries[bounds[i] : bounds[i + 1]]
-            x = _plus_scaled(x, y, -x[-1][1] * pow(y[-1][1], q - 2, q), q)
+                y = reduced[i] = column(i)
+            x = cancel(x, y)
             if not x:
                 break
-            low = x[-1][0]
+            low = top(x) - 1
             i = owner.get(low)
             if i is None:
                 owner[low] = j
                 reduced[j] = x
                 break
     return owner
+
+
+def _column_encoding(matrix: SparseMatrix):
+    """(column, cancel, top) for ``reduce``: how the matrix's field writes out and adds columns.
+
+    ``column(j)`` is column j written out, ``cancel(x, y)`` is x with its
+    low cancelled against y's, which has the same low, and ``top(x)`` is
+    one more than the low of a written-out column, 0 for an empty one.
+    Over F_2 a column is an int with bit r set for each of its rows r, so
+    cancelling is XOR and ``top`` is ``int.bit_length``, both builtins.
+    Otherwise it is its list of (row, coefficient) entries, and cancelling
+    adds the multiple of y that clears x's low.
+    """
+    bounds = matrix.indptr.tolist()
+    if matrix.q == 2:
+        rows = matrix.rows.tolist()
+        return lambda j: sum(1 << r for r in rows[bounds[j] : bounds[j + 1]]), xor, int.bit_length
+    q = matrix.q
+    entries = list(zip(matrix.rows.tolist(), matrix.coeffs.tolist()))
+
+    def cancel(x, y):
+        return _plus_scaled(x, y, -x[-1][1] * pow(y[-1][1], q - 2, q), q)
+
+    return lambda j: entries[bounds[j] : bounds[j + 1]], cancel, lambda x: x[-1][0] + 1 if x else 0
 
 
 def _plus_scaled(a: list, b: list, c: int, q: int) -> list:

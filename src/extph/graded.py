@@ -231,6 +231,21 @@ class GradedSubgroup:
         csr = self._csr.get(p)
         return csr if csr is not None else _csr([0] * (self.universe_size(p) + 1), [], [])
 
+    def check_p_max(self, p_max: int) -> None:
+        """Raise ValueError unless homology up to dimension p_max can be read from the store.
+
+        Homology up to p_max needs the generators up to dimension p_max + 1.
+        A front end's store lists its basis only up to there, the top of its
+        ``cells``; a store without cells is a whole complex.
+        """
+        if p_max < 0:
+            raise ValueError("p_max must be nonnegative")
+        if self.cells is not None and p_max >= max(self.cells):
+            top = max(self.cells)
+            raise ValueError(
+                f"the store lists generators up to dimension {top}: it serves p_max up to {top - 1}, not {p_max}"
+            )
+
     def _locate(self, label):
         """(dimension, universe row, basis position or -1) of a listed label; KeyError otherwise."""
         if self._where is None:

@@ -108,6 +108,8 @@ def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubg
     hyperedge is a row of vertex ids in sorted order, and rows in
     lexicographic order are labels in lexicographic order.
     """
+    if p_max < 0:
+        raise ValueError("p_max must be nonnegative")
     vid = {v: i for i, v in enumerate(h.vertices)}
     by_dim = {p: [] for p in range(p_max + 2)}
     for e in h.hyperedges:
@@ -124,11 +126,18 @@ def hyper_input(h: FilteredHypergraph, store: GradedSubgroup):
     hyperedges up to the store's top dimension; only the stage grids and
     heights are computed here.  Returns (ExtendedInput, ascending values,
     descending values); the stage grids are the distinct values of the
-    hyperedges in the store.
+    hyperedges in the store.  A store that is not one of h's, a hand-built
+    one without cells included, raises ValueError("the store was built on
+    another hypergraph's hyperedges").  The input serves every p_max up to
+    the one the store was built for.
     """
     listed = [e for p in store.dims() for e in store.basis[p]]
-    top = max(store.cells)  # hyper_store drops the hyperedges above it
-    if sum(len(e) <= top + 1 for e in h.values) != len(listed) or not all(e in h.values for e in listed):
+    cells = store.cells  # hyper_store drops the hyperedges above its top dimension
+    if (
+        cells is None
+        or sum(len(e) <= max(cells) + 1 for e in h.values) != len(listed)
+        or not all(e in h.values for e in listed)
+    ):
         raise ValueError("the store was built on another hypergraph's hyperedges")
     value = {p: np.array([h.values[e] for e in store.basis[p]], dtype=float) for p in store.dims()}
     values = sorted({v for column in value.values() for v in column.tolist()})

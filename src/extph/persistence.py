@@ -102,10 +102,11 @@ def build_matrices(f, p_max: int) -> BoundaryMatrices:
     Both kinds of ``f`` hold a validated store, so every such id is a
     generator listed one dimension below the column's generator.  The
     columns keep their CSR arrays; only the entries are renumbered and
-    sorted by row within each column.
+    sorted by row within each column.  A negative p_max, or one above what
+    the store was built for (``GradedSubgroup.check_p_max``), raises
+    ValueError.
     """
-    if p_max < 0:
-        raise ValueError("p_max must be nonnegative")
+    f.graded.check_p_max(p_max)
     mats, basis_counts = [], []
     for p in range(p_max + 1):
         size, rows, (indptr, faces, coeffs) = f.layout(p)
@@ -179,9 +180,11 @@ def persistent_betti_oracle(f: FilteredGradedSubgroup, p_max: int) -> dict:
     supremum complex are the cycles of D^i_p plus d(D^i_{p+1}), and every
     B_j with j >= i contains the latter, so Z_i may be taken as the cycles
     of D^i_p, which ``stage_cycles`` builds for every stage from one kernel
-    of the dimension-p boundary images.
+    of the dimension-p boundary images.  A p_max the store cannot serve
+    raises ValueError, as in ``build_matrices``.
     """
     g, q = f.graded, f.q
+    g.check_p_max(p_max)
     stages = range(1, f.num_stages + 1)
     table: dict = {}
     for p in range(p_max + 1):

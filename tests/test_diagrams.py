@@ -330,6 +330,16 @@ def test_one_trial_function_serves_both_front_ends_and_takes_a_base_diagram():
         assert stability_trial(subject, 0.2, seed=4, base=base) == stability_trial(subject, 0.2, seed=4)
 
 
+def test_a_trial_refuses_a_negative_p_max_and_a_base_built_lower():
+    from extph.diagrams import _diagram
+
+    g = WeightedDigraph(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "a"): 1.5})
+    with pytest.raises(ValueError, match="p_max must be nonnegative"):
+        stability_trial(g, 0.1, seed=1, p_max=-1)
+    with pytest.raises(ValueError, match="it serves p_max up to 1, not 2"):
+        stability_trial(g, 0.2, seed=1, p_max=2, base=_diagram(g, 1, 2))
+
+
 def test_trials_are_reproducible():
     rng = np.random.default_rng(151)
     g = random_digraph(rng, max_vertices=5)

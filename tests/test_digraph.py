@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from extph import (
     interval_rank_table,
     parse_digraph,
     path_homology,
+    pph_input,
     pph_store,
 )
 from extph.extended import EXTENDED
 from extph.graded import GradedSubgroup
+from extph.persistence import _betti_numbers
 
 from oracles import gf_rank, random_digraph
 from references import homology_dims, regular_boundary, same_store, sublevel, sup_complex, superlevel
@@ -231,6 +234,42 @@ def test_random_digraph_barcodes_match_the_oracle():
         x, _, _ = build_pph_input(g, 2)
         bc = extended_barcode(x, 2)
         assert interval_rank_table(bc, 2) == extended_module_oracle(x, 2)
+
+
+def three_out_digraph():
+    """Seven vertices with three out-edges each: paths of every length, so dimension 2 has many cycles."""
+    rng = random.Random(3)
+    weights = {}
+    for a in range(7):
+        for b in rng.sample([v for v in range(7) if v != a], 3):
+            weights[(a, b)] = rng.choice([0.5, 1.0, 1.5, 2.0, 2.5])
+    return WeightedDigraph(range(7), weights)
+
+
+def test_a_store_built_for_a_lower_p_max_is_refused_by_both_routes():
+    # the p_max 1 store lists no paths of length 3, so at p_max 2 every length-2 cycle
+    # would survive: 37 intervals where the full store gives 7, with the oracle agreeing
+    g = three_out_digraph()
+    x, _, _ = build_pph_input(g, 1)
+    for route in (extended_barcode, extended_module_oracle):
+        with pytest.raises(ValueError, match="it serves p_max up to 1, not 2"):
+            route(x, 2)
+    with pytest.raises(ValueError, match="it serves p_max up to 1, not 2"):
+        _betti_numbers(x.graded, 2)
+    assert interval_rank_table(extended_barcode(x, 1), 1) == extended_module_oracle(x, 1)
+    assert len(extended_barcode(build_pph_input(g, 2)[0], 2)) == 7
+    assert path_homology(g, 2) == [1, 0, 0]
+
+
+def test_a_negative_p_max_is_refused_by_the_store():
+    with pytest.raises(ValueError, match="p_max must be nonnegative"):
+        build_pph_input(unit_cycle(), -1)
+
+
+def test_pph_input_refuses_a_store_without_cells():
+    g = WeightedDigraph(["a", "b"], {("a", "b"): 1.0})
+    with pytest.raises(ValueError, match="the store was built on another digraph's vertices or edges"):
+        pph_input(g, GradedSubgroup({0: ["a", "b"]}))
 
 
 def test_path_homology_matches_the_supremum_complex_reference():

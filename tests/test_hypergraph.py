@@ -381,6 +381,26 @@ def test_hyper_input_ignores_the_hyperedges_above_the_store():
     assert max(x.graded.dims()) == 2 and asc == [1.0]
 
 
+def test_hyper_input_refuses_a_store_without_cells():
+    h = FilteredHypergraph("ab", {("a",): 1, ("b",): 2})
+    with pytest.raises(ValueError, match="the store was built on another hypergraph's hyperedges"):
+        hyper_input(h, GradedSubgroup({0: [("a",), ("b",)]}))
+
+
+def test_hyper_store_refuses_a_negative_p_max():
+    with pytest.raises(ValueError, match="p_max must be nonnegative"):
+        build_hyper_input(FilteredHypergraph("a", {("a",): 1}), -1)
+
+
+def test_a_store_built_for_a_lower_p_max_is_refused():
+    # the p_max 0 store stops at dimension 1, below the triangle that fills the cycle
+    h = FilteredHypergraph("abc", {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 1, ("a", "b", "c"): 2})
+    x, _, _ = build_hyper_input(h, 0)
+    for route in (extended_barcode, extended_module_oracle):
+        with pytest.raises(ValueError, match="it serves p_max up to 0, not 1"):
+            route(x, 1)
+
+
 def test_constructor_rejects_non_finite_values():
     for bad in (math.nan, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):

@@ -28,8 +28,7 @@ PIVOT_ROUTE = {
     "reduce",
     "compute_pairings",
     "build_matrices",
-    "_reduce_f2",
-    "_reduce_mod_q",
+    "_column_encoding",
     "_plus_scaled",
 }
 # the oracles' one elimination at every q: the packer, the sweep against a basis of lows
