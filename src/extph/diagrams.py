@@ -432,10 +432,11 @@ def stability_trial(subject, delta: float, seed, p_max: int = 2, q: int = 2, bas
     unperturbed generator store, whose closure and d∘d check ran when it
     was built.  ``base``, when given, is ``_diagram(subject, p_max, q)``:
     the unperturbed diagram and its store, which a caller running many
-    trials builds once.  Returns (achieved max input change, {dim:
-    bottleneck distance}); the stability theorem promises every distance
-    is at most the first value.  ``2 * delta`` must be finite so the
-    shifts can be drawn.
+    trials builds once; a base built over another field than F_q raises
+    ValueError.  Returns (achieved max input change, {dim: bottleneck
+    distance}); the stability theorem promises every distance is at most
+    the first value.  ``2 * delta`` must be finite so the shifts can be
+    drawn.
     """
     if not (delta >= 0 and math.isfinite(2 * delta)):
         raise ValueError(f"perturbation bound {delta!r} must be nonnegative with 2 * delta finite")
@@ -447,6 +448,8 @@ def stability_trial(subject, delta: float, seed, p_max: int = 2, q: int = 2, bas
     d_e = float(max(np.abs(shifts), default=0.0))
     if base is None:
         base = _diagram(subject, p_max, q)
+    elif base.store.q != q:
+        raise ValueError(f"the base was built over F_{base.store.q}, not over F_{q}")
     moved = _restaged(perturbed, base.store, p_max)
     return d_e, {p: bottleneck(base.diagram, moved, p) for p in range(p_max + 1)}
 

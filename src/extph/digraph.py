@@ -11,8 +11,8 @@ The input is built on integer rows.  Vertex ids follow the sorted vertex
 names, and the allowed paths of length p are an (n_p, p+1) array of
 vertex ids in lexicographic order, which is the order of their labels.
 ``cell_store`` derives the regular faces and the extension from those
-rows, and a path's heights come from the edge weights gathered along its
-row.  ``allowed_paths`` lists the same paths at the level of labels; the
+rows, and a path's entry values come from the edge weights gathered along
+its row.  ``allowed_paths`` lists the same paths at the level of labels; the
 demos print it, and the tests check the array store against it and
 against a label-level regular boundary of their own.
 
@@ -151,36 +151,28 @@ def pph_input(g: WeightedDigraph, store: GradedSubgroup):
     """Ascending/descending filtrations of g's weights on a store of its allowed paths.
 
     ``store`` is ``pph_store`` of g or of any digraph with g's vertices and
-    edges; only the stage grids and heights are computed here.  Returns
-    (ExtendedInput, ascending values a_1 < ... < a_M, descending values
-    b_1 > ... > b_N); the stage grids are the distinct edge weights.  A
-    path enters the sublevel filtration at its largest edge weight and
-    the superlevel one at its smallest; vertices sit at stage 1 on both
-    axes.  A graph with no edges has no critical values and yields an
-    empty input.  A store that is not one of g's, a hand-built one
-    without cells included, raises ValueError("the store was built on
-    another digraph's vertices or edges").  The input serves every p_max
-    up to the one the store was built for.
+    edges.  It is checked first: any other store, a hand-built one without
+    cells included, raises ValueError("the store was built on another
+    digraph's vertices or edges").  ``ExtendedInput.from_values`` stages
+    the paths at the distinct edge weights: a path enters the sublevel
+    filtration at its largest weight and the superlevel one at its
+    smallest, and vertices at stage 1 on both axes.  A graph with no edges
+    has no critical values: its input is empty, on an empty store that
+    keeps ``store.cells`` and so passes this check again.  The input
+    serves every p_max up to the one the store was built for.
     """
-    values = sorted(set(g.weights.values()))
-    if not values:
-        empty = ExtendedInput.from_heights({}, {}, {}, {}, {}, 0, 0, q=store.q)
-        return empty, [], []
     n, cells = len(g.vertices), store.cells
     src, tgt, weights = _edge_arrays(g)
     if cells is None or len(cells[0]) != n or not np.array_equal(cells[1], np.column_stack([src, tgt])):
         raise ValueError("the store was built on another digraph's vertices or edges")
-    grid, codes = np.array(values), src * n + tgt
-    asc_h, desc_h = {}, {}
-    for p, paths in cells.items():
-        if p == 0:
-            asc_h[p] = desc_h[p] = np.ones(len(paths), dtype=np.int64)
-            continue
-        w = weights[np.searchsorted(codes, paths[:, :-1] * n + paths[:, 1:])]
-        asc_h[p] = np.searchsorted(grid, w.max(axis=1)) + 1
-        desc_h[p] = len(values) - np.searchsorted(grid, w.min(axis=1))
-    x = ExtendedInput(store, asc_h, desc_h, len(values), len(values))
-    return x, values, values[::-1]
+    grid = sorted(set(g.weights.values()))
+    if not grid:
+        return ExtendedInput.from_values(GradedSubgroup.from_arrays({}, {}, {}, store.q, cells), grid, {}, {})
+    asc, desc = {0: np.full(n, grid[0])}, {0: np.full(n, grid[-1])}
+    for p in range(1, len(cells)):
+        w = weights[np.searchsorted(src * n + tgt, cells[p][:, :-1] * n + cells[p][:, 1:])]
+        asc[p], desc[p] = w.max(axis=1), w.min(axis=1)
+    return ExtendedInput.from_values(store, grid, asc, desc)
 
 
 def build_pph_input(g: WeightedDigraph, p_max: int = 2, q: int = 2):

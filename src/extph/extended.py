@@ -176,6 +176,18 @@ class ExtendedInput:
         descending = _on_side("descending", stage_heights, graded, descending_heights)
         return cls(graded, ascending, descending, num_ascending, num_descending)
 
+    @classmethod
+    def from_values(cls, store, grid, ascending, descending):
+        """The filtrations of ``store`` staged at ``grid``, the sorted critical values: (input, grid, grid[::-1]).
+
+        ``ascending[p]`` and ``descending[p]`` hold the value at which each generator of ``store.basis[p]``
+        enters the sublevel and the superlevel filtration; its heights count the grid values up to it and from it.
+        """
+        at = np.array(grid, dtype=float)
+        asc = {p: np.searchsorted(at, v) + 1 for p, v in ascending.items()}
+        desc = {p: len(grid) - np.searchsorted(at, v) for p, v in descending.items()}
+        return cls(store, asc, desc, len(grid), len(grid)), grid, grid[::-1]
+
 
 class ExtendedInterval(NamedTuple):
     """One interval of the extended barcode.

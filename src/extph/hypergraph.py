@@ -25,6 +25,7 @@ own.
 
 import math
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,6 +99,16 @@ def embedded_homology(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> list
     return _betti_numbers(hyper_store(h, p_max, q), p_max)
 
 
+def _hyperedges(h: FilteredHypergraph, top: int):
+    """h's hyperedges of dimension at most ``top`` and their values, each grouped by dimension in sorted order."""
+    edges, values = {p: [] for p in range(top + 1)}, {p: [] for p in range(top + 1)}
+    for e, v in sorted(h.values.items(), key=itemgetter(0)):
+        if len(e) <= top + 1:
+            edges[len(e) - 1].append(e)
+            values[len(e) - 1].append(v)
+    return edges, values
+
+
 def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
     """The generator store of a hypergraph's input: what its values do not change.
 
@@ -111,11 +122,8 @@ def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubg
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
     vid = {v: i for i, v in enumerate(h.vertices)}
-    by_dim = {p: [] for p in range(p_max + 2)}
-    for e in h.hyperedges:
-        if len(e) - 1 <= p_max + 1:
-            by_dim[len(e) - 1].append([vid[v] for v in e])
-    cells = {p: np.array(rows, dtype=np.int64).reshape(len(rows), p + 1) for p, rows in by_dim.items()}
+    edges, _ = _hyperedges(h, p_max + 1)
+    cells = {p: np.array([[vid[v] for v in e] for e in edges[p]], dtype=np.int64).reshape(-1, p + 1) for p in edges}
     return cell_store(h.vertices, cells, q)
 
 
@@ -123,29 +131,18 @@ def hyper_input(h: FilteredHypergraph, store: GradedSubgroup):
     """Ascending/descending hyperedge filtrations of h's values on a store of its hyperedges.
 
     ``store`` is ``hyper_store`` of h or of any hypergraph with h's
-    hyperedges up to the store's top dimension; only the stage grids and
-    heights are computed here.  Returns (ExtendedInput, ascending values,
-    descending values); the stage grids are the distinct values of the
-    hyperedges in the store.  A store that is not one of h's, a hand-built
-    one without cells included, raises ValueError("the store was built on
-    another hypergraph's hyperedges").  The input serves every p_max up to
-    the one the store was built for.
+    hyperedges up to the store's top dimension.  It is checked first: a
+    basis other than h's hyperedges up to there, grouped by dimension as
+    ``hyper_store`` groups them, raises ValueError("the store was built on
+    another hypergraph's hyperedges"), as does a hand-built store without
+    cells.  That grouping gives each hyperedge's value in store order for
+    ``ExtendedInput.from_values``; the stage grid is their distinct values.
+    The input serves every p_max up to the one the store was built for.
     """
-    listed = [e for p in store.dims() for e in store.basis[p]]
-    cells = store.cells  # hyper_store drops the hyperedges above its top dimension
-    if (
-        cells is None
-        or sum(len(e) <= max(cells) + 1 for e in h.values) != len(listed)
-        or not all(e in h.values for e in listed)
-    ):
+    edges, values = _hyperedges(h, max(store.cells or [-1]))  # hyper_store drops the hyperedges above its top
+    if store.cells is None or [store.basis.get(p, []) for p in edges] != list(edges.values()):
         raise ValueError("the store was built on another hypergraph's hyperedges")
-    value = {p: np.array([h.values[e] for e in store.basis[p]], dtype=float) for p in store.dims()}
-    values = sorted({v for column in value.values() for v in column.tolist()})
-    grid = np.array(values)
-    asc_h = {p: np.searchsorted(grid, column) + 1 for p, column in value.items()}
-    desc_h = {p: len(values) - np.searchsorted(grid, column) for p, column in value.items()}
-    x = ExtendedInput(store, asc_h, desc_h, len(values), len(values))
-    return x, values, values[::-1]
+    return ExtendedInput.from_values(store, sorted({v for p in values for v in values[p]}), values, values)
 
 
 def build_hyper_input(h: FilteredHypergraph, p_max: int = 2, q: int = 2):

@@ -40,6 +40,27 @@ def test_pph_empty_file_gives_empty_diagram(tmp_path, capsys):
     assert out == "dim\ttype\tbirth\tdeath\n"
 
 
+HEADER = "dim\ttype\tbirth\tdeath\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, want",
+    [
+        # the stage grid keeps the spelling of a value that it reads first
+        ("pph", "a\tb\t0\nb\tc\t-0\nc\ta\t1\n", "0\text\t0.0\t1.0\n1\text\t1.0\t0.0\n1\trel\t1.0\t0.0\n"),
+        ("pph", "a\tb\t-0\nb\tc\t0\nc\ta\t1\n", "0\text\t-0.0\t1.0\n1\text\t1.0\t-0.0\n1\trel\t1.0\t-0.0\n"),
+        ("hyper", "0\ta\n-0\tb\n1\ta,b\n", "0\text\t0.0\t0.0\n0\tord\t0.0\t1.0\n"),
+        ("hyper", "-0\ta\n0\tb\n1\ta,b\n", "0\text\t-0.0\t-0.0\n0\tord\t-0.0\t1.0\n"),
+    ],
+    ids=["pph-zero-first", "pph-negative-zero-first", "hyper-zero-first", "hyper-negative-zero-first"],
+)
+def test_a_signed_zero_prints_as_first_read(tmp_path, capsys, command, text, want):
+    src = tmp_path / "zeros.tsv"
+    src.write_text(text)
+    code, out, _ = run([command, str(src)], capsys)
+    assert (code, out) == (0, HEADER + want)
+
+
 def test_pph_malformed_line_exits_2(tmp_path, capsys):
     src = tmp_path / "bad.tsv"
     src.write_text("a\tb\t1\nnot a record\n")

@@ -340,6 +340,18 @@ def test_a_trial_refuses_a_negative_p_max_and_a_base_built_lower():
         stability_trial(g, 0.2, seed=1, p_max=2, base=_diagram(g, 1, 2))
 
 
+def test_a_trial_refuses_a_base_built_over_another_field():
+    from extph.diagrams import _diagram
+
+    # a triangulated real projective plane: H_2 is F_2 over F_2 and 0 over F_3
+    triangles = "124 126 135 136 145 234 235 256 346 456".split()
+    h = FilteredHypergraph("123456", {tuple(t): 1.0 + 0.1 * i for i, t in enumerate(triangles)})
+    assert stability_trial(h, 0.3, 1, p_max=2, q=3)[1][2] == 0.0
+    assert stability_trial(h, 0.3, 1, p_max=2, q=2)[1][2] > 0.0
+    with pytest.raises(ValueError, match="the base was built over F_2, not over F_3"):
+        stability_trial(h, 0.3, 1, p_max=2, q=3, base=_diagram(h, 2, 2))
+
+
 def test_trials_are_reproducible():
     rng = np.random.default_rng(151)
     g = random_digraph(rng, max_vertices=5)

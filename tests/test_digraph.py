@@ -272,6 +272,21 @@ def test_pph_input_refuses_a_store_without_cells():
         pph_input(g, GradedSubgroup({0: ["a", "b"]}))
 
 
+def test_pph_input_refuses_another_digraphs_store_when_it_has_no_edges():
+    path = WeightedDigraph("abc", {("a", "b"): 1.0, ("b", "c"): 2.0})
+    with pytest.raises(ValueError, match="the store was built on another digraph's vertices or edges"):
+        pph_input(WeightedDigraph(["x"], {}), pph_store(path, 2))
+
+
+def test_an_edgeless_digraphs_empty_input_keeps_its_stores_cells():
+    g = WeightedDigraph("ab", {})
+    store = pph_store(g, 2)
+    x, asc, desc = pph_input(g, store)
+    assert (x.M, x.N, asc, desc, len(extended_barcode(x, 2))) == (0, 0, [], [], 0)
+    assert x.graded.cells is store.cells and x.graded.q == store.q
+    assert pph_input(g, x.graded)[0].graded.cells is store.cells  # a trial on that store passes the check
+
+
 def test_path_homology_matches_the_supremum_complex_reference():
     rng = np.random.default_rng(307)
     for k in range(240):

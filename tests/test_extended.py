@@ -191,6 +191,15 @@ def test_empty_input_gives_empty_everything():
     assert extended_module_oracle(x, 2) == {} == interval_rank_table(bc, 2)
 
 
+def test_from_values_counts_the_grid_values_up_to_and_from_each_entry_value():
+    store = GradedSubgroup({0: ["u", "v"], 1: ["uv"]}, {}, {"uv": {"v": 1, "u": -1}})
+    grid = [1.0, 2.0, 3.0]
+    x, asc, desc = ExtendedInput.from_values(store, grid, {0: [1.0, 2.0], 1: [3.0]}, {0: [3.0, 2.0], 1: [1.0]})
+    assert x.graded is store and (asc, desc, x.M, x.N) == (grid, grid[::-1], 3, 3)
+    assert [x.ascending.height_of(g) for g in ("u", "v", "uv")] == [1, 2, 3]
+    assert [x.descending.height_of(g) for g in ("u", "v", "uv")] == [1, 2, 3]
+
+
 def test_single_stage_subcomplex_yields_only_extended_intervals():
     x = ExtendedInput.from_heights(
         {0: ["u", "v"], 1: ["uv"]},
