@@ -144,16 +144,17 @@ def pph_store(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
         raise ValueError("p_max must be nonnegative")
     src, tgt, _ = _edge_arrays(g)
     cells = _path_cells(src, tgt, len(g.vertices), p_max + 1)
-    return cell_store(g.vertices, cells, q, regular=True)
+    return cell_store(g.vertices, cells, q)
 
 
 def pph_input(g: WeightedDigraph, store: GradedSubgroup):
     """Ascending/descending filtrations of g's weights on a store of its allowed paths.
 
     ``store`` is ``pph_store`` of g or of any digraph with g's vertices and
-    edges.  It is checked first: any other store, a hand-built one without
-    cells included, raises ValueError("the store was built on another
-    digraph's vertices or edges").  ``ExtendedInput.from_values`` stages
+    edges.  Its path rows are checked first, at every level: any other
+    store, a hypergraph's or one without cells included, raises
+    ValueError("the store was built on another digraph's vertices or
+    edges").  ``ExtendedInput.from_values`` stages
     the paths at the distinct edge weights: a path enters the sublevel
     filtration at its largest weight and the superlevel one at its
     smallest, and vertices at stage 1 on both axes.  A graph with no edges
@@ -163,7 +164,8 @@ def pph_input(g: WeightedDigraph, store: GradedSubgroup):
     """
     n, cells = len(g.vertices), store.cells
     src, tgt, weights = _edge_arrays(g)
-    if cells is None or len(cells[0]) != n or not np.array_equal(cells[1], np.column_stack([src, tgt])):
+    paths = cells and _path_cells(src, tgt, n, max(cells))
+    if not paths or paths.keys() != cells.keys() or not all(np.array_equal(cells[p], paths[p]) for p in paths):
         raise ValueError("the store was built on another digraph's vertices or edges")
     grid = sorted(set(g.weights.values()))
     if not grid:

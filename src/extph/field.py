@@ -21,7 +21,8 @@ cancelled depends on the field, and ``_column_encoding`` picks that once
 per matrix.  Over F_2 (the default field) a written-out column is the set
 of its rows, held in a Python int with bit r set for each row r: its low
 is ``bit_length() - 1`` and adding a column is ``^``.  Otherwise it is
-its list of (row, coefficient) entries, and an addition merges two lists.
+a dict {row: coefficient}: its low is its largest key, and an addition
+updates the one column in place.
 Extension rows sit at the bottom of the cone's matrices, so an int is as
 wide as the matrix is tall; writing out every column would hold
 thousands of such ints at once.
@@ -193,48 +194,32 @@ def _column_encoding(matrix: SparseMatrix):
     one more than the low of a written-out column, 0 for an empty one.
     Over F_2 a column is an int with bit r set for each of its rows r, so
     cancelling is XOR and ``top`` is ``int.bit_length``, both builtins.
-    Otherwise it is its list of (row, coefficient) entries, and cancelling
-    adds the multiple of y that clears x's low.
+    Otherwise it is a dict {row: coefficient}, and cancelling adds into x
+    the multiple of y that clears x's low.
     """
-    bounds = matrix.indptr.tolist()
+    bounds, rows = matrix.indptr.tolist(), matrix.rows.tolist()
     if matrix.q == 2:
-        rows = matrix.rows.tolist()
         return lambda j: sum(1 << r for r in rows[bounds[j] : bounds[j + 1]]), xor, int.bit_length
-    q = matrix.q
-    entries = list(zip(matrix.rows.tolist(), matrix.coeffs.tolist()))
+    q, coeffs = matrix.q, matrix.coeffs.tolist()
 
     def cancel(x, y):
-        return _plus_scaled(x, y, -x[-1][1] * pow(y[-1][1], q - 2, q), q)
-
-    return lambda j: entries[bounds[j] : bounds[j + 1]], cancel, lambda x: x[-1][0] + 1 if x else 0
-
-
-def _plus_scaled(a: list, b: list, c: int, q: int) -> list:
-    """a + c * b mod q for (row, coefficient) lists sorted by row, merged in one pass."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ra, rb = a[i][0], b[j][0]
-        if ra < rb:
-            out.append(a[i])
-            i += 1
-        elif rb < ra:
-            v = b[j][1] * c % q
+        # in place: x is always a fresh dict, from column(j) or from j's own earlier cancels,
+        # and y, a pivot column kept for its next use, is only read
+        low = max(x)
+        c = -x[low] * pow(y[low], q - 2, q)
+        for r, v in y.items():
+            v = (x.get(r, 0) + c * v) % q
             if v:
-                out.append((rb, v))
-            j += 1
-        else:
-            v = (a[i][1] + b[j][1] * c) % q
-            if v:
-                out.append((ra, v))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    for rb, vb in b[j:]:
-        v = vb * c % q
-        if v:
-            out.append((rb, v))
-    return out
+                x[r] = v
+            else:
+                del x[r]
+        return x
+
+    def column(j):
+        a, b = bounds[j], bounds[j + 1]
+        return dict(zip(rows[a:b], coeffs[a:b]))
+
+    return column, cancel, lambda x: max(x) + 1 if x else 0
 
 
 # ---------------------------------------------------------------------------

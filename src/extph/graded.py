@@ -328,26 +328,23 @@ def _lex_ranks(rows: np.ndarray, n: int) -> np.ndarray:
     return rank
 
 
-def _faces(cells: np.ndarray, q: int, regular: bool):
+def _faces(cells: np.ndarray, q: int):
     """Codimension-one faces of vertex-id rows, as (face rows, their column, their coefficient).
 
-    Deleting column i gives coefficient (-1)^i.  With ``regular``, an
-    inner deletion that would put one vertex twice in a row is dropped:
-    only the seam around the removed vertex can break regularity.
+    Deleting column i gives coefficient (-1)^i; faces are listed by
+    column, then by i.  An inner deletion that would put one vertex twice
+    in a row is dropped, as the regular path complex does; a simplex row,
+    sorted and distinct, keeps every face.
     """
     m, k = cells.shape
-    parts = []
-    for i in range(k):
-        keep = np.arange(m) if not regular or i in (0, k - 1) else np.flatnonzero(cells[:, i - 1] != cells[:, i + 1])
-        parts.append((keep, np.delete(cells[keep], i, axis=1), 1 if i % 2 == 0 else q - 1))
-    cols = np.concatenate([keep for keep, _, _ in parts])
-    order = np.argsort(cols, kind="stable")  # by column, and by i within a column
-    face_rows = np.concatenate([rows for _, rows, _ in parts])[order]
-    coeffs = np.concatenate([np.full(len(keep), c, dtype=np.int64) for keep, _, c in parts])[order]
-    return face_rows, cols[order], coeffs
+    keep = np.ones((m, k), dtype=bool)
+    keep[:, 1:-1] = cells[:, :-2] != cells[:, 2:]  # deleting column i joins columns i - 1 and i + 1
+    keep = keep.reshape(-1)
+    faces = cells[:, [np.delete(np.arange(k), i) for i in range(k)]].reshape(m * k, k - 1)
+    return faces[keep], np.repeat(np.arange(m), k)[keep], np.tile(np.where(np.arange(k) % 2, q - 1, 1), m)[keep]
 
 
-def cell_store(names, basis_cells, q: int = 2, regular: bool = False) -> GradedSubgroup:
+def cell_store(names, basis_cells, q: int = 2) -> GradedSubgroup:
     """The store of vertex-id rows: a basis, its faces as the extension, their boundaries.
 
     ``names`` are the vertex names by id; ``basis_cells[p]`` holds the
@@ -355,8 +352,8 @@ def cell_store(names, basis_cells, q: int = 2, regular: bool = False) -> GradedS
     lexicographic order, and a label is the tuple of its vertex names.
     The extension is closed top-down: the faces of dimension p-1 of every
     dimension-p generator that are not basis rows, in lexicographic order.
-    With ``regular``, faces repeating a vertex in adjacent columns are
-    dropped (path complexes); otherwise every face is kept (simplices).
+    A face that would repeat a vertex in adjacent columns is dropped (path
+    complexes); a simplex, a sorted row of distinct ids, keeps every face.
     """
     names = np.array(names, dtype=object)
     n, top = len(names), max(basis_cells)
@@ -364,7 +361,7 @@ def cell_store(names, basis_cells, q: int = 2, regular: bool = False) -> GradedS
     boundaries = {}
     for p in range(top, 0, -1):
         universe = np.vstack([basis_cells[p], extension[p]])
-        face_rows, cols, coeffs = _faces(universe, q, regular)
+        face_rows, cols, coeffs = _faces(universe, q)
         below = basis_cells[p - 1]
         ranks = _lex_ranks(np.vstack([below, face_rows]), n)
         nb, face_ranks = len(below), ranks[len(below):]

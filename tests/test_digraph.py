@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from extph import (
+    FilteredHypergraph,
     InputFormatError,
     WeightedDigraph,
     allowed_paths,
     build_pph_input,
     extended_barcode,
     extended_module_oracle,
+    hyper_store,
     interval_rank_table,
     parse_digraph,
     path_homology,
@@ -276,6 +278,14 @@ def test_pph_input_refuses_another_digraphs_store_when_it_has_no_edges():
     path = WeightedDigraph("abc", {("a", "b"): 1.0, ("b", "c"): 2.0})
     with pytest.raises(ValueError, match="the store was built on another digraph's vertices or edges"):
         pph_input(WeightedDigraph(["x"], {}), pph_store(path, 2))
+
+
+def test_pph_input_refuses_a_hypergraph_store_that_matches_its_vertices_and_edges():
+    # the transitive triangle: its store has the allowed path a->b->c, the hypergraph's has none
+    g = WeightedDigraph("abc", {("a", "b"): 1.0, ("b", "c"): 2.0, ("a", "c"): 3.0})
+    h = FilteredHypergraph("abc", {(v,): 0.0 for v in "abc"} | {tuple(e): w for e, w in g.weights.items()})
+    with pytest.raises(ValueError, match="the store was built on another digraph's vertices or edges"):
+        pph_input(g, hyper_store(h, 2))
 
 
 def test_an_edgeless_digraphs_empty_input_keeps_its_stores_cells():

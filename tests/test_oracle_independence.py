@@ -29,7 +29,6 @@ PIVOT_ROUTE = {
     "compute_pairings",
     "build_matrices",
     "_column_encoding",
-    "_plus_scaled",
 }
 # the oracles' one elimination at every q: the packer, the sweep against a basis of lows
 # and the unpacker of the kernels read off it
