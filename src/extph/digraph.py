@@ -11,10 +11,14 @@ The input is built on integer rows.  Vertex ids follow the sorted vertex
 names, and the allowed paths of length p are an (n_p, p+1) array of
 vertex ids in lexicographic order, which is the order of their labels.
 ``cell_store`` derives the regular faces and the extension from those
-rows, and a path's entry values come from the edge weights gathered along
-its row.  ``allowed_paths`` lists the same paths at the level of labels; the
-demos print it, and the tests check the array store against it and
-against a label-level regular boundary of their own.
+rows and records them as the store's ``cells``, closed as ``PATHS``; a
+path's entry values come from those of the path it extends and from the
+weight of the edge it appends.  No label is built on the way from a digraph to its barcode.  Every level
+of paths follows from the vertex count and the sorted edges, so a store
+is checked against a digraph by ``cells[0]``, ``cells[1]`` and its
+closure alone.  ``allowed_paths`` lists the same paths at the level of
+labels; the demos print it, and the tests check the array store against
+it and against a label-level regular boundary of their own.
 
 File format (one edge per line, consumed by the CLI)::
 
@@ -32,7 +36,7 @@ import numpy as np
 
 from .errors import InputFormatError, records
 from .extended import ExtendedInput
-from .graded import GradedSubgroup, cell_store
+from .graded import PATHS, GradedSubgroup, cell_store
 from .persistence import _betti_numbers
 
 __all__ = [
@@ -104,21 +108,30 @@ def path_homology(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> list[int]:
     return _betti_numbers(pph_store(g, p_max, q), p_max)
 
 
+def _steps(src, n: int, last):
+    """(prefix, edge) of the paths one edge longer than paths ending at the vertices ``last``.
+
+    ``src`` lists the edges' sources in sorted order.  Each path is
+    repeated once per out-edge of its last vertex, in edge order: the new
+    path k extends path prefix[k] by edge edge[k].
+    """
+    first = np.searchsorted(src, np.arange(n + 1))  # out-edges of v are first[v]:first[v + 1]
+    degree = first[last + 1] - first[last]
+    edge = np.repeat(first[last] - np.cumsum(degree) + degree, degree) + np.arange(degree.sum())
+    return np.repeat(np.arange(len(last)), degree), edge
+
+
 def _path_cells(src, tgt, n: int, top: int) -> dict:
     """Allowed paths up to length ``top`` as (n_p, p+1) arrays of vertex ids, in lexicographic order.
 
-    ``src`` and ``tgt`` list the edges sorted by (source, target).  Each
-    path of length p-1 is repeated once per out-edge of its last vertex,
-    and the edge targets are appended in order, which keeps the rows
-    sorted.
+    ``src`` and ``tgt`` list the edges sorted by (source, target).  The
+    paths of length p are those of length p-1 extended by ``_steps``,
+    which appends the edge targets in order and so keeps the rows sorted.
     """
-    first = np.searchsorted(src, np.arange(n + 1))  # out-edges of v are first[v]:first[v + 1]
     cells = {0: np.arange(n, dtype=np.int64)[:, None]}
     for p in range(1, top + 1):
-        last = cells[p - 1][:, -1]
-        degree = first[last + 1] - first[last]
-        edge = np.repeat(first[last] - np.cumsum(degree) + degree, degree) + np.arange(degree.sum())
-        cells[p] = np.hstack([np.repeat(cells[p - 1], degree, axis=0), tgt[edge][:, None]])
+        prefix, edge = _steps(src, n, cells[p - 1][:, -1])
+        cells[p] = np.hstack([cells[p - 1][prefix], tgt[edge][:, None]])
     return cells
 
 
@@ -138,48 +151,72 @@ def pph_store(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
     non-allowed faces they need are the extension, and their regular
     boundaries are reduced mod q.  Vertex ids follow the sorted vertex
     names, so rows in lexicographic order are labels in lexicographic
-    order; the store keeps the path rows as its ``cells``.
+    order; the store keeps the path rows as its ``cells``, closed as
+    ``PATHS``.
     """
+    return _store_and_edges(g, p_max, q)[0]
+
+
+def _store_and_edges(g: WeightedDigraph, p_max: int, q: int):
+    """(``pph_store``, ``_edge_arrays``) of g."""
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
-    src, tgt, _ = _edge_arrays(g)
-    cells = _path_cells(src, tgt, len(g.vertices), p_max + 1)
-    return cell_store(g.vertices, cells, q)
+    src, tgt, _ = edges = _edge_arrays(g)
+    return cell_store(g.vertices, _path_cells(src, tgt, len(g.vertices), p_max + 1), q, PATHS), edges
 
 
 def pph_input(g: WeightedDigraph, store: GradedSubgroup):
     """Ascending/descending filtrations of g's weights on a store of its allowed paths.
 
     ``store`` is ``pph_store`` of g or of any digraph with g's vertices and
-    edges.  Its path rows are checked first, at every level: any other
-    store, a hypergraph's or one without cells included, raises
-    ValueError("the store was built on another digraph's vertices or
-    edges").  ``ExtendedInput.from_values`` stages
-    the paths at the distinct edge weights: a path enters the sublevel
-    filtration at its largest weight and the superlevel one at its
-    smallest, and vertices at stage 1 on both axes.  A graph with no edges
-    has no critical values: its input is empty, on an empty store that
-    keeps ``store.cells`` and so passes this check again.  The input
-    serves every p_max up to the one the store was built for.
+    edges.  It is checked first, by its record: a store whose closure is
+    not ``PATHS``, a hypergraph's or one without cells included, or whose
+    ``cells[0]`` and ``cells[1]`` are not g's vertex ids and sorted edges,
+    raises ValueError("the store was built on another digraph's vertices or
+    edges").  The paths above follow from those two levels.
     """
-    n, cells = len(g.vertices), store.cells
-    src, tgt, weights = _edge_arrays(g)
-    paths = cells and _path_cells(src, tgt, n, max(cells))
-    if not paths or paths.keys() != cells.keys() or not all(np.array_equal(cells[p], paths[p]) for p in paths):
+    src, tgt, _ = edges = _edge_arrays(g)
+    cells = (store.cells or {}) if store.closure == PATHS else {}
+    if not (
+        len(cells) > 1
+        and np.array_equal(cells[0][:, 0], np.arange(len(g.vertices)))
+        and np.array_equal(cells[1][:, 0], src)
+        and np.array_equal(cells[1][:, 1], tgt)
+    ):
         raise ValueError("the store was built on another digraph's vertices or edges")
+    return _staged(g, store, edges)
+
+
+def _staged(g: WeightedDigraph, store: GradedSubgroup, edges):
+    """``ExtendedInput.from_values`` of g's weights on its paths' store; ``edges`` is ``_edge_arrays(g)``.
+
+    The paths are staged at the distinct edge weights: a path enters the
+    sublevel filtration at its largest weight and the superlevel one at its
+    smallest, and vertices at stage 1 on both axes.  The store's paths are
+    ``_path_cells`` of g's edges, so each level's weights come from the
+    level below and the edges ``_steps`` appends to it.  A graph with no edges
+    has no critical values: its input is empty, on an empty store that
+    keeps the store's record and so passes the check of ``pph_input``
+    again.  The input serves every p_max up to the one the store was built
+    for.
+    """
+    (src, _, weights), n, cells = edges, len(g.vertices), store.cells
     grid = sorted(set(g.weights.values()))
     if not grid:
-        return ExtendedInput.from_values(GradedSubgroup.from_arrays({}, {}, {}, store.q, cells), grid, {}, {})
-    asc, desc = {0: np.full(n, grid[0])}, {0: np.full(n, grid[-1])}
+        empty = GradedSubgroup._from_csr({}, {}, store.q, cells, store.closure)
+        return ExtendedInput.from_values(empty, grid, {}, {})
+    asc, desc = {0: np.full(n, grid[0])}, {0: np.full(n, grid[-1])}  # no edge weight lies outside the grid
     for p in range(1, len(cells)):
-        w = weights[np.searchsorted(src * n + tgt, cells[p][:, :-1] * n + cells[p][:, 1:])]
-        asc[p], desc[p] = w.max(axis=1), w.min(axis=1)
+        prefix, edge = _steps(src, n, cells[p - 1][:, -1])
+        asc[p] = np.maximum(asc[p - 1][prefix], weights[edge])
+        desc[p] = np.minimum(desc[p - 1][prefix], weights[edge])
     return ExtendedInput.from_values(store, grid, asc, desc)
 
 
 def build_pph_input(g: WeightedDigraph, p_max: int = 2, q: int = 2):
-    """The digraph's input: ``pph_input`` on its own ``pph_store``."""
-    return pph_input(g, pph_store(g, p_max, q))
+    """The digraph's input: its weights staged on its own ``pph_store``, with one pass over its edges."""
+    store, edges = _store_and_edges(g, p_max, q)
+    return _staged(g, store, edges)
 
 
 def parse_digraph(text: str) -> WeightedDigraph:

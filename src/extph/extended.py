@@ -324,17 +324,17 @@ def extended_barcode(x: ExtendedInput, p_max: int, clearing: bool = True) -> Ext
     confirms this reading against the module's ranks.
     """
     pairings = compute_pairings(build_matrices(x, p_max), clearing=clearing)
-    asc, desc = x.ascending.basis, x.descending.basis
     ah, dh = x.ascending.heights, x.descending.heights
 
     def generator(p, i):
+        asc, desc = x.ascending.basis, x.descending.basis
         a_p = len(asc.get(p, ()))
         return f"base {asc[p][i]!r}" if i < a_p else f"cone {desc[p - 1][i - a_p]!r}"
 
     intervals = []
     for pairing in pairings:
         p = pairing.dim
-        a_p, a_up = len(asc.get(p, ())), len(asc.get(p + 1, ()))
+        a_p, a_up = len(x.ascending.rows(p)), len(x.ascending.rows(p + 1))
         if pairing.unpaired_cycles:
             i = min(pairing.unpaired_cycles)
             raise ConsistencyError(

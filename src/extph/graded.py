@@ -10,20 +10,26 @@ smallest subcomplex containing D_*, can be computed.  Its homology is the
 homology of the subgroup.
 
 The store is arrays indexed by universe row.  Per dimension p it keeps
-the label lists (for messages and the hand-built API; any hashable works)
-and the boundary of dimension p as CSR arrays: ``indptr``, the faces as
-dimension-(p-1) universe rows, and coefficients nonzero mod q.  The front
-ends build these arrays directly from vertex-id rows (``cell_store``);
-the dict constructor converts hand-built boundaries once.  A store is
-closed once it is built: both constructors reject a face that is not a
-universe row one dimension down, so only d∘d = 0 is left to check, on
-the arrays, once per store.
+the number of basis and extension generators and the boundary of
+dimension p as CSR arrays: ``indptr``, the faces as dimension-(p-1)
+universe rows, and coefficients nonzero mod q.  The front ends build
+these arrays directly from vertex-id rows (``cell_store``), and such a
+store keeps the vertex names and the id rows instead of labels: the
+label lists (``basis``, ``extension``, ``universe``; a label is the
+tuple of a row's vertex names) are built on first access, for messages
+and the hand-built API.  The dict constructor and ``from_arrays`` take
+their labels (any hashable works) as given, and the dict constructor
+converts hand-built boundaries once.  A store is closed once it is
+built: every constructor rejects a face that is not a universe row one
+dimension down, so only d∘d = 0 is left to check, on the arrays, once
+per store.
 
 A filtration is a store plus a height per basis generator, given per
 dimension as integers aligned with the store's basis: its compatible
 basis is a stable argsort of those heights, so a stage is a prefix of it.
 There is no view or copy of the store; building a filtration validates
-the store (once per store) and every height.
+the store (once per store) and every height, and names a generator only
+in the message of a check that fails.
 
 Every homology number of the package is a window rank
 dim(Z_u + B_v) - dim(B_v) of a persistence module, and ``window_table``
@@ -42,6 +48,7 @@ two code paths stay independent.
 """
 
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from numbers import Integral
 from typing import NamedTuple
 
@@ -53,6 +60,8 @@ from .field import _pack, _sweep, dense_kernel, modulus
 __all__ = [
     "BASIS",
     "EXTENSION",
+    "PATHS",
+    "SIMPLICES",
     "GeneratorId",
     "GradedSubgroup",
     "FilteredGradedSubgroup",
@@ -71,6 +80,10 @@ BASIS = "basis"
 EXTENSION = "extension"
 
 _NONE = np.zeros(0, dtype=np.int64)
+
+# what the id rows of a cell store are: allowed paths of a digraph, or hyperedges
+PATHS = "paths"
+SIMPLICES = "simplices"
 
 
 class GeneratorId(NamedTuple):
@@ -101,11 +114,20 @@ def take_columns(csr, cols):
     return out, faces[at], coeffs[at]
 
 
+def _trim(sizes):
+    """{p: (basis count, extension count)} for each dimension up to the highest one that lists a generator."""
+    top = max((p for p, counts in sizes.items() if any(counts)), default=-1)
+    return {p: sizes.get(p, (0, 0)) for p in range(top + 1)}
+
+
 def _per_dim(basis, extension):
     """Basis and extension as lists for each dimension up to the highest one that lists a generator."""
-    dims = [p for p in set(basis) | set(extension) if len(basis.get(p, ())) or len(extension.get(p, ()))]
-    n = max(dims) + 1 if dims else 0
-    return {p: list(basis.get(p, ())) for p in range(n)}, {p: list(extension.get(p, ())) for p in range(n)}
+    dims = _trim({p: (len(basis.get(p, ())), len(extension.get(p, ()))) for p in set(basis) | set(extension)})
+    return {p: list(basis.get(p, ())) for p in dims}, {p: list(extension.get(p, ())) for p in dims}
+
+
+def _integers(a) -> bool:
+    return a.ndim == 1 and (a.dtype.kind in "iu" or not len(a))
 
 
 class GradedSubgroup:
@@ -120,7 +142,8 @@ class GradedSubgroup:
     generator, coefficient that is not an integer, nonzero boundary of a
     dimension-0 generator and face not listed one dimension down, joined
     by "; ".  ``from_arrays`` builds a store from CSR arrays without
-    hashing any label.
+    hashing any label, and ``cell_store`` one whose labels are built only
+    when ``basis``, ``extension`` or ``universe`` is first read.
     """
 
     def __init__(self, basis, extension=None, boundary=None, q=2, universe=None):
@@ -169,7 +192,8 @@ class GradedSubgroup:
         if problems:
             raise GradedValidationError("; ".join(problems))
         rows = {p: np.array([where[label][1] for label in basis[p]], dtype=np.int64) for p in range(n)}
-        self._setup(q, basis, extension, universe, rows, csr)
+        self._setup(q, {p: (len(basis[p]), len(extension[p])) for p in range(n)}, rows, csr)
+        self.basis, self.extension, self.universe = basis, extension, universe
 
     @classmethod
     def from_arrays(cls, basis, extension, boundaries, q=2, cells=None) -> "GradedSubgroup":
@@ -178,38 +202,72 @@ class GradedSubgroup:
         ``boundaries[p]`` is (indptr, faces, coeffs): column k, entries
         indptr[k]:indptr[k + 1], is the boundary of the k-th dimension-p
         universe generator, its faces are dimension-(p-1) universe rows and
-        its coefficients are integers nonzero mod q; arrays that break this
-        are rejected.  ``cells``,
-        when given, holds per dimension the vertex-id rows the basis was
-        built from, for the front end that computes heights.
+        its coefficients are integers nonzero mod q.  Arrays that do not fit
+        the universe, faces that are not integers included, raise
+        ValueError; coefficients that are not integers nonzero mod q raise
+        GradedValidationError.  ``cells``, when given, holds per dimension
+        the vertex-id rows the basis was built from, for the front end that
+        computes heights, and must list at least one dimension.
         """
-        self = cls.__new__(cls)
         basis, extension = _per_dim(basis, extension)
-        n = len(basis)
-        universe = {p: basis[p] + extension[p] for p in range(n)}
-        q, csr = modulus(q), {}
-        for p in range(n):
-            indptr, faces, coeffs = boundaries.get(p) or _csr([0] * (len(universe[p]) + 1), [], [])
-            below = len(universe[p - 1]) if p else 0
-            ok = len(indptr) == len(universe[p]) + 1 and indptr[0] == 0 and indptr[-1] == len(faces) == len(coeffs)
-            if not ok or (np.diff(indptr) < 0).any() or len(faces) and (faces.min() < 0 or faces.max() >= below):
-                raise ValueError(f"dimension {p}: boundary arrays do not fit the universe")
-            if coeffs.dtype.kind not in "iu" or not (coeffs % q).all():
-                raise GradedValidationError(f"dimension {p}: boundary coefficients are not integers nonzero mod {q}")
-            csr[p] = _csr(indptr, faces, coeffs)
-        rows = {p: np.arange(len(basis[p]), dtype=np.int64) for p in range(n)}
-        self._setup(q, basis, extension, universe, rows, csr)
-        self.cells = cells
+        self = cls._from_csr({p: (len(basis[p]), len(extension[p])) for p in basis}, boundaries, q, cells, None)
+        self.basis, self.extension = basis, extension
+        self.universe = {p: basis[p] + extension[p] for p in basis}
         return self
 
-    def _setup(self, q, basis, extension, universe, rows, csr):
+    @classmethod
+    def _from_csr(cls, sizes, boundaries, q, cells, closure) -> "GradedSubgroup":
+        """A store of ``sizes[p]`` = (basis count, extension count) generators, without labels; see ``from_arrays``.
+
+        ``closure`` names how ``cells`` were closed under faces (``cell_store``).
+        """
+        if cells is not None and not cells:
+            raise ValueError("cells must list the id rows of at least one dimension")
+        q, csr = modulus(q), {}
+        for p, counts in sizes.items():
+            size, below = sum(counts), sum(sizes.get(p - 1, (0, 0)))
+            indptr, faces, coeffs = map(np.asarray, boundaries.get(p) or ([0] * (size + 1), [], []))
+            ok = _integers(indptr) and _integers(faces) and coeffs.ndim == 1 and len(indptr) == size + 1
+            ok = ok and indptr[0] == 0 and indptr[-1] == len(faces) == len(coeffs)
+            if not ok or (np.diff(indptr) < 0).any() or len(faces) and (faces.min() < 0 or faces.max() >= below):
+                raise ValueError(f"dimension {p}: boundary arrays do not fit the universe")
+            if not _integers(coeffs) or not (coeffs % q).all():
+                raise GradedValidationError(f"dimension {p}: boundary coefficients are not integers nonzero mod {q}")
+            csr[p] = _csr(indptr, faces, coeffs)
+        self = cls.__new__(cls)
+        self._setup(q, sizes, {p: np.arange(nb, dtype=np.int64) for p, (nb, _) in sizes.items()}, csr)
+        self.cells, self.closure = cells, closure
+        return self
+
+    def _setup(self, q, sizes, rows, csr):
         self.q = q
-        self.max_dim = len(universe) - 1
-        self.basis, self.extension, self.universe = basis, extension, universe
-        self._basis_rows, self._csr = rows, csr
-        self.cells = None
+        self.max_dim = len(sizes) - 1
+        self._sizes, self._basis_rows, self._csr = sizes, rows, csr
+        self.cells = self.closure = None
+        self.names = self._extension_rows = None  # a cell store's vertex names and extension id rows
         self._where = None  # label -> (dim, universe row, basis position or -1), built on first use
         self._problems = None  # the memoised outcome of validate()
+
+    # -- labels, built on first access for a cell store --------------------
+
+    def _labels(self, rows):
+        names = np.array(self.names, dtype=object)
+        return list(map(tuple, names[rows].tolist()))
+
+    @cached_property
+    def basis(self) -> dict:
+        """Per dimension, the labels of the basis generators."""
+        return {p: self._labels(self.cells[p]) for p in self.dims()}
+
+    @cached_property
+    def extension(self) -> dict:
+        """Per dimension, the labels of the extension generators."""
+        return {p: self._labels(self._extension_rows[p]) for p in self.dims()}
+
+    @cached_property
+    def universe(self) -> dict:
+        """Per dimension, the labels of the universe: basis then extension for a cell store."""
+        return {p: self.basis[p] + self.extension[p] for p in self.dims()}
 
     # -- introspection -----------------------------------------------------
 
@@ -217,7 +275,7 @@ class GradedSubgroup:
         return range(self.max_dim + 1)
 
     def universe_size(self, p: int) -> int:
-        return len(self.universe.get(p, ()))
+        return sum(self._sizes.get(p, (0, 0)))
 
     def basis_rows(self, p: int) -> np.ndarray:
         """Universe rows of the dimension-p basis generators, in basis order."""
@@ -252,7 +310,7 @@ class GradedSubgroup:
             self._where = {}
             for p in self.dims():
                 position = np.full(self.universe_size(p), -1, dtype=np.int64)
-                position[self._basis_rows[p]] = np.arange(len(self.basis[p]))
+                position[self._basis_rows[p]] = np.arange(len(self._basis_rows[p]))
                 for r, (label_r, k) in enumerate(zip(self.universe[p], position.tolist())):
                     self._where[label_r] = (p, r, k)
         return self._where[label]
@@ -292,40 +350,61 @@ class GradedSubgroup:
         return problems
 
     def _first_nonzero_square(self, p: int):
-        """The first dimension-p universe row whose boundary's boundary is nonzero mod q, or None.
-
-        d_{p-1} d_p as a product of two COO blocks: every entry (column j,
-        face i, c) of d_p meets every entry (i, k, c') of d_{p-1}, and the
-        products c c' are summed by the key (j, k).
-        """
+        """The first dimension-p universe row whose boundary's boundary is nonzero mod q, or None."""
         q = self.q
-        indptr, faces, coeffs = self._csr[p]
-        inner_ptr, inner_faces, inner_coeffs = take_columns(self._csr[p - 1], faces)
-        if not len(inner_faces):
+        return _first_nonzero_product(self._csr[p], self._csr[p - 1], self.universe_size(p - 2), q, parity=q == 2)
+
+
+def _first_nonzero_product(outer, inner, n_low: int, q: int, parity: bool):
+    """The first column of the CSR block ``outer`` whose product with ``inner`` is nonzero mod q, or None.
+
+    ``inner`` has a column for each row of ``outer`` and rows below
+    ``n_low``.  Every entry (column j, face i, c) of ``outer`` meets every
+    entry (i, k, c') of ``inner``, and the products c c' sum by the key
+    (j, k).  With ``parity``, which needs every coefficient odd (as over
+    F2), a sum vanishes mod 2 exactly when its key occurs an even number
+    of times: the sorted keys then pair up, and the keys are grouped and
+    counted only when they do not.  Otherwise the products are summed
+    mod q key by key.  The keys are sorted, so the first bad key names the
+    column.
+    """
+    indptr, faces, coeffs = outer
+    inner_ptr, inner_faces, inner_coeffs = inner
+    starts = inner_ptr[faces]
+    fan = inner_ptr[faces + 1] - starts
+    total = int(fan.sum())
+    if not total:
+        return None
+    at = np.repeat(starts - np.cumsum(fan) + fan, fan) + np.arange(total)  # the inner entries, face by face
+    keys = np.repeat(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), fan) * n_low + inner_faces[at]
+    if parity:
+        keys.sort()
+        if not total % 2 and (keys[0::2] == keys[1::2]).all():
             return None
-        fan = np.diff(inner_ptr)
-        outer = np.repeat(np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), fan)
-        n_low = self.universe_size(p - 2)
-        keys = outer * n_low + inner_faces
-        values = (np.repeat(coeffs, fan) * inner_coeffs) % q
+        values, q = np.ones(total, dtype=np.int64), 2
+    else:
+        values = (np.repeat(coeffs, fan) * inner_coeffs[at]) % q
         order = np.argsort(keys, kind="stable")
         keys, values = keys[order], values[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        bad = keys[starts[np.add.reduceat(values, starts) % q != 0]]
-        return int(bad.min() // n_low) if len(bad) else None
+    runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    bad = keys[runs[np.add.reduceat(values, runs) % q != 0]]
+    return int(bad[0] // n_low) if len(bad) else None
 
 
 def _lex_ranks(rows: np.ndarray, n: int) -> np.ndarray:
     """Ranks of the rows of an (m, k) array of ids below n, equal rows equal, in lexicographic order.
 
-    Column by column, the ranks of the prefixes are combined with the next
-    column as rank * n + id and re-ranked densely, so no key exceeds m * n
-    whatever k is.
+    Column by column, the key of a prefix is combined with the next column
+    as key * n + id, so a key is its row read in base n, and the keys are
+    ranked densely at the end.  Before a key could pass 2**62, the keys so
+    far are replaced by their ranks, so no key overflows whatever k is.
     """
-    rank = rows[:, 0]
+    key, bound = rows[:, 0], n
     for j in range(1, rows.shape[1]):
-        rank = np.unique(rank * n + rows[:, j], return_inverse=True)[1].reshape(-1)
-    return rank
+        if bound * n > 2**62:
+            key, bound = np.unique(key, return_inverse=True)[1].reshape(-1), len(key)
+        key, bound = key * n + rows[:, j], bound * n
+    return np.unique(key, return_inverse=True)[1].reshape(-1)
 
 
 def _faces(cells: np.ndarray, q: int):
@@ -344,7 +423,7 @@ def _faces(cells: np.ndarray, q: int):
     return faces[keep], np.repeat(np.arange(m), k)[keep], np.tile(np.where(np.arange(k) % 2, q - 1, 1), m)[keep]
 
 
-def cell_store(names, basis_cells, q: int = 2) -> GradedSubgroup:
+def cell_store(names, basis_cells, q: int = 2, closure=None) -> GradedSubgroup:
     """The store of vertex-id rows: a basis, its faces as the extension, their boundaries.
 
     ``names`` are the vertex names by id; ``basis_cells[p]`` holds the
@@ -354,8 +433,11 @@ def cell_store(names, basis_cells, q: int = 2) -> GradedSubgroup:
     dimension-p generator that are not basis rows, in lexicographic order.
     A face that would repeat a vertex in adjacent columns is dropped (path
     complexes); a simplex, a sorted row of distinct ids, keeps every face.
+    The store keeps ``names``, the rows as its ``cells`` and ``closure``,
+    the name of what the rows are (``PATHS`` or ``SIMPLICES``), so that a
+    front end can check a store by its record; it builds no label until
+    one is read.
     """
-    names = np.array(names, dtype=object)
     n, top = len(names), max(basis_cells)
     extension = {top: np.zeros((0, top + 1), dtype=np.int64)}
     boundaries = {}
@@ -377,17 +459,10 @@ def cell_store(names, basis_cells, q: int = 2) -> GradedSubgroup:
         indptr = np.zeros(len(universe) + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=len(universe)), out=indptr[1:])
         boundaries[p] = (indptr, row_of_rank[face_ranks], coeffs)
-
-    def labels(rows):
-        return list(map(tuple, names[rows].tolist()))
-
-    return GradedSubgroup.from_arrays(
-        {p: labels(basis_cells[p]) for p in basis_cells},
-        {p: labels(extension[p]) for p in extension},
-        boundaries,
-        q=q,
-        cells=basis_cells,
-    )
+    sizes = _trim({p: (len(basis_cells[p]), len(extension[p])) for p in basis_cells})
+    store = GradedSubgroup._from_csr(sizes, boundaries, q, basis_cells, closure)
+    store.names, store._extension_rows = tuple(names), extension
+    return store
 
 
 def stage_heights(graded: GradedSubgroup, heights) -> dict:
@@ -409,23 +484,23 @@ def stage_heights(graded: GradedSubgroup, heights) -> dict:
     return out
 
 
-def _checked_heights(labels, given, p: int, num_stages: int) -> np.ndarray:
-    """The heights of one dimension as int64, checked against the basis labels they belong to."""
-    h = np.asarray(given)
-    if len(h) < len(labels):
-        raise GradedValidationError(f"generator {labels[len(h)]!r} has no height")
-    if len(h) > len(labels):
-        raise GradedValidationError(f"dimension {p}: {len(h)} heights for {len(labels)} basis generators")
+def _checked_heights(graded: GradedSubgroup, given, p: int, num_stages: int) -> np.ndarray:
+    """The heights of dimension p as int64, checked against the store's basis; labels only name a fault."""
+    n, h = len(graded.basis_rows(p)), np.asarray(given)
+    if len(h) < n:
+        raise GradedValidationError(f"generator {graded.basis[p][len(h)]!r} has no height")
+    if len(h) > n:
+        raise GradedValidationError(f"dimension {p}: {len(h)} heights for {n} basis generators")
     if h.dtype.kind not in "iu":
-        for label, x in zip(labels, given):
+        for k, x in enumerate(given):
             if not isinstance(x, Integral):
-                raise GradedValidationError(f"height {x!r} of generator {label!r} is not an integer")
+                raise GradedValidationError(f"height {x!r} of generator {graded.basis[p][k]!r} is not an integer")
         h = h.astype(np.int64)
     outside = np.flatnonzero((h < 1) | (h > num_stages))
     if len(outside):
         i = outside[0]
         raise GradedValidationError(
-            f"dimension {p}: height {int(h[i])} of generator {labels[i]!r} outside [1, {num_stages}]"
+            f"dimension {p}: height {int(h[i])} of generator {graded.basis[p][i]!r} outside [1, {num_stages}]"
         )
     return h
 
@@ -449,25 +524,29 @@ class FilteredGradedSubgroup:
     ``graded`` is the generator store itself, checked by its ``validate``.
     ``heights[p]`` is a sequence of integer stages in [1, num_stages],
     aligned with ``graded.basis[p]`` (``stage_heights`` makes it from a
-    map).  ``basis[p]`` and ``heights[p]`` are the store's basis and its
-    heights sorted stably by height: a compatible basis for the stage
-    filtration, whose stage i is spanned by a prefix.
+    map).  ``rows(p)`` and ``heights[p]`` are the universe rows of the
+    store's basis and their heights sorted stably by height: a compatible
+    basis for the stage filtration, whose stage i is spanned by a prefix.
+    ``basis[p]``, their labels, is built on first access.
     """
 
     def __init__(self, graded: GradedSubgroup, heights, num_stages: int):
         graded.validate()
         self.graded = graded
         self.num_stages = int(num_stages)
-        self.basis, self.heights = {}, {}
-        self._given, self._rows = {}, {}
+        self.heights, self._given, self._rows = {}, {}, {}
         for p in graded.dims():
-            labels = graded.basis[p]
-            h = _checked_heights(labels, heights.get(p, ()), p, self.num_stages)
+            h = _checked_heights(graded, heights.get(p, ()), p, self.num_stages)
             order = np.argsort(h, kind="stable")
             self._given[p] = h
             self._rows[p] = graded.basis_rows(p)[order]
-            self.basis[p] = [labels[k] for k in order.tolist()]
             self.heights[p] = h[order].tolist()
+
+    @cached_property
+    def basis(self) -> dict:
+        """Per dimension, the labels of the basis in compatible order."""
+        universe = self.graded.universe
+        return {p: [universe[p][r] for r in rows.tolist()] for p, rows in self._rows.items()}
 
     @property
     def q(self) -> int:

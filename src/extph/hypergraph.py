@@ -17,21 +17,24 @@ The constructor and the parser check each hyperedge with
 Simplices are oriented by the sorted order of their vertices.  The input
 is built on integer rows: each hyperedge is the row of its vertex ids in
 sorted order (ids follow the sorted vertex names), and ``cell_store``
-closes those rows under faces.  ``simplicial_closure`` is the same
+closes those rows under faces and records them as the store's ``cells``,
+closed as ``SIMPLICES``.  No label is built on the way from a hypergraph
+to its barcode: a store is checked against a hypergraph by its record,
+the vertex names and the id rows.  ``simplicial_closure`` is the same
 closure at the level of labels; the demos print it, and the tests check
 the array store against it and against a label-level boundary of their
 own.
 """
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import InputFormatError, records
 from .extended import ExtendedInput
-from .graded import GradedSubgroup, cell_store
+from .graded import SIMPLICES, GradedSubgroup, cell_store
 from .persistence import _betti_numbers
 
 __all__ = [
@@ -100,13 +103,19 @@ def embedded_homology(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> list
 
 
 def _hyperedges(h: FilteredHypergraph, top: int):
-    """h's hyperedges of dimension at most ``top`` and their values, each grouped by dimension in sorted order."""
+    """h's hyperedges of dimension at most ``top`` as vertex-id rows, and their values, grouped by dimension.
+
+    Each group is in lexicographic order: ids follow the sorted vertex
+    names, so that is the order of the hyperedges' sorted name tuples.
+    """
+    vid = {v: i for i, v in enumerate(h.vertices)}.__getitem__
     edges, values = {p: [] for p in range(top + 1)}, {p: [] for p in range(top + 1)}
     for e, v in sorted(h.values.items(), key=itemgetter(0)):
         if len(e) <= top + 1:
             edges[len(e) - 1].append(e)
             values[len(e) - 1].append(v)
-    return edges, values
+    ids = {p: list(map(vid, chain.from_iterable(edges[p]))) for p in edges}
+    return {p: np.array(ids[p], dtype=np.int64).reshape(-1, p + 1) for p in ids}, values
 
 
 def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
@@ -117,37 +126,47 @@ def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubg
     proper faces of hyperedges that are not hyperedges themselves, a
     face-closed set, so boundaries never leave the listing.  Each
     hyperedge is a row of vertex ids in sorted order, and rows in
-    lexicographic order are labels in lexicographic order.
+    lexicographic order are labels in lexicographic order; the store keeps
+    the rows as its ``cells``, closed as ``SIMPLICES``.
     """
+    return _store_and_values(h, p_max, q)[0]
+
+
+def _store_and_values(h: FilteredHypergraph, p_max: int, q: int):
+    """(``hyper_store``, the values of its basis by dimension) of h."""
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
-    vid = {v: i for i, v in enumerate(h.vertices)}
-    edges, _ = _hyperedges(h, p_max + 1)
-    cells = {p: np.array([[vid[v] for v in e] for e in edges[p]], dtype=np.int64).reshape(-1, p + 1) for p in edges}
-    return cell_store(h.vertices, cells, q)
+    cells, values = _hyperedges(h, p_max + 1)
+    return cell_store(h.vertices, cells, q, SIMPLICES), values
 
 
 def hyper_input(h: FilteredHypergraph, store: GradedSubgroup):
     """Ascending/descending hyperedge filtrations of h's values on a store of its hyperedges.
 
     ``store`` is ``hyper_store`` of h or of any hypergraph with h's
-    hyperedges up to the store's top dimension.  It is checked first: a
-    basis other than h's hyperedges up to there, grouped by dimension as
-    ``hyper_store`` groups them, raises ValueError("the store was built on
-    another hypergraph's hyperedges"), as does a hand-built store without
-    cells.  That grouping gives each hyperedge's value in store order for
-    ``ExtendedInput.from_values``; the stage grid is their distinct values.
-    The input serves every p_max up to the one the store was built for.
+    vertices and hyperedges up to the store's top dimension.  It is checked
+    first, by its record: a store whose closure is not ``SIMPLICES``, one
+    without cells included, whose vertex names are not h's, or whose
+    ``cells`` are not h's hyperedges up to there as ``hyper_store`` groups
+    them, raises ValueError("the store was built on another hypergraph's
+    hyperedges").  The input serves every p_max up to the one the store
+    was built for.
     """
-    edges, values = _hyperedges(h, max(store.cells or [-1]))  # hyper_store drops the hyperedges above its top
-    if store.cells is None or [store.basis.get(p, []) for p in edges] != list(edges.values()):
+    record = store.closure == SIMPLICES and store.cells and store.names == h.vertices
+    cells, values = _hyperedges(h, max(store.cells) if record else -1)  # hyper_store drops the hyperedges above its top
+    if not (record and all(np.array_equal(store.cells[p], cells[p]) for p in cells)):
         raise ValueError("the store was built on another hypergraph's hyperedges")
+    return _staged(store, values)
+
+
+def _staged(store: GradedSubgroup, values):
+    """``ExtendedInput.from_values`` of the hyperedge values, in store order; the stage grid is their distinct values."""
     return ExtendedInput.from_values(store, sorted({v for p in values for v in values[p]}), values, values)
 
 
 def build_hyper_input(h: FilteredHypergraph, p_max: int = 2, q: int = 2):
-    """The hypergraph's input: ``hyper_input`` on its own ``hyper_store``."""
-    return hyper_input(h, hyper_store(h, p_max, q))
+    """The hypergraph's input: its values staged on its own ``hyper_store``, with one pass over its hyperedges."""
+    return _staged(*_store_and_values(h, p_max, q))
 
 
 def parse_hypergraph(text: str) -> FilteredHypergraph:

@@ -205,7 +205,7 @@ def _betti_numbers(graded, p_max: int) -> list[int]:
     puts every basis generator at stage 1.  Building that filtration
     checks the store's d∘d = 0.
     """
-    f = FilteredGradedSubgroup(graded, {p: np.ones(len(graded.basis[p]), dtype=np.int64) for p in graded.dims()}, 1)
+    f = FilteredGradedSubgroup(graded, {p: np.ones(len(graded.basis_rows(p)), dtype=np.int64) for p in graded.dims()}, 1)
     table = persistent_betti_oracle(f, p_max)
     return [table[(p, 1, 1)] for p in range(p_max + 1)]
 

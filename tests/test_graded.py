@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from extph import (
     FilteredGradedSubgroup,
@@ -11,7 +13,7 @@ from extph import (
     stage_heights,
 )
 from extph.field import dense_kernel
-from extph.graded import stage_cycles, window_ranks
+from extph.graded import PATHS, SIMPLICES, _first_nonzero_product, cell_store, stage_cycles, window_ranks
 from extph.persistence import _betti_numbers
 
 from oracles import gf_rank, random_boundary_data, random_filtered, random_graded
@@ -205,6 +207,36 @@ def test_from_arrays_rejects_inconsistent_csr_arrays(indptr, faces, coeffs):
         GradedSubgroup.from_arrays(
             {0: ["a", "b"], 1: ["e", "f"]}, {}, {1: (np.array(indptr), np.array(faces), np.array(coeffs))}, q=3
         )
+
+
+@pytest.mark.parametrize(
+    "indptr, faces, coeffs, error, message",
+    [
+        ([0, 2, 4], [0, 1, 0, 1], [1, 2, 1, 2], None, None),
+        ([0, 2, 5], [0, 1, 0, 1], [1, 2, 1, 2], ValueError, "dimension 1: boundary arrays do not fit the universe"),
+        ([0, 2, 4], [0, 1, 0, 2], [1, 2, 1, 2], ValueError, "dimension 1: boundary arrays do not fit the universe"),
+        ([0, 2, 4], [0, 1, 0, 0.5], [1, 2, 1, 2], ValueError, "dimension 1: boundary arrays do not fit the universe"),
+        ([0, 2, 4], [False, True, False, True], [1, 2, 1, 2], ValueError, "dimension 1: boundary arrays do not fit"),
+        ([0, 2, 4], [0, 1, 0, 1], [1, 2, 1, 0.5], GradedValidationError, "not integers nonzero mod 3"),
+    ],
+    ids=["fits", "past_the_faces", "stray_face", "half_face", "bool_face", "half_coeff"],
+)
+def test_from_arrays_checks_python_lists_as_it_checks_arrays(indptr, faces, coeffs, error, message):
+    basis = {0: ["a", "b"], 1: ["e", "f"]}
+    if error is None:
+        g = GradedSubgroup.from_arrays(basis, {}, {1: (indptr, faces, coeffs)}, q=3)
+        assert g.boundary_dict("f") == {"a": 1, "b": 2}
+        return
+    with pytest.raises(error, match=message):
+        GradedSubgroup.from_arrays(basis, {}, {1: (indptr, faces, coeffs)}, q=3)
+
+
+def test_from_arrays_refuses_empty_cells():
+    with pytest.raises(ValueError, match="cells must list"):
+        GradedSubgroup.from_arrays({0: ["a"]}, {}, {}, cells={})
+    g = GradedSubgroup.from_arrays({0: ["a"]}, {}, {}, cells={0: np.zeros((1, 1), dtype=np.int64)})
+    with pytest.raises(ValueError, match="it serves p_max up to -1, not 0"):
+        g.check_p_max(0)
 
 
 def test_stray_faces_unlisted_generators_and_dimension_0_boundaries_fail_construction():
@@ -528,3 +560,57 @@ def test_stage_cycles_equal_the_kernel_of_each_prefix_entry_for_entry(q):
                 want = units[:, :k] @ dense_kernel(images[:, :k], q)
                 assert cycles.dtype == np.int64
                 assert cycles.shape == want.shape and np.array_equal(cycles, want), (m, n, k)
+
+
+# ---------------------------------------------------------------------------
+# the face rule of cell stores, and the F2 parity form of the d∘d check
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def id_rows(draw):
+    """(n, {p: lexicographically sorted unique rows}) of path-like or of simplex rows, with the kind."""
+    paths = draw(st.booleans())
+    n = draw(st.integers(2 if paths else 3, 5))
+    top = draw(st.integers(2, 4 if paths else n - 1))
+    cells = {}
+    for p in range(top + 1):
+        if paths:  # every step moves to another vertex, so no vertex repeats in adjacent columns
+            row = st.tuples(st.integers(0, n - 1), st.lists(st.integers(1, n - 1), min_size=p, max_size=p))
+            rows = [np.cumsum([first, *steps]) % n for first, steps in draw(st.lists(row, max_size=6))]
+        else:
+            rows = [sorted(r) for r in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=p + 1, max_size=p + 1)))]
+        cells[p] = np.unique(np.array(rows, dtype=np.int64).reshape(-1, p + 1), axis=0)
+    return n, cells, paths
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(id_rows(), st.sampled_from([2, 3, 5]))
+def test_the_face_rule_of_cell_stores_squares_to_zero(rows, q):
+    n, cells, paths = rows
+    store = cell_store([f"v{i}" for i in range(n)], cells, q, PATHS if paths else SIMPLICES)
+    assert all(store._first_nonzero_square(p) is None for p in range(2, store.max_dim + 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(id_rows(), st.data())
+def test_the_parity_form_names_the_column_the_summed_form_names(rows, data):
+    # over F2 every coefficient is odd; a change to one column of d_p leaves d∘d nonzero in that column only
+    n, cells, _ = rows
+    store = cell_store([f"v{i}" for i in range(n)], cells, 2)
+    assume(store.max_dim >= 2)
+    p = data.draw(st.integers(2, store.max_dim))
+    assume(len(store.boundary_csr(p)[1]))
+    indptr, faces, coeffs = store.boundary_csr(p)
+    j = data.draw(st.integers(0, len(indptr) - 2).filter(lambda j: indptr[j + 1] > indptr[j]))
+    if data.draw(st.booleans()):  # drop one entry of column j
+        k = data.draw(st.integers(int(indptr[j]), int(indptr[j + 1]) - 1))
+        planted = (indptr - (np.arange(len(indptr)) > j), np.delete(faces, k), np.delete(coeffs, k))
+    else:  # add a face to column j with an odd coefficient; if the face is there already, it cancels
+        face = data.draw(st.integers(0, store.universe_size(p - 1) - 1))
+        at = int(indptr[j + 1])
+        planted = (indptr + (np.arange(len(indptr)) > j), np.insert(faces, at, face), np.insert(coeffs, at, 3))
+    inner, n_low = store.boundary_csr(p - 1), store.universe_size(p - 2)
+    assert _first_nonzero_product(planted, inner, n_low, 2, parity=True) == j
+    assert _first_nonzero_product(planted, inner, n_low, 2, parity=False) == j
+    assert _first_nonzero_product(store.boundary_csr(p), inner, n_low, 2, parity=True) is None
