@@ -11,13 +11,15 @@ extended diagram, so the distance is infinite whenever the extended
 cardinalities differ.
 
 The matcher computes each type's pairwise distances and diagonal charges
-once with numpy and binary-searches the sorted candidates (0, pairwise
-distances, diagonal charges), so the returned value is exact on that set.
-The neighbour work is done once per type, not once per probe: a point's
-partners are sorted by distance on first use and cut at the largest delta
-the search can probe, so a probe at delta takes them as a prefix.  Each
-probe starts from the matching of the last probe that succeeded, less its
-pairs longer than delta.  The feasibility test needs no diagonal slots:
+once with numpy and returns the smallest feasible candidate (0, pairwise
+distances, diagonal charges), exact on that set.  It probes the floor
+first, a lower bound that is often the answer, and sorts and binary-searches
+the candidates above it only if that probe fails.  The pairs within the
+largest delta the search can probe are listed once per type, by row and
+by column; a probe masks them at its delta and cuts them into partner
+lists with one searchsorted.  Each probe of the search starts from the
+matching of the last one that succeeded, less its pairs longer than
+delta.  The feasibility test needs no diagonal slots:
 by the Mendelsohn-Dulmage theorem a delta-matching exists iff real pairs
 within delta can cover every point of either side whose charge exceeds
 delta, and an extended point's charge is infinite.  Augmenting paths are
@@ -34,7 +36,7 @@ its store as ``base`` so both are built once.
 """
 
 import math
-from bisect import bisect_right
+import sys
 from numbers import Integral
 from typing import NamedTuple
 
@@ -75,18 +77,25 @@ class DiagramPoint(NamedTuple):
 class ExtendedDiagram:
     """Ordinary, relative and extended point multisets with dimensions."""
 
-    __slots__ = ("ordinary", "relative", "extended")
+    __slots__ = ("ordinary", "relative", "extended", "_groups")
 
     def __init__(self, ordinary=(), relative=(), extended=()):
         self.ordinary = tuple(sorted(ordinary))
         self.relative = tuple(sorted(relative))
         self.extended = tuple(sorted(extended))
+        self._groups = None
 
     def points(self, kind: str, dim=None):
         pts = {ORD: self.ordinary, REL: self.relative, EXT: self.extended}[kind]
         if dim is None:
             return pts
-        return tuple(pt for pt in pts if pt.dim == dim)
+        if self._groups is None:  # one pass splits every kind by dimension; the tuples never change
+            groups = {}
+            for key, kind_pts in ((ORD, self.ordinary), (REL, self.relative), (EXT, self.extended)):
+                for pt in kind_pts:
+                    groups.setdefault((key, pt.dim), []).append(pt)
+            self._groups = {key: tuple(group) for key, group in groups.items()}
+        return self._groups.get((kind, dim), ())
 
     def dims(self):
         return sorted({pt.dim for pts in (self.ordinary, self.relative, self.extended) for pt in pts})
@@ -140,6 +149,8 @@ def _coords(pts):
     xy = np.array([(pt.birth, pt.death) for pt in pts], dtype=float).reshape(-1, 2)
     if not np.isfinite(xy).all():
         raise ValueError("diagram point with a non-finite coordinate")
+    if np.abs(xy).max(initial=0.0) > sys.float_info.max / 2:  # so no difference or charge overflows
+        raise ValueError("diagram point with a coordinate beyond half the largest float, where distances overflow")
     return xy
 
 
@@ -159,27 +170,12 @@ def _kind_arrays(kind, pts1, pts2):
     return dist, np.abs(a[:, 1] - a[:, 0]) / 2.0, np.abs(b[:, 1] - b[:, 0]) / 2.0
 
 
-def _partner_lists(dist, ceiling):
-    """Row i -> (its distances up to ``ceiling`` in ascending order, their columns).
-
-    Each row is sorted on first use and kept, so every probe of one
-    ``_kind_bottleneck`` takes the columns within delta <= ``ceiling`` as
-    a prefix, ties included.  Cutting at the ceiling keeps the lists short:
-    no probe looks past it.
-    """
-    cache = {}
-
-    def partners(i):
-        found = cache.get(i)
-        if found is None:
-            row = dist[i]
-            order = row.argsort(kind="stable")
-            ordered = row[order]
-            cut = ordered.searchsorted(ceiling, "right")
-            found = cache[i] = (ordered[:cut].tolist(), order[:cut].tolist())
-        return found
-
-    return partners
+def _edges(dist, ceiling):
+    """Pairs within ``ceiling`` from each side, as (point, partner, distance) arrays sorted by point, then partner."""
+    rows, cols = (dist <= ceiling).nonzero()
+    w = dist[rows, cols]
+    order = cols.argsort(kind="stable")
+    return (rows, cols, w), (cols[order], rows[order], w[order])
 
 
 def _augment(root, adjacent, required, mate, back):
@@ -219,12 +215,13 @@ def _augment(root, adjacent, required, mate, back):
     return False
 
 
-def _match(dist, charge1, charge2, delta, partners, start=None):
+def _match(dist, charge1, charge2, delta, edges, start=None):
     """A matching at tolerance ``delta`` as (mate1, mate2), or None.
 
     Only real pairs within ``delta`` are matched; a point left unmatched
-    pays its diagonal charge.  ``partners`` holds each side's
-    ``_partner_lists``, cut at a ceiling of at least ``delta``.  By the
+    pays its diagonal charge.  ``edges`` is ``_edges`` at a ceiling of at
+    least ``delta``; a side with a point to cover masks them at ``delta``
+    and cuts them into partner lists with one searchsorted.  By the
     Mendelsohn-Dulmage theorem such a matching exists iff one covers
     every side-1 point whose charge exceeds ``delta`` and one covers
     every such side-2 point.  The first is reached by augmenting from
@@ -253,16 +250,20 @@ def _match(dist, charge1, charge2, delta, partners, start=None):
         for i, j in enumerate(start[0]):
             if j != -1 and dist.item(i, j) <= delta:
                 mate1[i], mate2[j] = j, i
-    for mate, back, lists, charge in ((mate1, mate2, partners[0], charge1), (mate2, mate1, partners[1], charge2)):
+    for mate, back, (owners, ends, w), charge in ((mate1, mate2, edges[0], charge1), (mate2, mate1, edges[1], charge2)):
         required = (charge > delta).tolist()
-
-        def adjacent(i, lists=lists):
-            dists, cols = lists(i)
-            return cols[: bisect_right(dists, delta)]
-
         roots = [i for i, need in enumerate(required) if need and mate[i] == -1]
+        if not roots:
+            continue
+        within = w <= delta
+        cuts = owners[within].searchsorted(np.arange(len(mate) + 1)).tolist()
+        partners = ends[within].tolist()
+
+        def adjacent(i, cuts=cuts, partners=partners):
+            return partners[cuts[i] : cuts[i + 1]]
+
         for i in roots:
-            for j in sorted(adjacent(i)):
+            for j in adjacent(i):
                 if back[j] == -1:
                     mate[i], back[j] = j, i
                     break
@@ -275,15 +276,16 @@ def _match(dist, charge1, charge2, delta, partners, start=None):
 def _kind_bottleneck(dist, charge1, charge2):
     """Smallest candidate delta at which ``_match`` succeeds; inf if none does.
 
-    Candidates are 0, the distances and the charges, but only those
-    between two bounds are sorted.  Each point costs at least the smaller
-    of its nearest partner and its charge, so no delta below the largest
-    such cost succeeds.  Diagonal kinds succeed at their largest charge,
-    where every point may go to the diagonal.  Extended points must all be
-    matched, which needs equal counts, and matching them in the order they
-    are listed succeeds at its largest distance.  That upper bound is the
-    ceiling of the partner lists, and each probe starts from the matching
-    of the last one that succeeded.
+    Candidates are 0, the distances and the charges.  Each point costs at
+    least the smaller of its nearest partner and its charge, so no delta
+    below the largest such cost, the floor, succeeds; the floor is probed
+    first and is often the answer.  Diagonal kinds succeed at their
+    largest charge, where every point may go to the diagonal.  Extended
+    points must all be matched, which needs equal counts, and matching
+    them in the order they are listed succeeds at its largest distance.
+    That upper bound, the ceiling, cuts the edge list.  Only when the
+    floor fails are the candidates above it sorted and binary-searched,
+    each probe starting from the matching of the last one that succeeded.
     """
     ceiling = max(charge1.max(initial=0.0), charge2.max(initial=0.0))
     if ceiling == math.inf:
@@ -294,22 +296,18 @@ def _kind_bottleneck(dist, charge1, charge2):
         np.minimum(dist.min(axis=1, initial=math.inf), charge1).max(initial=0.0),
         np.minimum(dist.min(axis=0, initial=math.inf), charge2).max(initial=0.0),
     )
-    charges = np.concatenate((charge1, charge2))
-    ordered = np.concatenate(
-        (
-            [floor],
-            dist[(dist >= floor) & (dist <= ceiling)],
-            charges[(charges >= floor) & (charges <= ceiling)],
-        )
-    )
+    edges = _edges(dist, ceiling)
+    if _match(dist, charge1, charge2, floor, edges) is not None:
+        return float(floor)
+    weights, charges = edges[0][2], np.concatenate((charge1, charge2))
+    ordered = np.concatenate((weights[weights > floor], charges[(charges > floor) & (charges <= ceiling)]))
     ordered.sort()
     ordered = ordered.tolist()
-    partners = _partner_lists(dist, ceiling), _partner_lists(dist.T, ceiling)
     feasible = None
     lo, hi = 0, len(ordered) - 1  # ordered[hi] == ceiling succeeds
     while lo < hi:
         mid = (lo + hi) // 2
-        found = _match(dist, charge1, charge2, ordered[mid], partners, feasible)
+        found = _match(dist, charge1, charge2, ordered[mid], edges, feasible)
         if found is None:
             lo = mid + 1
         else:
@@ -323,15 +321,17 @@ def bottleneck(d1: ExtendedDiagram, d2: ExtendedDiagram, dim=None) -> float:
     Points are compared within one homology dimension; with ``dim`` None
     the maximum over all dimensions present is returned.  The result is
     math.inf exactly when the extended multisets of some dimension have
-    different cardinalities.  Raises ValueError on a non-finite coordinate.
+    different cardinalities.  Raises ValueError on a non-finite coordinate
+    or one beyond half the largest float, where distances overflow.
     """
     if dim is None:
         all_dims = sorted(set(d1.dims()) | set(d2.dims()))
         return max((bottleneck(d1, d2, p) for p in all_dims), default=0.0)
     value = 0.0
     for kind in (ORD, REL, EXT):
-        arrays = _kind_arrays(kind, d1.points(kind, dim), d2.points(kind, dim))
-        value = max(value, _kind_bottleneck(*arrays))
+        pts1, pts2 = d1.points(kind, dim), d2.points(kind, dim)
+        if pts1 or pts2:
+            value = max(value, _kind_bottleneck(*_kind_arrays(kind, pts1, pts2)))
     return value
 
 
@@ -386,8 +386,7 @@ def bottleneck_certificate(d1: ExtendedDiagram, d2: ExtendedDiagram, dim):
         return delta, None
     matched, unmatched = {}, {}
     for kind, (pts1, pts2) in points.items():
-        dist = arrays[kind][0]
-        found = _match(*arrays[kind], delta, (_partner_lists(dist, delta), _partner_lists(dist.T, delta)))
+        found = _match(*arrays[kind], delta, _edges(arrays[kind][0], delta))
         if found is None:
             raise ConsistencyError("no matching exists at the computed distance")
         mate1, mate2 = found

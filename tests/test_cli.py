@@ -166,6 +166,16 @@ def test_distance_rejects_a_nan_point(tmp_path, capsys):
     assert "non-finite" in err and len(err.splitlines()) == 1
 
 
+def test_distance_refuses_coordinates_whose_difference_overflows(tmp_path, capsys):
+    d1, d2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    d1.write_text("dim\ttype\tbirth\tdeath\n0\tord\t-1e308\t1e308\n")
+    d2.write_text("dim\ttype\tbirth\tdeath\n")
+    for args in ([d1, d2], [d2, d1]):
+        code, out, err = run(["distance", *map(str, args)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "where distances overflow" in err and len(err.splitlines()) == 1
+
+
 def test_distance_matches_the_exhaustive_oracle(tmp_path, capsys):
     from oracles import bottleneck_oracle
     from extph import read_diagram

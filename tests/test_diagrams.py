@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +132,80 @@ def test_a_point_that_must_be_matched_takes_the_partner_of_one_that_need_not():
     assert cert.matched[ORD] == [(DiagramPoint(0, 0.0, 10.0), DiagramPoint(0, 0.5, 10.5))]
 
 
+# (d1, d2, floor, distance).  The floor is the largest over both sides of
+# each point's cheaper option, its nearest partner or its diagonal charge;
+# no smaller delta can succeed.
+FLOOR_CASES = {
+    # each point's nearest partner is 0.5 or 0.25 away and within its charge
+    "answered at the floor": (
+        diagram(ordinary=[(0, 0.0, 4.0), (0, 3.0, 9.0)]),
+        diagram(ordinary=[(0, 0.5, 4.5), (0, 3.0, 8.75)]),
+        0.5,
+        0.5,
+    ),
+    # two points of charge 5 share one partner 0.5 away: at the floor one
+    # of them goes unmatched, so the answer is the next candidate, a charge
+    "one candidate above": (
+        diagram(ordinary=[(0, 0.0, 10.0), (0, 1.0, 11.0)]),
+        diagram(ordinary=[(0, 0.5, 10.5)]),
+        0.5,
+        5.0,
+    ),
+    # ten points share one partner: nine pay charges 5.0 to 5.5, and the
+    # search passes the eight charges between the floor and the answer
+    "many candidates above": (
+        diagram(ordinary=[(0, 0.0, 10.0 + 0.125 * i) for i in range(10)]),
+        diagram(ordinary=[(0, 0.0, 10.0)]),
+        1.125,
+        5.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FLOOR_CASES))
+def test_the_floor_is_probed_first_and_the_search_runs_when_it_fails(case):
+    d1, d2, floor, distance = FLOOR_CASES[case]
+    points = lambda d: d.points(ORD, 0)
+    linf = lambda p, q: max(abs(p.birth - q.birth), abs(p.death - q.death))
+    cheaper = lambda p, others: min([abs(p.death - p.birth) / 2] + [linf(p, q) for q in others])
+    assert max([cheaper(p, points(d2)) for p in points(d1)] + [cheaper(q, points(d1)) for q in points(d2)]) == floor
+    assert bottleneck(d1, d2) == bottleneck(d2, d1) == bottleneck_oracle(d1, d2, 0) == distance
+    delta, cert = bottleneck_certificate(d1, d2, 0)
+    assert delta == bottleneck(d1, d2) and cert.verify(d1, d2, 0)
+
+
+@pytest.mark.parametrize(
+    "d1, d2",
+    [
+        FLOOR_CASES["answered at the floor"][:2],
+        FLOOR_CASES["one candidate above"][:2],
+        (diagram(), diagram()),
+        (diagram(ordinary=[(0, 1.0, 3.0)]), diagram(ordinary=[(0, 1.0, 3.0)])),
+        (diagram(extended=[(0, 1.0, 2.0)]), diagram()),
+    ],
+    ids=["floor", "searched", "empty", "zero", "inf"],
+)
+def test_every_branch_returns_a_python_float(d1, d2):
+    # a numpy float64 would print as np.float64(...) in the stability report
+    delta, _ = bottleneck_certificate(d1, d2, 0)
+    for got in (bottleneck(d1, d2), bottleneck(d1, d2, 0), bottleneck(d1, d2, 1), delta):
+        assert type(got) is float
+
+
+def test_coordinates_whose_difference_would_overflow_are_refused():
+    limit = sys.float_info.max / 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # at the bound, two opposite points are sys.float_info.max apart, which is finite
+        edge = diagram(ordinary=[(0, -limit, limit)])
+        assert bottleneck(edge, diagram()) == bottleneck(edge, diagram(ordinary=[(0, limit, -limit)])) == limit
+        for bad in (diagram(ordinary=[(0, -1e308, 1e308)]), diagram(extended=[(0, 0.0, 1e308)])):
+            with pytest.raises(ValueError, match="where distances overflow"):
+                bottleneck(bad, diagram())
+            with pytest.raises(ValueError, match="where distances overflow"):
+                bottleneck_certificate(diagram(), bad, 0)
+
+
 def test_relative_points_use_the_same_linf_metric():
     d1 = diagram(relative=[(0, 5.0, 1.0)])
     d2 = diagram(relative=[(0, 4.0, 1.5)])
@@ -157,6 +233,8 @@ def test_matcher_agrees_with_exhaustive_oracle():
     for max_points, dims in [(6, (0, 1))] * 60 + [(12, (0, 1))] * 30 + [(25, (0,))] * 30:
         d1, d2 = random_diagram(rng, max_points, dims), random_diagram(rng, max_points, dims)
         for dim in (0, 1):
+            for kind in (ORD, REL, EXT):
+                assert d1.points(kind, dim) == tuple(pt for pt in d1.points(kind) if pt.dim == dim)
             got = bottleneck(d1, d2, dim)
             want = bottleneck_oracle(d1, d2, dim)
             if math.isinf(want):
