@@ -34,7 +34,6 @@ from .digraph import (
     build_pph_input,
     parse_digraph,
     path_homology,
-    pph_input,
     pph_store,
 )
 from .errors import ConsistencyError, GradedValidationError, InputFormatError
@@ -67,7 +66,6 @@ from .hypergraph import (
     FilteredHypergraph,
     build_hyper_input,
     embedded_homology,
-    hyper_input,
     hyper_store,
     parse_hypergraph,
     simplicial_closure,

@@ -30,23 +30,26 @@ of a hypergraph and reports the achieved input distance next to the
 per-dimension bottleneck distances; the stability guarantee is
 d_B <= d_E, the sup-norm of the input change.  A perturbation never
 changes the edges or hyperedges, so one generator store serves every
-trial of a run: each trial only restages it with the perturbed weights or
-values.  A caller running many trials passes the unperturbed diagram and
-its store as ``base`` so both are built once.
+trial of a run: a trial stages the base's values plus its shifts on the
+base's store, with its front end's staging routine and no perturbed
+subject.  A caller running many trials passes the base so that it is
+built once.
 """
 
 import math
 import sys
+from functools import partial
 from numbers import Integral
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .digraph import WeightedDigraph, build_pph_input, pph_input
+from . import digraph, hypergraph
+from .digraph import WeightedDigraph, build_pph_input
 from .errors import ConsistencyError, InputFormatError, records
 from .extended import EXTENDED, ORDINARY, RELATIVE, ExtendedBarcode, extended_barcode
 from .graded import GradedSubgroup
-from .hypergraph import build_hyper_input, hyper_input
+from .hypergraph import build_hyper_input
 
 __all__ = [
     "ORD",
@@ -402,36 +405,43 @@ def bottleneck_certificate(d1: ExtendedDiagram, d2: ExtendedDiagram, dim):
 
 
 class StabilityBase(NamedTuple):
-    """What every trial of a stability run shares: the unperturbed diagram and the store."""
+    """What every trial of a stability run shares.
 
+    ``values`` holds the subject's weights or values in sorted key order, the order a trial draws its shifts in;
+    ``staged`` is its front end's staging of an array in that order on ``store``.
+    """
+
+    subject: object
     diagram: ExtendedDiagram
     store: GradedSubgroup
+    values: np.ndarray
+    staged: Callable
 
 
 def _diagram(subject, p_max, q) -> StabilityBase:
-    """Diagram of a digraph or hypergraph through its front end, with the store it was built on."""
-    build = build_pph_input if isinstance(subject, WeightedDigraph) else build_hyper_input
-    x, asc, desc = build(subject, p_max, q)
-    return StabilityBase(diagrams(extended_barcode(x, p_max), asc, desc), x.graded)
-
-
-def _restaged(subject, store, p_max) -> ExtendedDiagram:
-    """Diagram of ``subject``'s weights or values on a store built from the same edges."""
-    restage = pph_input if isinstance(subject, WeightedDigraph) else hyper_input
-    x, asc, desc = restage(subject, store)
-    return diagrams(extended_barcode(x, p_max), asc, desc)
+    """The base of a digraph's or hypergraph's trials, built through its front end."""
+    if isinstance(subject, WeightedDigraph):
+        x, asc, desc = build_pph_input(subject, p_max, q)
+        values, staged = subject.weights, partial(digraph._staged, x.graded)
+    else:
+        x, asc, desc = build_hyper_input(subject, p_max, q)
+        values, positions = subject.values, hypergraph._positions(sorted(subject.values), p_max + 1)
+        staged = partial(hypergraph._staged, x.graded, positions=positions)
+    record = np.array([v for _, v in sorted(values.items())], dtype=float)
+    return StabilityBase(subject, diagrams(extended_barcode(x, p_max), asc, desc), x.graded, record, staged)
 
 
 def stability_trial(subject, delta: float, seed, p_max: int = 2, q: int = 2, base=None):
     """Perturb each edge weight or hyperedge value uniformly in [-delta, delta] (seeded).
 
     ``subject`` is a WeightedDigraph or a FilteredHypergraph.  The
-    perturbation leaves the edges or hyperedges alone, so the trial only
-    computes new stage grids and heights (still checked) on the
-    unperturbed generator store, whose closure and d∘d check ran when it
-    was built.  ``base``, when given, is ``_diagram(subject, p_max, q)``:
-    the unperturbed diagram and its store, which a caller running many
-    trials builds once; a base built over another field than F_q raises
+    perturbation leaves the edges or hyperedges alone, so the trial builds
+    no perturbed subject: it adds the shifts to the base's values and
+    stages them (heights still checked) on the unperturbed generator store,
+    whose closure and d∘d check ran when it was built.  ``base``, when
+    given, is ``_diagram(subject, p_max, q)``: the unperturbed diagram and
+    its store, which a caller running many trials builds once; a base built
+    on another subject object or over another field than F_q raises
     ValueError.  Returns (achieved max input change, {dim: bottleneck
     distance}); the stability theorem promises every distance is at most
     the first value.  ``2 * delta`` must be finite so the shifts can be
@@ -439,17 +449,16 @@ def stability_trial(subject, delta: float, seed, p_max: int = 2, q: int = 2, bas
     """
     if not (delta >= 0 and math.isfinite(2 * delta)):
         raise ValueError(f"perturbation bound {delta!r} must be nonnegative with 2 * delta finite")
-    values = subject.weights if isinstance(subject, WeightedDigraph) else subject.values
-    rng = np.random.default_rng(seed)
-    items = sorted(values.items())
-    shifts = rng.uniform(-delta, delta, size=len(items))
-    perturbed = type(subject)(subject.vertices, {e: v + s for (e, v), s in zip(items, shifts)})
-    d_e = float(max(np.abs(shifts), default=0.0))
     if base is None:
         base = _diagram(subject, p_max, q)
+    elif base.subject is not subject:
+        raise ValueError("the base was built on another subject")
     elif base.store.q != q:
         raise ValueError(f"the base was built over F_{base.store.q}, not over F_{q}")
-    moved = _restaged(perturbed, base.store, p_max)
+    shifts = np.random.default_rng(seed).uniform(-delta, delta, size=len(base.values))
+    d_e = float(max(np.abs(shifts), default=0.0))
+    x, asc, desc = base.staged(base.values + shifts)
+    moved = diagrams(extended_barcode(x, p_max), asc, desc)
     return d_e, {p: bottleneck(base.diagram, moved, p) for p in range(p_max + 1)}
 
 

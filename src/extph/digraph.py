@@ -11,14 +11,16 @@ The input is built on integer rows.  Vertex ids follow the sorted vertex
 names, and the allowed paths of length p are an (n_p, p+1) array of
 vertex ids in lexicographic order, which is the order of their labels.
 ``cell_store`` derives the regular faces and the extension from those
-rows and records them as the store's ``cells``, closed as ``PATHS``; a
-path's entry values come from those of the path it extends and from the
-weight of the edge it appends.  No label is built on the way from a digraph to its barcode.  Every level
-of paths follows from the vertex count and the sorted edges, so a store
-is checked against a digraph by ``cells[0]``, ``cells[1]`` and its
-closure alone.  ``allowed_paths`` lists the same paths at the level of
-labels; the demos print it, and the tests check the array store against
-it and against a label-level regular boundary of their own.
+rows and records them as the store's ``cells``.  Every level of paths
+follows from the vertex count and the sorted edges, ``cells[0]`` and
+``cells[1]``, so weights in sorted edge order are all ``_staged`` needs
+besides the store: a path's entry values come from those of the path it
+extends and from the weight of the edge it appends.  A stability trial
+stages its perturbed weights on the base's store in the same way.  No
+label is built on the way from a digraph to its barcode.
+``allowed_paths`` lists the same paths at the level of labels; the demos
+print it, and the tests check the array store against it and against a
+label-level regular boundary of their own.
 
 File format (one edge per line, consumed by the CLI)::
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import InputFormatError, records
 from .extended import ExtendedInput
-from .graded import PATHS, GradedSubgroup, cell_store
+from .graded import GradedSubgroup, cell_store
 from .persistence import _betti_numbers
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "allowed_paths",
     "path_homology",
     "pph_store",
-    "pph_input",
     "build_pph_input",
     "parse_digraph",
 ]
@@ -151,59 +152,35 @@ def pph_store(g: WeightedDigraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
     non-allowed faces they need are the extension, and their regular
     boundaries are reduced mod q.  Vertex ids follow the sorted vertex
     names, so rows in lexicographic order are labels in lexicographic
-    order; the store keeps the path rows as its ``cells``, closed as
-    ``PATHS``.
+    order; the store keeps the path rows as its ``cells``.
     """
-    return _store_and_edges(g, p_max, q)[0]
+    return _store_and_weights(g, p_max, q)[0]
 
 
-def _store_and_edges(g: WeightedDigraph, p_max: int, q: int):
-    """(``pph_store``, ``_edge_arrays``) of g."""
+def _store_and_weights(g: WeightedDigraph, p_max: int, q: int):
+    """(``pph_store``, the edge weights in sorted edge order) of g."""
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
-    src, tgt, _ = edges = _edge_arrays(g)
-    return cell_store(g.vertices, _path_cells(src, tgt, len(g.vertices), p_max + 1), q, PATHS), edges
+    src, tgt, weights = _edge_arrays(g)
+    return cell_store(g.vertices, _path_cells(src, tgt, len(g.vertices), p_max + 1), q), weights
 
 
-def pph_input(g: WeightedDigraph, store: GradedSubgroup):
-    """Ascending/descending filtrations of g's weights on a store of its allowed paths.
+def _staged(store: GradedSubgroup, weights):
+    """``ExtendedInput.from_values`` of a digraph's edge weights, in sorted edge order, on its ``pph_store``.
 
-    ``store`` is ``pph_store`` of g or of any digraph with g's vertices and
-    edges.  It is checked first, by its record: a store whose closure is
-    not ``PATHS``, a hypergraph's or one without cells included, or whose
-    ``cells[0]`` and ``cells[1]`` are not g's vertex ids and sorted edges,
-    raises ValueError("the store was built on another digraph's vertices or
-    edges").  The paths above follow from those two levels.
+    A path enters the sublevel filtration at its largest weight and the
+    superlevel one at its smallest, vertices at stage 1 on both axes; the
+    grid is the distinct weights, and of 0.0 and -0.0 it keeps the one on
+    the first edge in sorted order.  The store's ``cells`` are
+    ``_path_cells`` of the edges, so ``cells[0]`` and ``cells[1]`` give the
+    vertex count and the edge sources.  A graph with no edges has an empty
+    input, on an empty store that keeps the cells so it can be staged again.
     """
-    src, tgt, _ = edges = _edge_arrays(g)
-    cells = (store.cells or {}) if store.closure == PATHS else {}
-    if not (
-        len(cells) > 1
-        and np.array_equal(cells[0][:, 0], np.arange(len(g.vertices)))
-        and np.array_equal(cells[1][:, 0], src)
-        and np.array_equal(cells[1][:, 1], tgt)
-    ):
-        raise ValueError("the store was built on another digraph's vertices or edges")
-    return _staged(g, store, edges)
-
-
-def _staged(g: WeightedDigraph, store: GradedSubgroup, edges):
-    """``ExtendedInput.from_values`` of g's weights on its paths' store; ``edges`` is ``_edge_arrays(g)``.
-
-    The paths are staged at the distinct edge weights: a path enters the
-    sublevel filtration at its largest weight and the superlevel one at its
-    smallest, and vertices at stage 1 on both axes.  The store's paths are
-    ``_path_cells`` of g's edges, so each level's weights come from the
-    level below and the edges ``_steps`` appends to it.  A graph with no edges
-    has no critical values: its input is empty, on an empty store that
-    keeps the store's record and so passes the check of ``pph_input``
-    again.  The input serves every p_max up to the one the store was built
-    for.
-    """
-    (src, _, weights), n, cells = edges, len(g.vertices), store.cells
-    grid = sorted(set(g.weights.values()))
+    cells = store.cells
+    n, src = len(cells[0]), cells[1][:, 0]
+    grid = sorted(set(weights.tolist()))
     if not grid:
-        empty = GradedSubgroup._from_csr({}, {}, store.q, cells, store.closure)
+        empty = GradedSubgroup._from_csr({}, {}, store.q, cells)
         return ExtendedInput.from_values(empty, grid, {}, {})
     asc, desc = {0: np.full(n, grid[0])}, {0: np.full(n, grid[-1])}  # no edge weight lies outside the grid
     for p in range(1, len(cells)):
@@ -215,8 +192,7 @@ def _staged(g: WeightedDigraph, store: GradedSubgroup, edges):
 
 def build_pph_input(g: WeightedDigraph, p_max: int = 2, q: int = 2):
     """The digraph's input: its weights staged on its own ``pph_store``, with one pass over its edges."""
-    store, edges = _store_and_edges(g, p_max, q)
-    return _staged(g, store, edges)
+    return _staged(*_store_and_weights(g, p_max, q))
 
 
 def parse_digraph(text: str) -> WeightedDigraph:

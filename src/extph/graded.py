@@ -13,16 +13,16 @@ The store is arrays indexed by universe row.  Per dimension p it keeps
 the number of basis and extension generators and the boundary of
 dimension p as CSR arrays: ``indptr``, the faces as dimension-(p-1)
 universe rows, and coefficients nonzero mod q.  The front ends build
-these arrays directly from vertex-id rows (``cell_store``), and such a
-store keeps the vertex names and the id rows instead of labels: the
-label lists (``basis``, ``extension``, ``universe``; a label is the
-tuple of a row's vertex names) are built on first access, for messages
-and the hand-built API.  The dict constructor and ``from_arrays`` take
-their labels (any hashable works) as given, and the dict constructor
-converts hand-built boundaries once.  A store is closed once it is
-built: every constructor rejects a face that is not a universe row one
-dimension down, so only d∘d = 0 is left to check, on the arrays, once
-per store.
+these arrays directly from vertex-id rows (``cell_store``).  Such a
+store keeps the vertex names and the id rows (``cells``, from which the
+front end stages its values) instead of labels: the label lists
+(``basis``, ``extension``, ``universe``; a label is the tuple of a
+row's vertex names) are built on first access, for messages and the
+hand-built API.  The dict constructor and ``from_arrays`` take their
+labels (any hashable works) as given, and the dict constructor converts
+hand-built boundaries once.  A store is closed once it is built: every
+constructor rejects a face that is not a universe row one dimension
+down, so only d∘d = 0 is left to check, on the arrays, once per store.
 
 A filtration is a store plus a height per basis generator, given per
 dimension as integers aligned with the store's basis: its compatible
@@ -60,8 +60,6 @@ from .field import _pack, _sweep, dense_kernel, modulus
 __all__ = [
     "BASIS",
     "EXTENSION",
-    "PATHS",
-    "SIMPLICES",
     "GeneratorId",
     "GradedSubgroup",
     "FilteredGradedSubgroup",
@@ -80,10 +78,6 @@ BASIS = "basis"
 EXTENSION = "extension"
 
 _NONE = np.zeros(0, dtype=np.int64)
-
-# what the id rows of a cell store are: allowed paths of a digraph, or hyperedges
-PATHS = "paths"
-SIMPLICES = "simplices"
 
 
 class GeneratorId(NamedTuple):
@@ -210,17 +204,14 @@ class GradedSubgroup:
         computes heights, and must list at least one dimension.
         """
         basis, extension = _per_dim(basis, extension)
-        self = cls._from_csr({p: (len(basis[p]), len(extension[p])) for p in basis}, boundaries, q, cells, None)
+        self = cls._from_csr({p: (len(basis[p]), len(extension[p])) for p in basis}, boundaries, q, cells)
         self.basis, self.extension = basis, extension
         self.universe = {p: basis[p] + extension[p] for p in basis}
         return self
 
     @classmethod
-    def _from_csr(cls, sizes, boundaries, q, cells, closure) -> "GradedSubgroup":
-        """A store of ``sizes[p]`` = (basis count, extension count) generators, without labels; see ``from_arrays``.
-
-        ``closure`` names how ``cells`` were closed under faces (``cell_store``).
-        """
+    def _from_csr(cls, sizes, boundaries, q, cells) -> "GradedSubgroup":
+        """A store of ``sizes[p]`` = (basis count, extension count) generators, without labels; see ``from_arrays``."""
         if cells is not None and not cells:
             raise ValueError("cells must list the id rows of at least one dimension")
         q, csr = modulus(q), {}
@@ -235,15 +226,13 @@ class GradedSubgroup:
                 raise GradedValidationError(f"dimension {p}: boundary coefficients are not integers nonzero mod {q}")
             csr[p] = _csr(indptr, faces, coeffs)
         self = cls.__new__(cls)
-        self._setup(q, sizes, {p: np.arange(nb, dtype=np.int64) for p, (nb, _) in sizes.items()}, csr)
-        self.cells, self.closure = cells, closure
+        self._setup(q, sizes, {p: np.arange(nb, dtype=np.int64) for p, (nb, _) in sizes.items()}, csr, cells)
         return self
 
-    def _setup(self, q, sizes, rows, csr):
+    def _setup(self, q, sizes, rows, csr, cells=None):
         self.q = q
         self.max_dim = len(sizes) - 1
-        self._sizes, self._basis_rows, self._csr = sizes, rows, csr
-        self.cells = self.closure = None
+        self._sizes, self._basis_rows, self._csr, self.cells = sizes, rows, csr, cells
         self.names = self._extension_rows = None  # a cell store's vertex names and extension id rows
         self._where = None  # label -> (dim, universe row, basis position or -1), built on first use
         self._problems = None  # the memoised outcome of validate()
@@ -423,7 +412,7 @@ def _faces(cells: np.ndarray, q: int):
     return faces[keep], np.repeat(np.arange(m), k)[keep], np.tile(np.where(np.arange(k) % 2, q - 1, 1), m)[keep]
 
 
-def cell_store(names, basis_cells, q: int = 2, closure=None) -> GradedSubgroup:
+def cell_store(names, basis_cells, q: int = 2) -> GradedSubgroup:
     """The store of vertex-id rows: a basis, its faces as the extension, their boundaries.
 
     ``names`` are the vertex names by id; ``basis_cells[p]`` holds the
@@ -433,10 +422,8 @@ def cell_store(names, basis_cells, q: int = 2, closure=None) -> GradedSubgroup:
     dimension-p generator that are not basis rows, in lexicographic order.
     A face that would repeat a vertex in adjacent columns is dropped (path
     complexes); a simplex, a sorted row of distinct ids, keeps every face.
-    The store keeps ``names``, the rows as its ``cells`` and ``closure``,
-    the name of what the rows are (``PATHS`` or ``SIMPLICES``), so that a
-    front end can check a store by its record; it builds no label until
-    one is read.
+    The store keeps ``names`` and the rows as its ``cells``, from which a
+    front end stages its values; it builds no label until one is read.
     """
     n, top = len(names), max(basis_cells)
     extension = {top: np.zeros((0, top + 1), dtype=np.int64)}
@@ -460,7 +447,7 @@ def cell_store(names, basis_cells, q: int = 2, closure=None) -> GradedSubgroup:
         np.cumsum(np.bincount(cols, minlength=len(universe)), out=indptr[1:])
         boundaries[p] = (indptr, row_of_rank[face_ranks], coeffs)
     sizes = _trim({p: (len(basis_cells[p]), len(extension[p])) for p in basis_cells})
-    store = GradedSubgroup._from_csr(sizes, boundaries, q, basis_cells, closure)
+    store = GradedSubgroup._from_csr(sizes, boundaries, q, basis_cells)
     store.names, store._extension_rows = tuple(names), extension
     return store
 

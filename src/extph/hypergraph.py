@@ -17,24 +17,23 @@ The constructor and the parser check each hyperedge with
 Simplices are oriented by the sorted order of their vertices.  The input
 is built on integer rows: each hyperedge is the row of its vertex ids in
 sorted order (ids follow the sorted vertex names), and ``cell_store``
-closes those rows under faces and records them as the store's ``cells``,
-closed as ``SIMPLICES``.  No label is built on the way from a hypergraph
-to its barcode: a store is checked against a hypergraph by its record,
-the vertex names and the id rows.  ``simplicial_closure`` is the same
-closure at the level of labels; the demos print it, and the tests check
-the array store against it and against a label-level boundary of their
-own.
+closes those rows under faces and records them as the store's ``cells``.
+``_staged`` stages values listed in sorted hyperedge order, a stability
+trial's perturbed ones too, picking each dimension's by ``_positions``.
+No label is built on the way from a hypergraph to its barcode.
+``simplicial_closure`` is the same closure at the level of labels; the
+demos print it, and the tests check the array store against it and
+against a label-level boundary of their own.
 """
 
 import math
 from itertools import chain, combinations
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import InputFormatError, records
 from .extended import ExtendedInput
-from .graded import SIMPLICES, GradedSubgroup, cell_store
+from .graded import GradedSubgroup, cell_store
 from .persistence import _betti_numbers
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "simplicial_closure",
     "embedded_homology",
     "hyper_store",
-    "hyper_input",
     "build_hyper_input",
     "parse_hypergraph",
 ]
@@ -102,20 +100,24 @@ def embedded_homology(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> list
     return _betti_numbers(hyper_store(h, p_max, q), p_max)
 
 
-def _hyperedges(h: FilteredHypergraph, top: int):
-    """h's hyperedges of dimension at most ``top`` as vertex-id rows, and their values, grouped by dimension.
+def _positions(keys, top: int) -> dict:
+    """Per dimension up to ``top``, the positions among the sorted hyperedges ``keys`` of those of that dimension."""
+    dims = np.array([len(e) - 1 for e in keys], dtype=np.int64)
+    return {p: np.flatnonzero(dims == p) for p in range(top + 1)}
 
-    Each group is in lexicographic order: ids follow the sorted vertex
-    names, so that is the order of the hyperedges' sorted name tuples.
+
+def _hyperedges(h: FilteredHypergraph, top: int):
+    """(id rows by dimension up to ``top``, values in sorted hyperedge order, ``_positions``) of h's hyperedges.
+
+    Each dimension's rows are in lexicographic order, that of the sorted name tuples (ids follow the sorted
+    names), which is the order in which ``_positions`` lists them.
     """
     vid = {v: i for i, v in enumerate(h.vertices)}.__getitem__
-    edges, values = {p: [] for p in range(top + 1)}, {p: [] for p in range(top + 1)}
-    for e, v in sorted(h.values.items(), key=itemgetter(0)):
-        if len(e) <= top + 1:
-            edges[len(e) - 1].append(e)
-            values[len(e) - 1].append(v)
-    ids = {p: list(map(vid, chain.from_iterable(edges[p]))) for p in edges}
-    return {p: np.array(ids[p], dtype=np.int64).reshape(-1, p + 1) for p in ids}, values
+    keys = sorted(h.values)
+    positions = _positions(keys, top)
+    ids = {p: list(map(vid, chain.from_iterable(keys[i] for i in at.tolist()))) for p, at in positions.items()}
+    cells = {p: np.array(ids[p], dtype=np.int64).reshape(-1, p + 1) for p in ids}
+    return cells, np.array([h.values[e] for e in keys], dtype=float), positions
 
 
 def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubgroup:
@@ -127,41 +129,28 @@ def hyper_store(h: FilteredHypergraph, p_max: int = 2, q: int = 2) -> GradedSubg
     face-closed set, so boundaries never leave the listing.  Each
     hyperedge is a row of vertex ids in sorted order, and rows in
     lexicographic order are labels in lexicographic order; the store keeps
-    the rows as its ``cells``, closed as ``SIMPLICES``.
+    the rows as its ``cells``.
     """
     return _store_and_values(h, p_max, q)[0]
 
 
 def _store_and_values(h: FilteredHypergraph, p_max: int, q: int):
-    """(``hyper_store``, the values of its basis by dimension) of h."""
+    """(``hyper_store``, its values in sorted hyperedge order, ``_positions``) of h."""
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
-    cells, values = _hyperedges(h, p_max + 1)
-    return cell_store(h.vertices, cells, q, SIMPLICES), values
+    cells, values, positions = _hyperedges(h, p_max + 1)
+    return cell_store(h.vertices, cells, q), values, positions
 
 
-def hyper_input(h: FilteredHypergraph, store: GradedSubgroup):
-    """Ascending/descending hyperedge filtrations of h's values on a store of its hyperedges.
+def _staged(store: GradedSubgroup, values, positions):
+    """``ExtendedInput.from_values`` of hyperedge values, in sorted hyperedge order, on the hypergraph's ``hyper_store``.
 
-    ``store`` is ``hyper_store`` of h or of any hypergraph with h's
-    vertices and hyperedges up to the store's top dimension.  It is checked
-    first, by its record: a store whose closure is not ``SIMPLICES``, one
-    without cells included, whose vertex names are not h's, or whose
-    ``cells`` are not h's hyperedges up to there as ``hyper_store`` groups
-    them, raises ValueError("the store was built on another hypergraph's
-    hyperedges").  The input serves every p_max up to the one the store
-    was built for.
+    ``positions[p]`` picks the dimension-p basis values out of ``values`` in store order, leaving out the
+    hyperedges above the store; the stage grid is the distinct values picked.
     """
-    record = store.closure == SIMPLICES and store.cells and store.names == h.vertices
-    cells, values = _hyperedges(h, max(store.cells) if record else -1)  # hyper_store drops the hyperedges above its top
-    if not (record and all(np.array_equal(store.cells[p], cells[p]) for p in cells)):
-        raise ValueError("the store was built on another hypergraph's hyperedges")
-    return _staged(store, values)
-
-
-def _staged(store: GradedSubgroup, values):
-    """``ExtendedInput.from_values`` of the hyperedge values, in store order; the stage grid is their distinct values."""
-    return ExtendedInput.from_values(store, sorted({v for p in values for v in values[p]}), values, values)
+    picked = {p: values[at] for p, at in positions.items()}
+    grid = sorted(set(np.concatenate(list(picked.values())).tolist()))
+    return ExtendedInput.from_values(store, grid, picked, picked)
 
 
 def build_hyper_input(h: FilteredHypergraph, p_max: int = 2, q: int = 2):

@@ -46,7 +46,7 @@ HEADER = "dim\ttype\tbirth\tdeath\n"
 @pytest.mark.parametrize(
     "command, text, want",
     [
-        # the stage grid keeps the spelling of a value that it reads first
+        # the stage grid keeps the spelling on the first edge or hyperedge in sorted order, here the first line
         ("pph", "a\tb\t0\nb\tc\t-0\nc\ta\t1\n", "0\text\t0.0\t1.0\n1\text\t1.0\t0.0\n1\trel\t1.0\t0.0\n"),
         ("pph", "a\tb\t-0\nb\tc\t0\nc\ta\t1\n", "0\text\t-0.0\t1.0\n1\text\t1.0\t-0.0\n1\trel\t1.0\t-0.0\n"),
         ("hyper", "0\ta\n-0\tb\n1\ta,b\n", "0\text\t0.0\t0.0\n0\tord\t0.0\t1.0\n"),
@@ -59,6 +59,18 @@ def test_a_signed_zero_prints_as_first_read(tmp_path, capsys, command, text, wan
     src.write_text(text)
     code, out, _ = run([command, str(src)], capsys)
     assert (code, out) == (0, HEADER + want)
+
+
+def test_a_digraphs_signed_zero_does_not_depend_on_its_line_order(tmp_path, capsys):
+    # a->b is the first edge in sorted order, so its 0.0 is the grid's spelling whichever line lists it first
+    outs = []
+    for text in ("a\tb\t0.0\nb\tc\t-0.0\nc\ta\t1\n", "b\tc\t-0.0\na\tb\t0.0\nc\ta\t1\n"):
+        src = tmp_path / "zeros.tsv"
+        src.write_text(text)
+        code, out, _ = run(["pph", str(src)], capsys)
+        assert code == 0
+        outs.append(out.encode())
+    assert outs[0] == outs[1] == (HEADER + "0\text\t0.0\t1.0\n1\text\t1.0\t0.0\n1\trel\t1.0\t0.0\n").encode()
 
 
 def test_pph_malformed_line_exits_2(tmp_path, capsys):

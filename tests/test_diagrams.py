@@ -13,6 +13,7 @@ from extph import (
     bottleneck,
     bottleneck_certificate,
     diagrams,
+    extended_barcode,
     format_diagram,
     read_diagram,
     stability_trial,
@@ -418,6 +419,30 @@ def test_a_trial_refuses_a_negative_p_max_and_a_base_built_lower():
         stability_trial(g, 0.2, seed=1, p_max=2, base=_diagram(g, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "one, other",
+    [
+        (
+            WeightedDigraph("abc", {("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "a"): 3.0}),
+            WeightedDigraph("abc", {("a", "b"): 8.0, ("b", "c"): 2.0, ("c", "a"): 3.0}),
+        ),
+        (
+            FilteredHypergraph("abc", {("a", "b"): 1.0, ("b", "c"): 2.0, ("a", "b", "c"): 3.0}),
+            FilteredHypergraph("abc", {("a", "b"): 1.0, ("b", "c"): 2.0, ("a", "b", "c"): 9.0}),
+        ),
+    ],
+    ids=["digraph", "hypergraph"],
+)
+def test_a_trial_refuses_a_base_built_on_another_subject(one, other):
+    from extph.diagrams import _diagram
+
+    # the same edges or hyperedges with other values: the base's store would take them, its values would not
+    base = _diagram(one, 2, 2)
+    with pytest.raises(ValueError, match="the base was built on another subject"):
+        stability_trial(other, 0.1, 1, base=base)
+    assert stability_trial(one, 0.1, 1, base=base) == stability_trial(one, 0.1, 1)
+
+
 def test_a_trial_refuses_a_base_built_over_another_field():
     from extph.diagrams import _diagram
 
@@ -481,8 +506,18 @@ def _relevelled(subject, rng):
     return [type(subject)(subject.vertices, v) for v in (shifted, merged, split)]
 
 
+def _record(subject):
+    """The subject's weights or values in sorted key order, the order of a base's ``values``."""
+    return np.array([v for _, v in sorted(_values(subject).items())])
+
+
+def _staged_diagram(base, values, p_max):
+    x, asc, desc = base.staged(values)
+    return diagrams(extended_barcode(x, p_max), asc, desc)
+
+
 def test_a_trial_on_the_shared_store_matches_a_diagram_built_from_scratch():
-    from extph.diagrams import _diagram, _restaged
+    from extph.diagrams import _diagram
 
     rng = np.random.default_rng(181)
     grids_changed = 0
@@ -491,12 +526,45 @@ def test_a_trial_on_the_shared_store_matches_a_diagram_built_from_scratch():
             for _ in range(4):
                 for subject in (random_digraph(rng, max_vertices=5), random_hypergraph(rng, max_vertices=5)):
                     base = _diagram(subject, p_max, q)
+                    assert base.values.tolist() == _record(subject).tolist()
+                    assert _staged_diagram(base, base.values, p_max) == base.diagram
                     for moved in _relevelled(subject, rng):
-                        got = _restaged(moved, base.store, p_max)
+                        got = _staged_diagram(base, _record(moved), p_max)
                         want = _diagram(moved, p_max, q).diagram
                         assert got == want and format_diagram(got) == format_diagram(want)
                         grids_changed += len(set(_values(subject).values())) != len(set(_values(moved).values()))
     assert grids_changed > 50  # merged and split levels change M and N
+
+
+def test_the_work_of_a_stability_run_on_its_subject_does_not_grow_with_its_trials(monkeypatch, tmp_path):
+    import extph.digraph
+    import extph.hypergraph
+    from extph.cli import main
+
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(extph.digraph, "_edge_arrays")
+    counted(extph.hypergraph, "_hyperedges")
+    counted(WeightedDigraph, "__init__")
+    counted(FilteredHypergraph, "__init__")
+    for name, text in (("g.tsv", "a\tb\t1\nb\tc\t2\nc\ta\t3\n"), ("h.tsv", "1\ta,b\n2\tb,c\n3\ta,b,c\n")):
+        src = tmp_path / name
+        src.write_text(text)
+        counts = []
+        for trials in ("1", "5"):
+            calls.clear()
+            assert main(["stability", str(src), "--trials", trials, "--out", str(tmp_path / "out")]) == 0
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] == [{"g.tsv": "_edge_arrays", "h.tsv": "_hyperedges"}[name]]
 
 
 def test_one_stability_run_validates_its_store_once(monkeypatch, tmp_path):
@@ -523,14 +591,15 @@ def test_one_stability_run_validates_its_store_once(monkeypatch, tmp_path):
 
 
 def test_a_new_store_is_checked_and_each_trial_checks_its_heights():
-    from extph.digraph import pph_input, pph_store
+    from extph.diagrams import _diagram
     from extph.errors import GradedValidationError
     from extph.extended import ExtendedInput
     from extph.graded import GradedSubgroup
 
     g = WeightedDigraph(["a", "b", "c"], {("a", "b"): 1.0, ("b", "c"): 2.0, ("a", "c"): 3.0})
-    store = pph_store(g, 1, 2)
-    x, _, _ = pph_input(g, store)
+    base = _diagram(g, 1, 2)
+    store = base.store
+    x, _, _ = base.staged(base.values + 0.5)
     store.validate()
     assert x.graded is store is x.ascending.graded is x.descending.graded
 

@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 
 from extph import (
-    FilteredHypergraph,
     InputFormatError,
     WeightedDigraph,
     allowed_paths,
     build_pph_input,
     extended_barcode,
     extended_module_oracle,
-    hyper_store,
     interval_rank_table,
     parse_digraph,
     path_homology,
-    pph_input,
     pph_store,
 )
 from extph.extended import EXTENDED
@@ -268,33 +265,16 @@ def test_a_negative_p_max_is_refused_by_the_store():
         build_pph_input(unit_cycle(), -1)
 
 
-def test_pph_input_refuses_a_store_without_cells():
-    g = WeightedDigraph(["a", "b"], {("a", "b"): 1.0})
-    with pytest.raises(ValueError, match="the store was built on another digraph's vertices or edges"):
-        pph_input(g, GradedSubgroup({0: ["a", "b"]}))
-
-
-def test_pph_input_refuses_another_digraphs_store_when_it_has_no_edges():
-    path = WeightedDigraph("abc", {("a", "b"): 1.0, ("b", "c"): 2.0})
-    with pytest.raises(ValueError, match="the store was built on another digraph's vertices or edges"):
-        pph_input(WeightedDigraph(["x"], {}), pph_store(path, 2))
-
-
-def test_pph_input_refuses_a_hypergraph_store_that_matches_its_vertices_and_edges():
-    # the transitive triangle: its store has the allowed path a->b->c, the hypergraph's has none
-    g = WeightedDigraph("abc", {("a", "b"): 1.0, ("b", "c"): 2.0, ("a", "c"): 3.0})
-    h = FilteredHypergraph("abc", {(v,): 0.0 for v in "abc"} | {tuple(e): w for e, w in g.weights.items()})
-    with pytest.raises(ValueError, match="the store was built on another digraph's vertices or edges"):
-        pph_input(g, hyper_store(h, 2))
-
-
 def test_an_edgeless_digraphs_empty_input_keeps_its_stores_cells():
+    from extph.digraph import _staged
+
     g = WeightedDigraph("ab", {})
     store = pph_store(g, 2)
-    x, asc, desc = pph_input(g, store)
+    no_weights = np.zeros(0)
+    x, asc, desc = _staged(store, no_weights)
     assert (x.M, x.N, asc, desc, len(extended_barcode(x, 2))) == (0, 0, [], [], 0)
     assert x.graded.cells is store.cells and x.graded.q == store.q
-    assert pph_input(g, x.graded)[0].graded.cells is store.cells  # a trial on that store passes the check
+    assert _staged(x.graded, no_weights)[0].graded.cells is store.cells  # a trial stages on that store again
 
 
 def test_path_homology_matches_the_supremum_complex_reference():

@@ -3,8 +3,7 @@
 A front end's store keeps vertex names and id rows, and builds its label
 lists on first access.  These tests guard the command-line path against a
 label list built on the way, check that every message that names a
-generator still names it as before, and that a store is still refused by
-its record when it was built on another input.
+generator still names it as before.
 """
 
 import numpy as np
@@ -21,9 +20,7 @@ from extph import (
     build_pph_input,
     diagrams,
     extended_barcode,
-    hyper_input,
     hyper_store,
-    pph_input,
     pph_store,
 )
 from extph.cli import main
@@ -85,11 +82,13 @@ def test_height_messages_name_generators_as_before():
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_a_planted_nonzero_square_names_the_generator_as_before(q):
-    store = hyper_store(TRIANGLE, 1, q)
+    from extph.hypergraph import _staged, _store_and_values
+
+    store, values, positions = _store_and_values(TRIANGLE, 1, q)
     indptr, faces, coeffs = store.boundary_csr(2)
     store._csr[2] = (indptr - (np.arange(len(indptr)) > 0), faces[1:], coeffs[1:])  # the triangle loses a side
     with pytest.raises(GradedValidationError) as err:
-        hyper_input(TRIANGLE, store)
+        _staged(store, values, positions)
     assert str(err.value) == "boundary of boundary of ('a', 'b', 'c') is nonzero"
 
 
@@ -112,31 +111,3 @@ def test_consistency_errors_name_generators_as_before(monkeypatch, pairing, mess
     with pytest.raises(ConsistencyError) as err:
         extended_barcode(build_pph_input(PATH, 1)[0], 1)
     assert str(err.value) == message
-
-
-def test_mismatched_stores_are_refused_by_their_record():
-    digraph = "the store was built on another digraph's vertices or edges"
-    hypergraph = "the store was built on another hypergraph's hyperedges"
-    # a digraph with no edges, offered another digraph's store
-    with pytest.raises(ValueError) as err:
-        pph_input(WeightedDigraph(["x"], {}), pph_store(PATH, 2))
-    assert str(err.value) == digraph
-    # the transitive triangle, offered the store of a hypergraph with its vertices and edges: no path a->b->c
-    g = WeightedDigraph("abc", {("a", "b"): 1.0, ("b", "c"): 2.0, ("a", "c"): 3.0})
-    h = FilteredHypergraph("abc", {(v,): 0.0 for v in "abc"} | {tuple(e): w for e, w in g.weights.items()})
-    with pytest.raises(ValueError) as err:
-        pph_input(g, hyper_store(h, 2))
-    assert str(err.value) == digraph
-    # the same rows the other way round: a hypergraph offered a digraph's store
-    g = WeightedDigraph("ab", {("a", "b"): 1.0})
-    with pytest.raises(ValueError) as err:
-        hyper_input(FilteredHypergraph("ab", {("a",): 0.0, ("b",): 0.0, ("a", "b"): 1.0}), pph_store(g, 1))
-    assert str(err.value) == hypergraph
-    # the same id rows on other vertex names
-    with pytest.raises(ValueError) as err:
-        hyper_input(FilteredHypergraph("xyz", {("x", "y", "z"): 1.0}), hyper_store(TRIANGLE))
-    assert str(err.value) == hypergraph
-    # the same vertices and as many edges, but other ones
-    with pytest.raises(ValueError) as err:
-        pph_input(WeightedDigraph("abc", {("a", "b"): 1.0, ("c", "b"): 2.0}), pph_store(PATH))
-    assert str(err.value) == digraph

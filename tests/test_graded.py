@@ -13,7 +13,7 @@ from extph import (
     stage_heights,
 )
 from extph.field import dense_kernel
-from extph.graded import PATHS, SIMPLICES, _first_nonzero_product, cell_store, stage_cycles, window_ranks
+from extph.graded import _first_nonzero_product, cell_store, stage_cycles, window_ranks
 from extph.persistence import _betti_numbers
 
 from oracles import gf_rank, random_boundary_data, random_filtered, random_graded
@@ -587,8 +587,8 @@ def id_rows(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(id_rows(), st.sampled_from([2, 3, 5]))
 def test_the_face_rule_of_cell_stores_squares_to_zero(rows, q):
-    n, cells, paths = rows
-    store = cell_store([f"v{i}" for i in range(n)], cells, q, PATHS if paths else SIMPLICES)
+    n, cells, _ = rows
+    store = cell_store([f"v{i}" for i in range(n)], cells, q)
     assert all(store._first_nonzero_square(p) is None for p in range(2, store.max_dim + 1))
 
 

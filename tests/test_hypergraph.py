@@ -18,7 +18,6 @@ from extph import (
     embedded_homology,
     extended_barcode,
     extended_module_oracle,
-    hyper_input,
     hyper_store,
     interval_rank_table,
     parse_hypergraph,
@@ -366,25 +365,11 @@ def test_parse_hypergraph_builds_what_the_constructor_builds():
     assert list(h.values) == list(want.values)
 
 
-def test_hyper_input_rejects_a_store_of_other_hyperedges():
-    small = FilteredHypergraph("abc", {("a",): 1, ("b",): 1, ("a", "b"): 2})
-    large = FilteredHypergraph("abc", {**small.values, ("c",): 1, ("b", "c"): 3})
-    for h, store in [(large, hyper_store(small)), (small, hyper_store(large))]:
-        with pytest.raises(ValueError, match="the store was built on another hypergraph's hyperedges"):
-            hyper_input(h, store)
-
-
-def test_hyper_input_ignores_the_hyperedges_above_the_store():
-    # at p_max 1 the store stops at dimension 2, so the tetrahedron is not in it
+def test_the_hyperedges_above_the_store_are_not_staged():
+    # at p_max 1 the store stops at dimension 2, so the tetrahedron and its value are not in the input
     h = FilteredHypergraph("abcd", {("a", "b", "c"): 1, ("a", "b", "c", "d"): 2})
-    x, asc, _ = hyper_input(h, hyper_store(h, p_max=1))
+    x, asc, _ = build_hyper_input(h, p_max=1)
     assert max(x.graded.dims()) == 2 and asc == [1.0]
-
-
-def test_hyper_input_refuses_a_store_without_cells():
-    h = FilteredHypergraph("ab", {("a",): 1, ("b",): 2})
-    with pytest.raises(ValueError, match="the store was built on another hypergraph's hyperedges"):
-        hyper_input(h, GradedSubgroup({0: [("a",), ("b",)]}))
 
 
 def test_hyper_store_refuses_a_negative_p_max():
